@@ -10,20 +10,11 @@ import argparse
 import sys
 from dataclasses import dataclass
 
+from orbev.cli import SURFACES
 from orbev.epoly import SPACES, BivariatePolynomial
 from orbev.orbifold_engine import orbifold_e_polynomial
 from orbev.root_data import sl_quotient_datum
 from orbev.sln_formula import closed_form_eorb, partitions
-
-ONE = BivariatePolynomial.one()
-U = BivariatePolynomial.monomial(1, 0)
-V = BivariatePolynomial.monomial(0, 1)
-UV = BivariatePolynomial.monomial(1, 1)
-
-SURFACES = {
-    "betti": ((UV - ONE) ** 2, 2, "betti"),
-    "abelian": (((ONE - U) * (ONE - V)) ** 2, 4, "abelian-surface"),
-}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ characteristic-polynomial expression:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -206,33 +206,24 @@ UV = BivariatePolynomial.monomial(1, 1)
 def char_poly(m: IntegerMatrix) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(t·1 - m) = Σ c_k t^k.
 
-    Faddeev-LeVerrier recursion in exact rational arithmetic; the output is
-    integral for integer matrices.
+    Faddeev-LeVerrier recursion over the integers: tr(m·M_k) is divisible by
+    k for an integer matrix m, so every division is exact.
     """
     if not m.is_square():
         raise PolynomialError("characteristic polynomial requires a square matrix")
     n = m.rows
-    if n == 0:
-        return (1,)
-    a = [[Fraction(x) for x in row] for row in m.entries]
-
-    def mat_mul(x, y):
-        return [
-            [sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    aux = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    mk = None
+    a = m.entries
+    coeffs = [0] * n + [1]
+    mk = a  # m·M_1 with M_1 = 1
     for k in range(1, n + 1):
-        mk = mat_mul(a, aux) if k > 1 else [row[:] for row in a]
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert rem == 0, "Faddeev-LeVerrier trace is not divisible by k"
         coeffs[n - k] = ck
-        aux = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    assert all(c.denominator == 1 for c in coeffs)
-    return tuple(int(c) for c in coeffs)
+        if k < n:  # m·M_{k+1} with M_{k+1} = m·M_k + c_{n-k}·1
+            aux = ([x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mk))
+            aux_cols = tuple(zip(*aux))
+            mk = [[sum(x * y for x, y in zip(row, col)) for col in aux_cols] for row in a]
+    return tuple(coeffs)
 
 
 def char_poly_product(c: IntegerMatrix, x_monomial: tuple[int, int]) -> BivariatePolynomial:
@@ -268,9 +259,13 @@ def factor_dimension(kind: str) -> int:
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Ordered factor list; each factor is (kind, lattice_side)."""
+    """Ordered factor list; each factor is (kind, lattice_side).
 
-    name: str
+    Equality and hashing use the factors only, so descriptors with the same
+    factors share every engine cache entry whatever their names.
+    """
+
+    name: str = field(compare=False)
     factors: tuple[tuple[str, str], ...]
 
     def __post_init__(self):

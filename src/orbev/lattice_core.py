@@ -2,8 +2,10 @@
 
 Smith normal form with unimodular transforms, saturated fixed sublattices,
 torsion of cokernels as finite abelian groups, and induced automorphisms of
-those groups with exact fixed-point counts.  Everything is arbitrary-precision
-integer or Fraction arithmetic; there is no floating point in this module.
+those groups with exact fixed-point counts.  Every exact elimination
+goes through one fraction-free integer kernel, `_bareiss`; Smith normal form
+keeps its own, because it needs the unimodular transforms.  There is no
+floating point in this module.
 """
 
 from __future__ import annotations
@@ -140,55 +142,20 @@ class IntegerMatrix:
     def det(self) -> int:
         if not self.is_square():
             raise LatticeError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        # Fraction-based Gaussian elimination; the result is an exact integer.
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        det = Fraction(1)
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    f = m[i][k] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        assert det.denominator == 1
-        return int(det)
+        _, pivots, d, sign = _bareiss(self.entries, self.cols)
+        return sign * d if len(pivots) == self.rows else 0
 
     def is_unimodular(self) -> bool:
         return self.is_square() and abs(self.det()) == 1
 
     def rank(self) -> int:
         """Rank over the rationals."""
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        rank = 0
-        col = 0
-        while rank < self.rows and col < self.cols:
-            pivot = next((i for i in range(rank, self.rows) if m[i][col] != 0), None)
-            if pivot is None:
-                col += 1
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = 1 / m[rank][col]
-            for i in range(rank + 1, self.rows):
-                if m[i][col] != 0:
-                    f = m[i][col] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-            rank += 1
-            col += 1
-        return rank
+        return len(_bareiss(self.entries, self.cols)[1])
 
     def inverse_unimodular(self) -> "IntegerMatrix":
         """Exact inverse; requires |det| = 1 so the inverse is integral."""
         sol = solve_exact(self, IntegerMatrix.identity(self.rows))
-        return _fraction_grid_to_integer(sol, "matrix is not unimodular")
+        return _fraction_grid_to_integer(sol, self.rows, "matrix is not unimodular")
 
     def inverse_transpose(self) -> "IntegerMatrix":
         return self.inverse_unimodular().transpose()
@@ -205,6 +172,42 @@ class IntegerMatrix:
             raise LatticeError("shape mismatch")
 
 
+def _bareiss(
+    entries: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Pivots are taken in the first ncols columns, the top nonzero entry of each
+    column in turn.  Every row is reduced against each pivot p with the exact
+    division (p·x - f·y) // prev by the previous pivot, so all entries stay
+    integer minors of the input.  Returns the reduced rows, the (row, col)
+    pivots, the last pivot d and the sign of the row swaps.  Every pivot column
+    ends up zero except at its own row, where it holds d; with full rank d is
+    the determinant of the row-swapped matrix.
+    """
+    a = [list(row) for row in entries]
+    pivots: list[tuple[int, int]] = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        p, pivot_row = a[r][c], a[r]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        pivots.append((r, c))
+        prev = p
+        if r + 1 == len(a):
+            break
+    return a, pivots, prev, sign
+
+
 def solve_exact(a: IntegerMatrix, b: IntegerMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Solve a·X = b exactly over Q; raises InexactSolveError if inconsistent.
 
@@ -214,48 +217,25 @@ def solve_exact(a: IntegerMatrix, b: IntegerMatrix) -> tuple[tuple[Fraction, ...
     """
     if a.rows != b.rows:
         raise LatticeError("incompatible shapes in solve_exact")
-    rows, cols = a.rows, a.cols
-    aug = [[Fraction(x) for x in ra] + [Fraction(y) for y in rb] for ra, rb in zip(a.entries, b.entries)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if any(x != 0 for x in aug[i][cols:]):
-            raise InexactSolveError("linear system is inconsistent")
-    x = [[Fraction(0)] * b.cols for _ in range(cols)]
+    cols = a.cols
+    rows, pivots, d, _ = _bareiss([ra + rb for ra, rb in zip(a.entries, b.entries)], cols)
+    if any(x != 0 for row in rows[len(pivots) :] for x in row[cols:]):
+        raise InexactSolveError("linear system is inconsistent")
+    x = [(Fraction(0),) * b.cols] * cols
     for r_i, c_i in pivots:
-        x[c_i] = aug[r_i][cols:]
-    return tuple(tuple(row) for row in x)
+        x[c_i] = tuple(Fraction(v, d) for v in rows[r_i][cols:])
+    return tuple(x)
 
 
-def _fraction_grid_to_integer(grid: tuple[tuple[Fraction, ...], ...], message: str) -> IntegerMatrix:
+def _fraction_grid_to_integer(grid: tuple[tuple[Fraction, ...], ...], cols: int, message: str) -> IntegerMatrix:
     if any(f.denominator != 1 for row in grid for f in row):
         raise InexactSolveError(message)
-    return IntegerMatrix.from_rows([[int(f) for f in row] for row in grid], cols=len(grid[0]) if grid else 0)
+    return IntegerMatrix.from_rows([[int(f) for f in row] for row in grid], cols=cols)
 
 
 def solve_right_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     """Integer X with a·X = b; raises InexactSolveError if none exists."""
-    x = solve_exact(a, b)
-    if len(x) == 0:
-        if any(v != 0 for row in b.entries for v in row):
-            raise InexactSolveError("linear system is inconsistent")
-        return IntegerMatrix(0, b.cols, ())
-    return _fraction_grid_to_integer(x, "solution is not integral")
+    return _fraction_grid_to_integer(solve_exact(a, b), b.cols, "solution is not integral")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ translations act trivially on cohomology.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -71,7 +69,6 @@ class ClassContribution:
 @dataclass(frozen=True)
 class OrbifoldReport:
     datum_label: str
-    space: SpaceDescriptor
     group_order: int
     contributions: tuple[ClassContribution, ...]
     total: BivariatePolynomial
@@ -261,7 +258,7 @@ def _group_data(datum: RootDatum, cap: int):
     return group, table, cents
 
 
-def _rank_zero_report(datum: RootDatum, space: SpaceDescriptor) -> OrbifoldReport:
+def _rank_zero_report(datum: RootDatum) -> OrbifoldReport:
     one = BivariatePolynomial.one()
     contribution = ClassContribution(
         representative=IntegerMatrix.identity(0),
@@ -272,7 +269,7 @@ def _rank_zero_report(datum: RootDatum, space: SpaceDescriptor) -> OrbifoldRepor
         average=one,
         weighted=one,
     )
-    return OrbifoldReport(datum.label, space, 1, (contribution,), one)
+    return OrbifoldReport(datum.label, 1, (contribution,), one)
 
 
 @lru_cache(maxsize=None)
@@ -281,32 +278,20 @@ def orbifold_e_polynomial(
 ) -> OrbifoldReport:
     """Sum of weighted class contributions; total must have integer coefficients."""
     if datum.rank == 0:
-        return _rank_zero_report(datum, space)
+        return _rank_zero_report(datum)
     group, table, cents = _group_data(datum, cap)
-    jobs = []
-    for rep, size, cent in zip(table.representatives, table.sizes, cents):
-        if len(cent.elements) * size != group.order:
-            raise EngineError("orbit-stabilizer mismatch in class table")
-        jobs.append((rep, size, cent.elements))
-
-    def one_class(job):
-        rep, size, cent_elements = job
-        return class_contribution(datum, space, rep, cent_elements, class_size=size)
-
-    # ORBEV_THREADS only distributes per-class work; map preserves class order
-    # and all arithmetic is exact, so output bytes cannot depend on it.
-    workers = int(os.environ.get("ORBEV_THREADS", "1") or "1")
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            contributions = list(pool.map(one_class, jobs))
-    else:
-        contributions = [one_class(job) for job in jobs]
+    if any(len(cent.elements) * size != group.order for size, cent in zip(table.sizes, cents)):
+        raise EngineError("orbit-stabilizer mismatch in class table")
+    contributions = [
+        class_contribution(datum, space, rep, cent.elements, class_size=size)
+        for rep, size, cent in zip(table.representatives, table.sizes, cents)
+    ]
     total = BivariatePolynomial.zero()
     for contribution in contributions:
         total = total + contribution.weighted
     if not total.has_integer_coefficients():
         raise EngineError("orbifold E-polynomial has non-integer coefficients")
-    return OrbifoldReport(datum.label, space, group.order, tuple(contributions), total)
+    return OrbifoldReport(datum.label, group.order, tuple(contributions), total)
 
 
 @lru_cache(maxsize=None)

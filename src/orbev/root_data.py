@@ -58,40 +58,20 @@ def _fractions(rows: Sequence[Sequence[Fraction | int]]) -> FractionMatrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(m)
-    a = [list(row) for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
+def _scaled_gram(gram: FractionMatrix) -> tuple[IntegerMatrix, int]:
+    """(L·gram, L) with L the lcm of the denominators, so that L·gram is integral."""
+    scale = lcm(1, *(x.denominator for row in gram for x in row))
+    return IntegerMatrix.from_rows([[int(x * scale) for x in row] for row in gram], cols=len(gram)), scale
 
-def _frac_inverse(m: FractionMatrix) -> FractionMatrix:
-    n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot is None:
-            raise DatumError("gram matrix is singular")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return tuple(tuple(row[n:]) for row in aug)
+
+def _gram_inverse(gram: FractionMatrix) -> FractionMatrix:
+    """gram⁻¹ = L·(L·gram)⁻¹."""
+    scaled, scale = _scaled_gram(gram)
+    try:
+        inverse = solve_exact(scaled, IntegerMatrix.identity(len(gram)))
+    except InexactSolveError:
+        raise DatumError("gram matrix is singular") from None
+    return tuple(tuple(x * scale for x in row) for row in inverse)
 
 
 def _congruence(g: IntegerMatrix, gram: FractionMatrix) -> FractionMatrix:
@@ -107,11 +87,12 @@ def _congruence(g: IntegerMatrix, gram: FractionMatrix) -> FractionMatrix:
 
 
 def _is_positive_definite(gram: FractionMatrix) -> bool:
-    # Sylvester: all leading principal minors positive.
-    for k in range(1, len(gram) + 1):
-        if _frac_det([row[:k] for row in gram[:k]]) <= 0:
-            return False
-    return True
+    # Sylvester: all leading principal minors positive; scaling by L > 0 keeps their signs.
+    scaled = _scaled_gram(gram)[0].entries
+    return all(
+        IntegerMatrix.from_rows([row[:k] for row in scaled[:k]], cols=k).det() > 0
+        for k in range(1, len(gram) + 1)
+    )
 
 
 def _validate_datum(d: RootDatum) -> None:
@@ -305,7 +286,7 @@ def dual_datum(d: RootDatum) -> RootDatum:
     """
     if d.rank == 0:
         return replace(d, label=_dual_label(d.label))
-    ginv = _frac_inverse(d.gram)
+    ginv = _gram_inverse(d.gram)
     # Ambient coordinates of the dual basis: (basis/denominator) · gram⁻¹.
     frac_cols = [
         [

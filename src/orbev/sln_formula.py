@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-import numpy as np
-
 from .epoly import BivariatePolynomial, InexactDivisionError, PolynomialError, exact_divide
 
 
@@ -81,21 +79,21 @@ def partitions(n: int) -> tuple[Partition, ...]:
 def tau(l: int, m: int, g: int, d: int) -> int:
     """#{(r, s) ∈ Z_g^d × Z_g^d : (m,g)·r = 0 = (l,g)·s, Σ r_j s_j ≡ 0 mod g}.
 
-    Counted by full enumeration of both torsion boxes: r ranges over the
-    multiples of g/(m,g) (a box of side (m,g)) and s over the multiples of
-    g/(l,g); the pairing into U(1) is trivial exactly when the integer dot
-    product vanishes mod g.
+    r ranges over the multiples of g/(m,g) (a box of side (m,g)) and s over the
+    multiples of g/(l,g).  Summing the characters x ↦ ζ^(t·x) of Z_g over t
+    counts the pairs with trivial pairing: τ = (1/g)·Σ_{t mod g} N(t)^d, where
+    N(t) = Σ_{r, s} ζ^(t·r·s) over one coordinate is (m,g) times the number of
+    s with t·s·(g/(m,g)) ≡ 0 mod g.
     """
     if g < 1 or d < 0 or l < 1 or m < 1:
         raise FormulaError("tau requires l, m, g >= 1 and d >= 0")
     mg = gcd(m, g)
     lg = gcd(l, g)
-    if d == 0:
-        return 1
-    r_box = np.array(list(itertools.product(range(mg), repeat=d)), dtype=np.int64) * (g // mg)
-    s_box = np.array(list(itertools.product(range(lg), repeat=d)), dtype=np.int64) * (g // lg)
-    dots = (r_box @ s_box.T) % g
-    return int((dots == 0).sum())
+    step = (g // mg) * (g // lg)
+    total = sum((mg * sum(1 for j in range(lg) if t * j * step % g == 0)) ** d for t in range(g))
+    count, rem = divmod(total, g)
+    assert rem == 0, "character sum is not divisible by g"
+    return count
 
 
 def sym_e_polynomial(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:

@@ -2,7 +2,6 @@
 
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -194,15 +193,3 @@ class TestSubprocess:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert P.from_json_terms(doc["total"]) == P.monomial(2, 2) + P.monomial(1, 1, 4) + P.one()
-
-    def test_thread_env_var_does_not_change_bytes(self):
-        args = [sys.executable, "-m", "orbev", "compute", "--group", "sl", "3", "1",
-                "--space", "abelian-surface"]
-        # Both children inherit the caller's environment so orbev stays importable
-        # (installed or via PYTHONPATH); only ORBEV_THREADS differs between them.
-        serial_env = {k: v for k, v in os.environ.items() if k != "ORBEV_THREADS"}
-        threaded_env = {**serial_env, "ORBEV_THREADS": "4"}
-        base = subprocess.run(args, capture_output=True, text=True, env=serial_env)
-        threaded = subprocess.run(args, capture_output=True, text=True, env=threaded_env)
-        assert base.returncode == threaded.returncode == 0
-        assert base.stdout == threaded.stdout

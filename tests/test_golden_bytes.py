@@ -1,10 +1,11 @@
-"""Byte guard: the sha256 of the stdout of every command on the small built-ins.
+"""Byte guard: the sha256 of the stdout of all five commands on small inputs.
 
 Covers `compute` and `mirror-check` on all five spaces and `duality-check` for
 SL(2..4) with every m | n, B2 and C2 in both forms and the G2 datum file, plus
-`closed-form` for n <= 6 on both surfaces, each in both output formats.  A
-refactor that keeps the results must keep these bytes.  When output is meant to
-change, regenerate the table from the repository root with
+`closed-form` for n <= 6 and `cross-validate` for n <= 4 on both surfaces,
+each in both output formats.  A refactor that keeps the results must keep
+these bytes.  When output is meant to change, regenerate the table from the
+repository root with
 
     PYTHONPATH=src python tests/test_golden_bytes.py --write
 """
@@ -24,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 SPACES = ("betti", "dolbeault", "derham", "abelian-surface", "mixed")
 FORMATS = ("json", "text")
-COMMANDS = ("compute", "mirror-check", "duality-check", "closed-form")
+COMMANDS = ("compute", "mirror-check", "duality-check", "closed-form", "cross-validate")
 
 
 def selectors() -> list[list[str]]:
@@ -35,10 +36,10 @@ def selectors() -> list[list[str]]:
 
 
 def operations(command: str) -> list[list[str]]:
-    if command == "closed-form":
+    if command in ("closed-form", "cross-validate"):
         base = [
-            ["closed-form", "--n", str(n), "--m", str(m), "--surface", surface]
-            for n in range(2, 7)
+            [command, "--n", str(n), "--m", str(m), "--surface", surface]
+            for n in range(2, 7 if command == "closed-form" else 5)
             for m in range(1, n + 1)
             if n % m == 0
             for surface in ("betti", "abelian")

@@ -1,11 +1,11 @@
 """Byte guard: the sha256 of the stdout of all five commands on small inputs.
 
 Covers `compute` and `mirror-check` on all five spaces and `duality-check` for
-SL(2..4) with every m | n, B2 and C2 in both forms and the G2 datum file, plus
-`closed-form` for n <= 6 and `cross-validate` for n <= 4 on both surfaces,
-each in both output formats.  A refactor that keeps the results must keep
-these bytes.  When output is meant to change, regenerate the table from the
-repository root with
+SL(2..5) with every m | n, B2, C2, B3, C3 and D3 in both forms and the G2
+datum file, plus `closed-form` for n <= 8 and `cross-validate` for n <= 4 on
+both surfaces, each in both output formats.  A refactor that keeps the
+results must keep these bytes.  When output is meant to change, regenerate
+the table from the repository root with
 
     PYTHONPATH=src python tests/test_golden_bytes.py --write
 """
@@ -29,8 +29,9 @@ COMMANDS = ("compute", "mirror-check", "duality-check", "closed-form", "cross-va
 
 
 def selectors() -> list[list[str]]:
-    out = [["sl", str(n), str(m)] for n in range(2, 5) for m in range(1, n + 1) if n % m == 0]
+    out = [["sl", str(n), str(m)] for n in range(2, 6) for m in range(1, n + 1) if n % m == 0]
     out += [["classical", family, "2", form] for family in "BC" for form in ("sc", "ad")]
+    out += [["classical", family, "3", form] for family in "BCD" for form in ("sc", "ad")]
     out.append(["custom", "tests/data/g2.datum"])
     return out
 
@@ -39,7 +40,7 @@ def operations(command: str) -> list[list[str]]:
     if command in ("closed-form", "cross-validate"):
         base = [
             [command, "--n", str(n), "--m", str(m), "--surface", surface]
-            for n in range(2, 7 if command == "closed-form" else 5)
+            for n in range(2, 9 if command == "closed-form" else 5)
             for m in range(1, n + 1)
             if n % m == 0
             for surface in ("betti", "abelian")

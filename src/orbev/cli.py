@@ -277,6 +277,10 @@ def _run_closed_form(args, echo: dict, out) -> int:
 def _run_cross_validate(args, echo: dict, out) -> int:
     e_a, d_surface, default_space = SURFACES[args.surface]
     space_name = args.space or default_space
+    if SPACES[space_name] != SPACES[default_space]:
+        raise CliUsageError(
+            f"--space {space_name} does not match --surface {args.surface} (space {default_space})"
+        )
     closed = closed_form_eorb(args.n, args.m, d_surface, e_a)
     datum = sl_quotient_datum(args.n, args.m)
     engine = orbifold_e_polynomial(datum, SPACES[space_name], args.cap)

@@ -1,7 +1,10 @@
 """Exact bivariate polynomials in u, v and the E-characters of space factors.
 
 Every E-computation in the package is valued in BivariatePolynomial: a map
-from (degree_u, degree_v) to a rational coefficient with no stored zeros.  A
+from (degree_u, degree_v) to a rational coefficient with no stored zeros.  An
+integral coefficient is stored as an int and only a non-integral one as a
+Fraction, so the E-characters and their products run in integer arithmetic
+and a Fraction appears only where a division makes one.  A
 SpaceDescriptor is an ordered list of factors (elliptic | c_star |
 affine_line, each tensored with the primal or dual lattice); the E-character
 of a finite-order lattice automorphism c on each factor kind is a
@@ -31,20 +34,30 @@ class InexactDivisionError(PolynomialError):
 
 
 class BivariatePolynomial:
-    """Polynomial in u, v with exact rational coefficients."""
+    """Polynomial in u, v; each coefficient is a nonzero int, or a non-integral Fraction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Fraction | int] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
+        cleaned: dict[tuple[int, int], int | Fraction] = {}
         if coeffs:
             for (p, q), c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
+                if type(c) is not int:
+                    c = Fraction(c)
+                    c = c.numerator if c.denominator == 1 else c
+                if c:
                     if p < 0 or q < 0:
                         raise PolynomialError("negative exponents are not supported")
                     cleaned[(int(p), int(q))] = c
         object.__setattr__(self, "coeffs", cleaned)
+
+    @staticmethod
+    def _of(coeffs: dict[tuple[int, int], int | Fraction]) -> "BivariatePolynomial":
+        """Wrap arithmetic on valid terms: drop zeros, store integral Fractions as int."""
+        out = object.__new__(BivariatePolynomial)
+        terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator for k, c in coeffs.items() if c}
+        object.__setattr__(out, "coeffs", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
@@ -59,11 +72,11 @@ class BivariatePolynomial:
 
     @staticmethod
     def constant(c: Fraction | int) -> "BivariatePolynomial":
-        return BivariatePolynomial({(0, 0): Fraction(c)})
+        return BivariatePolynomial({(0, 0): c})
 
     @staticmethod
     def monomial(p: int, q: int, c: Fraction | int = 1) -> "BivariatePolynomial":
-        return BivariatePolynomial({(p, q): Fraction(c)})
+        return BivariatePolynomial({(p, q): c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -84,30 +97,22 @@ class BivariatePolynomial:
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return BivariatePolynomial(out)
+            out[key] = out.get(key, 0) + c
+        return BivariatePolynomial._of(out)
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self + (-other)
 
     def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: -c for k, c in self.coeffs.items()})
+        return BivariatePolynomial._of({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (p1, q1), c1 in self.coeffs.items():
             for (p2, q2), c2 in other.coeffs.items():
                 key = (p1 + p2, q1 + q2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return BivariatePolynomial(out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return BivariatePolynomial._of(out)
 
     def __pow__(self, n: int) -> "BivariatePolynomial":
         if n < 0:
@@ -122,27 +127,22 @@ class BivariatePolynomial:
         return result
 
     def scale(self, c: Fraction | int) -> "BivariatePolynomial":
-        c = Fraction(c)
-        return BivariatePolynomial({k: v * c for k, v in self.coeffs.items()})
+        return self * BivariatePolynomial.constant(c)
 
     def substitute_powers(self, i: int, j: int) -> "BivariatePolynomial":
         """u -> u^i, v -> v^j."""
         if i < 0 or j < 0:
             raise PolynomialError("substitution powers must be nonnegative")
-        return BivariatePolynomial({(p * i, q * j): c for (p, q), c in self.coeffs.items()})
+        return BivariatePolynomial._of({(p * i, q * j): c for (p, q), c in self.coeffs.items()})
 
     def evaluate(self, u: Fraction | int, v: Fraction | int) -> Fraction:
-        u = Fraction(u)
-        v = Fraction(v)
-        total = Fraction(0)
-        for (p, q), c in self.coeffs.items():
-            total += c * u**p * v**q
-        return total
+        u, v = Fraction(u), Fraction(v)
+        return sum((c * u**p * v**q for (p, q), c in self.coeffs.items()), Fraction(0))
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
+        return all(type(c) is int for c in self.coeffs.values())
 
-    def sorted_terms(self) -> list[tuple[int, int, Fraction]]:
+    def sorted_terms(self) -> list[tuple[int, int, int | Fraction]]:
         return [(p, q, self.coeffs[(p, q)]) for p, q in sorted(self.coeffs)]
 
     def to_json_terms(self) -> list[dict]:
@@ -167,7 +167,7 @@ class BivariatePolynomial:
             c, up, vq = term.split("*")
             p = int(up.removeprefix("u^"))
             q = int(vq.removeprefix("v^"))
-            coeffs[(p, q)] = coeffs.get((p, q), Fraction(0)) + Fraction(c)
+            coeffs[(p, q)] = coeffs.get((p, q), 0) + Fraction(c)
         return BivariatePolynomial(coeffs)
 
     def __repr__(self) -> str:
@@ -175,28 +175,33 @@ class BivariatePolynomial:
 
 
 def exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
-    """r with r·q = p; raises InexactDivisionError when no such polynomial exists."""
+    """r with r·q = p; raises InexactDivisionError when no such polynomial exists.
+
+    Quotient coefficients come from divmod, or Fraction when that leaves a
+    remainder: `/` on ints would round through a float.
+    """
     if q.is_zero():
         raise PolynomialError("division by the zero polynomial")
     remainder = dict(p.coeffs)
     q_lead = max(q.coeffs)  # lex order on (degree_u, degree_v)
     q_lead_coeff = q.coeffs[q_lead]
-    quotient: dict[tuple[int, int], Fraction] = {}
+    quotient: dict[tuple[int, int], int | Fraction] = {}
     while remainder:
         r_lead = max(remainder)
         dp, dq = r_lead[0] - q_lead[0], r_lead[1] - q_lead[1]
         if dp < 0 or dq < 0:
             raise InexactDivisionError("division is not exact")
-        c = remainder[r_lead] / q_lead_coeff
+        a = remainder[r_lead]
+        c, rem = divmod(a, q_lead_coeff)
+        if rem:
+            c = Fraction(a, q_lead_coeff)
         quotient[(dp, dq)] = c
         for (p2, q2), c2 in q.coeffs.items():
             key = (p2 + dp, q2 + dq)
-            s = remainder.get(key, Fraction(0)) - c * c2
+            s = remainder.pop(key, 0) - c * c2
             if s:
                 remainder[key] = s
-            else:
-                remainder.pop(key, None)
-    return BivariatePolynomial(quotient)
+    return BivariatePolynomial._of(quotient)
 
 
 UV = BivariatePolynomial.monomial(1, 1)
@@ -232,11 +237,11 @@ def char_poly_product(c: IntegerMatrix, x_monomial: tuple[int, int]) -> Bivariat
     coeffs = char_poly(c)
     n = len(coeffs) - 1
     # det(1 - x·c) = x^n · det((1/x)·1 - c) = Σ_k c_k x^(n-k)
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for k, ck in enumerate(coeffs):
         if ck:
             key = ((n - k) * a, (n - k) * b)
-            out[key] = out.get(key, Fraction(0)) + ck
+            out[key] = out.get(key, 0) + ck
     return BivariatePolynomial(out)
 
 

@@ -21,7 +21,6 @@ from math import gcd
 
 from .epoly import (
     DUAL,
-    PRIMAL,
     UV,
     BivariatePolynomial,
     SpaceDescriptor,
@@ -190,6 +189,12 @@ def fixed_point_data(datum: RootDatum, w: IntegerMatrix) -> FixedPointData:
 
 
 @lru_cache(maxsize=None)
+def _dual(m: IntegerMatrix) -> IntegerMatrix:
+    """(m⁻¹)ᵀ, the action of m on the dual lattice, computed once per matrix."""
+    return m.inverse_transpose()
+
+
+@lru_cache(maxsize=None)
 def _restricted_action(w: IntegerMatrix, c: IntegerMatrix) -> IntegerMatrix:
     """Matrix of c on the fixed sublattice Λ^w, in the fixed basis."""
     basis = _fixed_data(w)[0]
@@ -213,27 +218,19 @@ def class_contribution(
     cent_elements = tuple(cent)
     if not cent_elements:
         raise EngineError("centralizer must contain at least the identity")
-    sides = {side for _, side in space.factors}
-    side_w = {PRIMAL: w}
-    if DUAL in sides:
-        side_w[DUAL] = w.inverse_transpose()
     shift = fermionic_shift(w)
-    for side in sides:
-        if fermionic_shift(side_w[side]) != shift:
-            raise EngineError("fermionic shift differs between the lattice and its dual")
+    if space.uses_dual and fermionic_shift(_dual(w)) != shift:
+        raise EngineError("fermionic shift differs between the lattice and its dual")
 
     total = BivariatePolynomial.zero()
     for c in cent_elements:
-        side_c = {PRIMAL: c}
-        if DUAL in sides:
-            side_c[DUAL] = c.inverse_transpose()
         term = BivariatePolynomial.one()
         for kind, side in space.factors:
-            char = factor_e_character(kind, _restricted_action(side_w[side], side_c[side]))
-            term = term * char
+            w_side, c_side = (_dual(w), _dual(c)) if side == DUAL else (w, c)
+            term = term * factor_e_character(kind, _restricted_action(w_side, c_side))
             d = factor_dimension(kind)
             if d:
-                fix = _pi0_fixed_count(side_w[side], side_c[side])
+                fix = _pi0_fixed_count(w_side, c_side)
                 if fix != 1:
                     term = term.scale(fix**d)
         total = total + term
@@ -306,7 +303,7 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
     pairs = []
     seen_dual = set()
     for i, contribution in enumerate(primal.contributions):
-        dual_rep = contribution.representative.inverse_transpose()
+        dual_rep = _dual(contribution.representative)
         j = dual_table.class_of(dual_rep)
         seen_dual.add(j)
         difference = contribution.weighted - dual.contributions[j].weighted
@@ -326,12 +323,12 @@ def duality_check(datum: RootDatum, cap: int = DEFAULT_CAP) -> DualityReport:
     _, table, cents = _group_data(datum, cap)
     rows = []
     for rep, cent in zip(table.representatives, cents):
-        dual_rep = rep.inverse_transpose()
+        dual_rep = _dual(rep)
         pi0_primal = _fixed_data(rep)[1]
         pi0_dual = _fixed_data(dual_rep)[1]
         orders_agree = pi0_primal.order == pi0_dual.order
         counts_agree = all(
-            _pi0_fixed_count(rep, c) == _pi0_fixed_count(dual_rep, c.inverse_transpose())
+            _pi0_fixed_count(rep, c) == _pi0_fixed_count(dual_rep, _dual(c))
             for c in cent.elements
         )
         rows.append(

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .epoly import BivariatePolynomial, InexactDivisionError, PolynomialError, exact_divide
 
@@ -76,6 +76,7 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n, ()))
 
 
+@lru_cache(maxsize=None)
 def tau(l: int, m: int, g: int, d: int) -> int:
     """#{(r, s) ∈ Z_g^d × Z_g^d : (m,g)·r = 0 = (l,g)·s, Σ r_j s_j ≡ 0 mod g}.
 
@@ -96,6 +97,7 @@ def tau(l: int, m: int, g: int, d: int) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
 def sym_e_polynomial(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
     """E(Sym^a A) as the t^a coefficient of Π_{p,q} (1 - u^p v^q t)^{-e^{p,q}(A)}.
 
@@ -109,26 +111,23 @@ def sym_e_polynomial(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
     series: list[BivariatePolynomial] = [BivariatePolynomial.one()] + [
         BivariatePolynomial.zero() for _ in range(a)
     ]
-    for (p, q), coeff in sorted(e_a.coeffs.items()):
-        if coeff.denominator != 1:
+    for (p, q), e in sorted(e_a.coeffs.items()):
+        if type(e) is not int:
             raise FormulaError("E-polynomial exponents e^{p,q} must be integers")
-        e = int(coeff)
         mono = BivariatePolynomial.monomial(p, q)
         factor: list[BivariatePolynomial] = []
         if e > 0:
             # (1 - x t)^{-e} = Σ_j C(e+j-1, j) x^j t^j
             power = BivariatePolynomial.one()
             for j in range(a + 1):
-                binom = Fraction(factorial(e + j - 1), factorial(j) * factorial(e - 1))
-                factor.append(power.scale(binom))
+                factor.append(power.scale(comb(e + j - 1, j)))
                 power = power * mono
         else:
             # (1 - x t)^{|e|}, a finite binomial
             k = -e
             power = BivariatePolynomial.one()
             for j in range(min(k, a) + 1):
-                binom = Fraction(factorial(k), factorial(j) * factorial(k - j))
-                factor.append(power.scale(binom if j % 2 == 0 else -binom))
+                factor.append(power.scale((-1) ** j * comb(k, j)))
                 power = power * mono
             factor += [BivariatePolynomial.zero()] * (a + 1 - len(factor))
         series = [
@@ -175,14 +174,11 @@ def closed_form_eorb(n: int, m: int, d: int, e_a: BivariatePolynomial) -> Bivari
         raise FormulaError(f"m = {m} does not divide n = {n}")
     l = n // m
     total = BivariatePolynomial.zero()
-    sym_cache: dict[int, BivariatePolynomial] = {}
     for alpha in partitions(n):
         term = BivariatePolynomial.constant(tau(l, m, alpha.g, d))
         term = term * BivariatePolynomial.monomial(n - alpha.size, n - alpha.size)
         for _, mult in sorted(alpha.multiplicities().items()):
-            if mult not in sym_cache:
-                sym_cache[mult] = sym_e_polynomial(e_a, mult)
-            term = term * sym_cache[mult]
+            term = term * sym_e_polynomial(e_a, mult)
         total = total + term
     try:
         return exact_divide(total, e_a)

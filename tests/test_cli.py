@@ -137,17 +137,25 @@ class TestCrossValidate:
         assert doc["difference"] == []
         assert doc["total"] == doc["closed_form_total"]
 
-    def test_mismatched_space_exits_two(self):
-        # betti closed form against the dolbeault engine value is a genuine
-        # inequality: the report is still produced, exit code distinguishes it
+    def test_matching_space_accepted(self):
         code, out = run_cli(
-            ["cross-validate", "--n", "2", "--m", "1", "--surface", "betti",
-             "--space", "dolbeault"]
+            ["cross-validate", "--n", "2", "--m", "1", "--surface", "abelian",
+             "--space", "abelian-surface"]
         )
-        assert code == 2
-        doc = json.loads(out)
-        assert doc["verdict"] is False
-        assert doc["difference"] != []
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+
+    def test_mismatched_space_is_usage_error(self, capsys):
+        # the closed form of the betti surface says nothing about the
+        # dolbeault space, so comparing the two is a usage error, not a verdict
+        for n, m in (("2", "1"), ("4", "2")):
+            code, out = run_cli(
+                ["cross-validate", "--n", n, "--m", m, "--surface", "betti",
+                 "--space", "dolbeault"]
+            )
+            assert code == 1
+            assert out == ""
+            assert "does not match --surface betti" in capsys.readouterr().err
 
 
 class TestErrors:

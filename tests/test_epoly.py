@@ -106,6 +106,70 @@ class TestExactDivide:
         assert exact_divide(p * q, q) == p
 
 
+def is_exact(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def fraction_terms(p):
+    return {k: Fraction(c) for k, c in p.coeffs.items()}
+
+
+def fraction_product(a, b):
+    out = {}
+    for (p1, q1), c1 in a.items():
+        for (p2, q2), c2 in b.items():
+            key = (p1 + p2, q1 + q2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def fraction_sum(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+exact_scalars = st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=12))
+exact_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), exact_scalars, max_size=6
+).map(P)
+
+
+class TestExactness:
+    def test_wide_integer_division_is_exact(self):
+        # with int coefficients, `/` would round (P + 3u)(1 + u) through floats
+        big = 2**60 + 1
+        a = P.constant(big) + U.scale(3)
+        q = exact_divide(a * (ONE + U), ONE + U)
+        assert q == a
+        assert q.coeffs == {(0, 0): big, (1, 0): 3}
+        assert all(type(c) is int for c in q.coeffs.values())
+
+    def test_integral_values_are_stored_as_int(self):
+        p = P({(0, 0): Fraction(6, 3), (1, 1): 0.5, (2, 0): 2.0})
+        assert p.coeffs == {(0, 0): 2, (1, 1): Fraction(1, 2), (2, 0): 2}
+        assert [type(c) for _, _, c in p.sorted_terms()] == [int, Fraction, int]
+        assert type(UV.scale(Fraction(1, 2)).scale(2).coeffs[(1, 1)]) is int
+        assert type(UV.scale(1.5).coeffs[(1, 1)]) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_polys, exact_polys, exact_scalars)
+    def test_arithmetic_matches_fraction_reference(self, p, q, c):
+        fp, fq = fraction_terms(p), fraction_terms(q)
+        results = {
+            "add": (p + q, fraction_sum(fp, fq)),
+            "sub": (p - q, fraction_sum(fp, fq, -1)),
+            "mul": (p * q, fraction_product(fp, fq)),
+            "scale": (p.scale(c), {k: v * c for k, v in fp.items() if v * c}),
+        }
+        if q:
+            results["divide"] = (exact_divide(p * q, q), fp)
+        for name, (got, want) in results.items():
+            assert got.coeffs == want, name
+            assert all(is_exact(v) for v in got.coeffs.values()), name
+
+
 class TestSerialization:
     def test_json_terms_sorted(self):
         p = P.monomial(2, 0) + P.monomial(0, 1) + P.monomial(1, 1).scale(Fraction(1, 2))

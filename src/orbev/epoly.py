@@ -4,8 +4,9 @@ Every E-computation in the package is valued in BivariatePolynomial: a map
 from (degree_u, degree_v) to a rational coefficient with no stored zeros.  An
 integral coefficient is stored as an int and only a non-integral one as a
 Fraction, so the E-characters and their products run in integer arithmetic
-and a Fraction appears only where a division makes one.  A
-SpaceDescriptor is an ordered list of factors (elliptic | c_star |
+and a Fraction appears only where a division makes one.
+
+A SpaceDescriptor is an ordered list of factors (elliptic | c_star |
 affine_line, each tensored with the primal or dual lattice); the E-character
 of a finite-order lattice automorphism c on each factor kind is a
 characteristic-polynomial expression:

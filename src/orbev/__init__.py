@@ -9,106 +9,32 @@ through the general conjugacy-class engine and through an independent closed
 form for type A.
 """
 
-from .lattice_core import (
-    FiniteAbelianGroup,
-    GroupAutomorphism,
-    IntegerMatrix,
-    SmithDecomposition,
-    fixed_count,
-    fixed_sublattice,
-    induced_automorphism,
-    smith_normal_form,
-    torsion_of_cokernel,
-)
+from .epoly import SPACES, BivariatePolynomial, SpaceDescriptor
+from .orbifold_engine import duality_check, mirror_check, orbifold_e_polynomial
 from .root_data import (
     DatumError,
     DatumFormatError,
     RootDatum,
     classical_datum,
     custom_datum,
-    datum_equivalent,
-    datum_to_text,
-    dual_datum,
-    parse_datum_text,
     sl_quotient_datum,
 )
-from .weyl import ConjugacyClassTable, MatrixGroup, centralizer, conjugacy_classes, generate_group
-from .epoly import (
-    BivariatePolynomial,
-    SpaceDescriptor,
-    SPACES,
-    char_poly_product,
-    factor_e_character,
-    space_e_character,
-)
-from .orbifold_engine import (
-    ClassContribution,
-    FixedPointData,
-    OrbifoldReport,
-    class_contribution,
-    direct_shift_oracle,
-    duality_check,
-    fermionic_shift,
-    fixed_point_data,
-    mirror_check,
-    orbifold_e_polynomial,
-)
-from .sln_formula import (
-    Partition,
-    closed_form_eorb,
-    direct_sym_oracle,
-    partitions,
-    sym_e_polynomial,
-    tau,
-)
+from .sln_formula import closed_form_eorb
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BivariatePolynomial",
-    "ClassContribution",
-    "ConjugacyClassTable",
-    "FiniteAbelianGroup",
-    "FixedPointData",
-    "GroupAutomorphism",
-    "IntegerMatrix",
-    "MatrixGroup",
-    "OrbifoldReport",
-    "Partition",
-    "RootDatum",
-    "SPACES",
-    "SmithDecomposition",
-    "SpaceDescriptor",
-    "centralizer",
-    "char_poly_product",
-    "class_contribution",
-    "classical_datum",
-    "closed_form_eorb",
-    "conjugacy_classes",
-    "custom_datum",
     "DatumError",
     "DatumFormatError",
-    "datum_equivalent",
-    "datum_to_text",
-    "direct_shift_oracle",
-    "parse_datum_text",
-    "direct_sym_oracle",
-    "dual_datum",
+    "RootDatum",
+    "SPACES",
+    "SpaceDescriptor",
+    "classical_datum",
+    "closed_form_eorb",
+    "custom_datum",
     "duality_check",
-    "factor_e_character",
-    "fermionic_shift",
-    "fixed_count",
-    "fixed_point_data",
-    "fixed_sublattice",
-    "generate_group",
-    "induced_automorphism",
     "mirror_check",
     "orbifold_e_polynomial",
-    "partitions",
     "sl_quotient_datum",
-    "smith_normal_form",
-    "space_e_character",
-    "sym_e_polynomial",
-    "tau",
-    "torsion_of_cokernel",
 ]

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .epoly import BivariatePolynomial, SPACES, SpaceDescriptor
+from .epoly import BivariatePolynomial, SPACES
 from .lattice_core import IntegerMatrix, LatticeError
 from .orbifold_engine import (
     DualityReport,
@@ -28,7 +27,8 @@ from .root_data import RootDatum, classical_datum, custom_datum, sl_quotient_dat
 from .sln_formula import closed_form_eorb, partitions, tau
 from .weyl import DEFAULT_CAP
 
-# E(A) and the U(1)-factor count d for the surfaces covered by the closed form.
+# E(A), the U(1)-factor count d and the engine's space for each surface covered
+# by the closed form.
 _UV = BivariatePolynomial.monomial(1, 1)
 _ONE = BivariatePolynomial.one()
 _U = BivariatePolynomial.monomial(1, 0)
@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
     cf = sub.add_parser("closed-form", help="type-A closed form via partitions and tau counts")
     cf.add_argument("--n", type=int, required=True)
     cf.add_argument("--m", type=int, required=True)
-    cf.add_argument("--d", type=int, default=None)
     cf.add_argument("--surface", choices=sorted(SURFACES), required=True)
     cf.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -87,7 +86,6 @@ def _build_parser() -> _Parser:
     cv.add_argument("--n", type=int, required=True)
     cv.add_argument("--m", type=int, required=True)
     cv.add_argument("--surface", choices=sorted(SURFACES), required=True)
-    cv.add_argument("--space", choices=sorted(SPACES), default=None)
     cv.add_argument("--format", choices=["json", "text"], default="json")
     cv.add_argument("--cap", type=int, default=DEFAULT_CAP)
     return parser
@@ -120,10 +118,11 @@ def _resolve_datum(selector: list[str]) -> RootDatum:
     if kind == "custom":
         if len(selector) != 2:
             raise CliUsageError("group selector 'custom' needs a file path")
+        path = selector[1]
         try:
-            return custom_datum(selector[1])
-        except FileNotFoundError:
-            raise CliUsageError(f"datum file not found: {selector[1]}") from None
+            return custom_datum(path)
+        except OSError as exc:
+            raise CliUsageError(f"cannot read datum file {path}: {exc.strerror}") from None
     raise CliUsageError(f"unknown group selector {kind!r}; use sl, classical, or custom")
 
 
@@ -246,10 +245,6 @@ def _emit_duality(report: DualityReport, echo: dict, fmt: str, out) -> int:
 
 def _run_closed_form(args, echo: dict, out) -> int:
     e_a, d_surface, _ = SURFACES[args.surface]
-    if args.d is not None and args.d != d_surface:
-        raise CliUsageError(
-            f"--d {args.d} is inconsistent with --surface {args.surface} (d = {d_surface})"
-        )
     total = closed_form_eorb(args.n, args.m, d_surface, e_a)
     l = args.n // args.m
     terms = []
@@ -275,15 +270,10 @@ def _run_closed_form(args, echo: dict, out) -> int:
 
 
 def _run_cross_validate(args, echo: dict, out) -> int:
-    e_a, d_surface, default_space = SURFACES[args.surface]
-    space_name = args.space or default_space
-    if SPACES[space_name] != SPACES[default_space]:
-        raise CliUsageError(
-            f"--space {space_name} does not match --surface {args.surface} (space {default_space})"
-        )
+    e_a, d_surface, space = SURFACES[args.surface]
     closed = closed_form_eorb(args.n, args.m, d_surface, e_a)
     datum = sl_quotient_datum(args.n, args.m)
-    engine = orbifold_e_polynomial(datum, SPACES[space_name], args.cap)
+    engine = orbifold_e_polynomial(datum, SPACES[space], args.cap)
     difference = engine.total - closed
     verdict = difference.is_zero()
     if args.format == "json":
@@ -358,7 +348,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 "n": args.n,
                 "m": args.m,
                 "surface": args.surface,
-                "space": args.space or SURFACES[args.surface][2],
+                "space": SURFACES[args.surface][2],
                 "format": args.format,
                 "cap": args.cap,
             }

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .lattice_core import IntegerMatrix, LatticeError
 
@@ -134,7 +134,11 @@ class BivariatePolynomial:
         """u -> u^i, v -> v^j."""
         if i < 0 or j < 0:
             raise PolynomialError("substitution powers must be nonnegative")
-        return BivariatePolynomial._of({(p * i, q * j): c for (p, q), c in self.coeffs.items()})
+        out: dict[tuple[int, int], int | Fraction] = {}
+        for (p, q), c in self.coeffs.items():
+            key = (p * i, q * j)
+            out[key] = out.get(key, 0) + c
+        return BivariatePolynomial._of(out)
 
     def evaluate(self, u: Fraction | int, v: Fraction | int) -> Fraction:
         u, v = Fraction(u), Fraction(v)
@@ -318,18 +322,3 @@ def factor_e_character(kind: str, c: IntegerMatrix) -> BivariatePolynomial:
         return BivariatePolynomial.monomial(c.rows, c.rows)
     raise PolynomialError(f"unknown factor kind {kind!r}")
 
-
-def space_e_character(
-    space: SpaceDescriptor, factor_matrices: Sequence[IntegerMatrix]
-) -> BivariatePolynomial:
-    """Product of factor_e_character over the factors of the space.
-
-    factor_matrices[i] is the action restricted to the i-th factor's fixed
-    sublattice, expressed in a basis of that sublattice.
-    """
-    if len(factor_matrices) != len(space.factors):
-        raise PolynomialError("one matrix per factor is required")
-    result = BivariatePolynomial.one()
-    for (kind, _), m in zip(space.factors, factor_matrices):
-        result = result * factor_e_character(kind, m)
-    return result

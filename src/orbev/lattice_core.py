@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 
 class LatticeError(Exception):
@@ -78,9 +77,6 @@ class IntegerMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -250,6 +246,11 @@ class SmithDecomposition:
     D: IntegerMatrix
     V: IntegerMatrix
 
+    @cached_property
+    def U_inverse(self) -> IntegerMatrix:
+        """U⁻¹, computed on first use and kept with the cached decomposition."""
+        return self.U.inverse_unimodular()
+
     @property
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries, in divisibility order."""
@@ -360,10 +361,6 @@ class FiniteAbelianGroup:
             n *= d
         return n
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.divisors
-
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.divisors))
 
@@ -396,8 +393,7 @@ def fixed_sublattice(w: IntegerMatrix) -> IntegerMatrix:
 def column_span_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis (as columns) of the lattice generated by the columns of m."""
     snf = smith_normal_form(m)
-    uinv = snf.U.inverse_unimodular()
-    cols = [tuple(d * x for x in uinv.column(i)) for i, d in enumerate(snf.divisors)]
+    cols = [tuple(d * x for x in snf.U_inverse.column(i)) for i, d in enumerate(snf.divisors)]
     return IntegerMatrix.from_columns(cols, rows=m.rows)
 
 
@@ -434,7 +430,7 @@ def induced_automorphism(c: IntegerMatrix, m: IntegerMatrix) -> GroupAutomorphis
     snf = smith_normal_form(m)
     n = m.rows
     diag = [snf.D[i, i] for i in range(n)]
-    a = snf.U * c * snf.U.inverse_unimodular()
+    a = snf.U * c * snf.U_inverse
     for i in range(n):
         for j in range(n):
             target = a[i, j] * diag[j]

@@ -14,17 +14,15 @@ translations act trivially on cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .epoly import (
     DUAL,
     UV,
     BivariatePolynomial,
     SpaceDescriptor,
-    char_poly,
     factor_dimension,
     factor_e_character,
 )
@@ -44,14 +42,6 @@ from .weyl import DEFAULT_CAP, MatrixGroup, centralizer, conjugacy_classes, gene
 
 class EngineError(LatticeError):
     """Internal consistency failure in the orbifold engine."""
-
-
-@dataclass(frozen=True)
-class FixedPointData:
-    w: IntegerMatrix
-    fixed_basis: IntegerMatrix  # columns span the saturated sublattice Λ^w
-    pi0: FiniteAbelianGroup  # Tor(Λ/(w-1)Λ) = π₀(T^w)
-    shift: int  # F(w) = rank(w - 1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,8 @@ def fermionic_shift(w: IntegerMatrix) -> int:
 
     For the doubled tangent spaces of the supported space families, the sum of
     the eigenvalue angles of w equals the number of eigenvalues different from
-    1, which is this rank; see direct_shift_oracle for the angle computation.
+    1, which is this rank.  The tests check it against a direct sum of the
+    eigenvalue angles.
     """
     if not w.is_square():
         raise EngineError("fermionic_shift requires a square matrix")
@@ -118,74 +109,9 @@ def fermionic_shift(w: IntegerMatrix) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Integer coefficients of Φ_d(t), low degree first."""
-    # Φ_d = (t^d - 1) / Π_{e | d, e < d} Φ_e
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            poly = _poly_exact_div(poly, list(_cyclotomic(e)))
-    return tuple(poly)
-
-
-def _poly_exact_div(p: list[int], q: list[int]) -> list[int]:
-    """Exact division of integer polynomials (q monic), low degree first."""
-    p = p[:]
-    out = [0] * (len(p) - len(q) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = p[k + len(q) - 1]
-        out[k] = c
-        if c:
-            for i, qc in enumerate(q):
-                p[k + i] -= c * qc
-    if any(p[: len(q) - 1]):
-        raise EngineError("polynomial division was not exact")
-    return out
-
-
-def direct_shift_oracle(w: IntegerMatrix) -> int:
-    """Fermionic shift from first principles: eigenvalue angles of w.
-
-    Factors the characteristic polynomial into cyclotomics, sums the angles
-    k/d ∈ [0,1) of each primitive d-th root of unity with exact Fractions,
-    doubles the sum (the tangent space is two copies of the lattice for every
-    supported family), and asserts integrality.
-    """
-    coeffs = list(char_poly(w))
-    n = len(coeffs) - 1
-    doubled = Fraction(0)
-    d = 1
-    limit = 4 * n * n + 30
-    while len(coeffs) > 1:
-        if d > limit:
-            raise EngineError("matrix is not of finite order")
-        phi = list(_cyclotomic(d))
-        while len(coeffs) >= len(phi):
-            try:
-                quotient = _poly_exact_div(coeffs, phi)
-            except EngineError:
-                break
-            coeffs = quotient
-            angle_sum = sum((Fraction(k, d) for k in range(1, d) if gcd(k, d) == 1), Fraction(0))
-            doubled += 2 * angle_sum
-        d += 1
-    if doubled.denominator != 1:
-        raise EngineError("eigenvalue angles do not sum to an integer")
-    return int(doubled)
-
-
-@lru_cache(maxsize=None)
-def _fixed_data(w: IntegerMatrix) -> tuple[IntegerMatrix, FiniteAbelianGroup, int]:
-    f = w - IntegerMatrix.identity(w.rows)
-    return fixed_sublattice(w), torsion_of_cokernel(f), f.rank()
-
-
-def fixed_point_data(datum: RootDatum, w: IntegerMatrix) -> FixedPointData:
-    """Fixed sublattice, component group, and fermionic shift of w on Λ."""
-    if w.rows != datum.rank or w.cols != datum.rank:
-        raise EngineError("matrix size does not match the datum rank")
-    basis, pi0, shift = _fixed_data(w)
-    return FixedPointData(w=w, fixed_basis=basis, pi0=pi0, shift=shift)
+def _fixed_data(w: IntegerMatrix) -> tuple[IntegerMatrix, FiniteAbelianGroup]:
+    """Basis of the fixed sublattice Λ^w and the component group π₀(T^w)."""
+    return fixed_sublattice(w), torsion_of_cokernel(w - IntegerMatrix.identity(w.rows))
 
 
 @lru_cache(maxsize=None)

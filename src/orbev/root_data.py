@@ -11,7 +11,7 @@ can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -312,59 +312,6 @@ def _dual_label(label: str) -> str:
     return f"dual({label})"
 
 
-def datum_equivalent(d1: RootDatum, d2: RootDatum, up_to_gram_scale: bool = False) -> bool:
-    """Same ambient lattice, same generator set, and matching gram form.
-
-    The comparison allows for a change of basis: it finds the integral basis
-    change T with basis2/den2 = (basis1/den1)·T, requires it to be unimodular
-    in both directions, and compares generator sets and gram forms through T.
-    With up_to_gram_scale the gram forms may differ by a positive rational
-    factor.
-    """
-    if d1.rank != d2.rank or d1.ambient_dim != d2.ambient_dim:
-        return False
-    if d1.rank == 0:
-        return True
-    try:
-        x12 = solve_exact(d1.basis, d2.basis)
-        x21 = solve_exact(d2.basis, d1.basis)
-    except InexactSolveError:
-        return False
-    scale12 = Fraction(d1.denominator, d2.denominator)
-    scale21 = Fraction(d2.denominator, d1.denominator)
-    t12 = [[x * scale12 for x in row] for row in x12]
-    t21 = [[x * scale21 for x in row] for row in x21]
-    if any(x.denominator != 1 for row in t12 for x in row):
-        return False
-    if any(x.denominator != 1 for row in t21 for x in row):
-        return False
-    t = IntegerMatrix.from_rows([[int(x) for x in row] for row in t12], cols=d1.rank)
-    if not t.is_unimodular():
-        return False
-    tinv = t.inverse_unimodular()
-    gens1 = set(d1.generators)
-    gens2 = {t * h * tinv for h in d2.generators}
-    if gens1 != gens2:
-        return False
-    transported = _congruence(t, d1.gram)
-    if transported == d2.gram:
-        return True
-    if up_to_gram_scale:
-        base = next((x for row in transported for x in row if x != 0), None)
-        other = next((x for row in d2.gram for x in row if x != 0), None)
-        if base is None or other is None:
-            return False
-        ratio = other / base
-        if ratio <= 0:
-            return False
-        return all(
-            transported[i][j] * ratio == d2.gram[i][j]
-            for i in range(d2.rank)
-            for j in range(d2.rank)
-        )
-    return False
-
-
 # --- datum file format -------------------------------------------------------
 #
 # Line-oriented UTF-8 text; '#' starts a comment; blank lines are ignored.
@@ -392,7 +339,11 @@ def _content_lines(text: str) -> list[str]:
 def custom_datum(path: str | Path) -> RootDatum:
     """Load and validate a RootDatum from a datum file."""
     path = Path(path)
-    return parse_datum_text(path.read_text(encoding="utf-8"), default_label=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DatumFormatError(f"datum file is not UTF-8 text: {path}") from None
+    return parse_datum_text(text, default_label=path.stem)
 
 
 def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:

@@ -10,11 +10,9 @@ independent oracle for the general conjugacy-class engine on type A.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, gcd
 
 from .epoly import BivariatePolynomial, InexactDivisionError, PolynomialError, exact_divide
 
@@ -138,32 +136,6 @@ def sym_e_polynomial(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
             for k in range(a + 1)
         ]
     return series[a]
-
-
-def direct_sym_oracle(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
-    """bar E_{S_a}(A^a) by literal averaging over all a! permutations.
-
-    Each permutation contributes Π_{cycles of length i} E_A(u^i, v^i); the
-    average must equal sym_e_polynomial.  Enumeration-bound: a <= 5.
-    """
-    if not 0 <= a <= 5:
-        raise FormulaError("direct oracle enumerates S_a only for a <= 5")
-    total = BivariatePolynomial.zero()
-    for perm in itertools.permutations(range(a)):
-        term = BivariatePolynomial.one()
-        seen = [False] * a
-        for start in range(a):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            term = term * e_a.substitute_powers(length, length)
-        total = total + term
-    return total.scale(Fraction(1, factorial(a)))
 
 
 def closed_form_eorb(n: int, m: int, d: int, e_a: BivariatePolynomial) -> BivariatePolynomial:

@@ -47,12 +47,6 @@ class MatrixGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def element_index(self, m: IntegerMatrix) -> int:
-        try:
-            return self.index[m]
-        except KeyError:
-            raise GroupError("matrix is not an element of the group") from None
-
 
 def _sorted_generators(generators: tuple[IntegerMatrix, ...]) -> tuple[IntegerMatrix, ...]:
     return tuple(sorted(set(generators), key=lambda g: g.entries))

@@ -13,7 +13,6 @@ from math import gcd
 from orbev.epoly import SPACES, BivariatePolynomial
 from orbev.lattice_core import IntegerMatrix
 from orbev.orbifold_engine import (
-    direct_shift_oracle,
     duality_check,
     fermionic_shift,
     mirror_check,
@@ -22,12 +21,12 @@ from orbev.orbifold_engine import (
 from orbev.root_data import classical_datum, sl_quotient_datum
 from orbev.sln_formula import (
     closed_form_eorb,
-    direct_sym_oracle,
     partitions,
     sym_e_polynomial,
     tau,
 )
 from orbev.weyl import generate_group
+from oracles import direct_shift_oracle, direct_sym_oracle
 
 P = BivariatePolynomial
 ONE = P.one()

@@ -119,13 +119,17 @@ class TestClosedForm:
         assert total == P.monomial(2, 2) + P.monomial(1, 1, 4) + P.one()
         assert [t["partition"] for t in doc["classes"]] == [[2], [1, 1]]
 
-    def test_explicit_d_must_match_surface(self):
-        code, _ = run_cli(["closed-form", "--n", "2", "--m", "1", "--d", "4", "--surface", "betti"])
-        assert code == 1
-
-    def test_d_allowed_when_consistent(self):
-        code, _ = run_cli(["closed-form", "--n", "2", "--m", "1", "--d", "2", "--surface", "betti"])
-        assert code == 0
+    def test_d_is_not_an_option(self, capsys):
+        # d follows from --surface and is echoed; it cannot be set
+        _, out = run_cli(["closed-form", "--n", "2", "--m", "1", "--surface", "betti"])
+        assert json.loads(out)["config_echo"]["d"] == 2
+        for d in ("2", "4"):
+            code, out = run_cli(
+                ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--d", d]
+            )
+            assert code == 1
+            assert out == ""
+            assert "unrecognized arguments: --d" in capsys.readouterr().err
 
 
 class TestCrossValidate:
@@ -137,25 +141,21 @@ class TestCrossValidate:
         assert doc["difference"] == []
         assert doc["total"] == doc["closed_form_total"]
 
-    def test_matching_space_accepted(self):
-        code, out = run_cli(
-            ["cross-validate", "--n", "2", "--m", "1", "--surface", "abelian",
-             "--space", "abelian-surface"]
-        )
+    def test_space_is_not_an_option(self, capsys):
+        # the engine's space follows from --surface and is echoed; it cannot be set
+        code, out = run_cli(["cross-validate", "--n", "2", "--m", "1", "--surface", "abelian"])
         assert code == 0
-        assert json.loads(out)["verdict"] is True
-
-    def test_mismatched_space_is_usage_error(self, capsys):
-        # the closed form of the betti surface says nothing about the
-        # dolbeault space, so comparing the two is a usage error, not a verdict
-        for n, m in (("2", "1"), ("4", "2")):
+        doc = json.loads(out)
+        assert doc["config_echo"]["space"] == "abelian-surface"
+        assert doc["verdict"] is True
+        for surface, space in (("abelian", "abelian-surface"), ("betti", "dolbeault")):
             code, out = run_cli(
-                ["cross-validate", "--n", n, "--m", m, "--surface", "betti",
-                 "--space", "dolbeault"]
+                ["cross-validate", "--n", "2", "--m", "1", "--surface", surface,
+                 "--space", space]
             )
             assert code == 1
             assert out == ""
-            assert "does not match --surface betti" in capsys.readouterr().err
+            assert "unrecognized arguments: --space" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -175,6 +175,20 @@ class TestErrors:
     def test_missing_datum_file(self):
         code, _ = run_cli(["compute", "--group", "custom", "/no/such/file", "--space", "betti"])
         assert code == 1
+
+    def test_datum_path_is_a_directory(self, tmp_path, capsys):
+        code, out = run_cli(["compute", "--group", "custom", str(tmp_path), "--space", "betti"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("orbev: error: cannot read datum file") and err.count("\n") == 1
+
+    def test_datum_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.datum"
+        bad.write_bytes("label G\xe9\nrank 1\n".encode("latin-1"))
+        code, out = run_cli(["compute", "--group", "custom", str(bad), "--space", "betti"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("orbev: error: datum file is not UTF-8 text") and err.count("\n") == 1
 
     def test_malformed_datum_file(self, tmp_path):
         bad = tmp_path / "bad.datum"

@@ -5,18 +5,17 @@ from fractions import Fraction
 import pytest
 
 from orbev.epoly import SPACES, BivariatePolynomial
-from orbev.lattice_core import IntegerMatrix
+from orbev.lattice_core import IntegerMatrix, fixed_sublattice, torsion_of_cokernel
 from orbev.orbifold_engine import (
     class_contribution,
-    direct_shift_oracle,
     duality_check,
     fermionic_shift,
-    fixed_point_data,
     mirror_check,
     orbifold_e_polynomial,
 )
 from orbev.root_data import RootDatum, classical_datum, dual_datum, sl_quotient_datum
 from orbev.weyl import centralizer, conjugacy_classes, generate_group
+from oracles import direct_shift_oracle
 
 P = BivariatePolynomial
 ONE = P.one()
@@ -86,26 +85,27 @@ class TestFermionicShift:
                 assert fermionic_shift(w) == fermionic_shift(w.inverse_transpose())
 
 
+def pi0_divisors(w):
+    return torsion_of_cokernel(w - IntegerMatrix.identity(w.rows)).divisors
+
+
 class TestFixedPointData:
     def test_identity(self):
-        d = sl_quotient_datum(3, 1)
-        data = fixed_point_data(d, IntegerMatrix.identity(2))
-        assert data.shift == 0
-        assert data.pi0.divisors == ()
-        assert data.fixed_basis.cols == 2
+        w = IntegerMatrix.identity(2)
+        assert fermionic_shift(w) == 0
+        assert pi0_divisors(w) == ()
+        assert fixed_sublattice(w).cols == 2
 
     def test_sl2_negation(self):
-        d = sl_quotient_datum(2, 1)
-        data = fixed_point_data(d, M([[-1]]))
-        assert data.pi0.divisors == (2,)
-        assert data.shift == 1
-        assert data.fixed_basis.cols == 0
+        w = M([[-1]])
+        assert pi0_divisors(w) == (2,)
+        assert fermionic_shift(w) == 1
+        assert fixed_sublattice(w).cols == 0
 
     def test_sl3_three_cycle(self):
-        d, _, w = n_cycle_on_sl(3)
-        data = fixed_point_data(d, w)
-        assert data.pi0.divisors == (3,)
-        assert data.shift == 2
+        _, _, w = n_cycle_on_sl(3)
+        assert pi0_divisors(w) == (3,)
+        assert fermionic_shift(w) == 2
 
 
 class TestClassContribution:

@@ -20,7 +20,6 @@ from orbev.epoly import (
     char_poly_product,
     exact_divide,
     factor_e_character,
-    space_e_character,
 )
 from orbev.lattice_core import IntegerMatrix
 from orbev.root_data import classical_datum, sl_quotient_datum
@@ -68,6 +67,10 @@ class TestArithmetic:
         q = U + V.scale(3)
         assert q.substitute_powers(2, 3) == P.monomial(2, 0) + P.monomial(0, 3).scale(3)
 
+    def test_substitute_zero_powers_adds_colliding_terms(self):
+        assert (ONE + U).substitute_powers(0, 0) == P.constant(2)
+        assert (U + V + UV).substitute_powers(0, 1) == ONE + V.scale(2)
+
     @settings(max_examples=60, deadline=None)
     @given(polys, polys, points, points)
     def test_evaluation_commutes_with_arithmetic(self, p, q, x, y):
@@ -76,7 +79,7 @@ class TestArithmetic:
         assert (p - q).evaluate(x, y) == p.evaluate(x, y) - q.evaluate(x, y)
 
     @settings(max_examples=40, deadline=None)
-    @given(polys, st.integers(1, 4), st.integers(1, 4), points, points)
+    @given(polys, st.integers(0, 4), st.integers(0, 4), points, points)
     def test_evaluation_commutes_with_substitution(self, p, i, j, x, y):
         assert p.substitute_powers(i, j).evaluate(x, y) == p.evaluate(x**i, y**j)
 
@@ -296,6 +299,14 @@ class TestFactorECharacter:
                 assert factor_e_character(kind, c).has_integer_coefficients()
 
 
+def space_character(space, c):
+    """Product of factor_e_character over the factors of the space, all acted on by c."""
+    out = ONE
+    for kind, _ in space.factors:
+        out = out * factor_e_character(kind, c)
+    return out
+
+
 class TestSpaceDescriptors:
     def test_builtin_names(self):
         assert set(SPACES) == {"betti", "dolbeault", "derham", "abelian-surface", "mixed"}
@@ -314,15 +325,15 @@ class TestSpaceDescriptors:
 
     def test_betti_identity_rank1(self):
         eye = IntegerMatrix.identity(1)
-        assert space_e_character(SPACES["betti"], [eye, eye]) == (UV - ONE) ** 2
+        assert space_character(SPACES["betti"], eye) == (UV - ONE) ** 2
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_dolbeault_identity(self, r):
         eye = IntegerMatrix.identity(r)
         expected = P.monomial(r, r) * ((ONE - U) * (ONE - V)) ** r
-        assert space_e_character(SPACES["dolbeault"], [eye, eye]) == expected
+        assert space_character(SPACES["dolbeault"], eye) == expected
 
     def test_abelian_surface_negation_rank1(self):
         neg = M([[-1]])
         expected = ((ONE + U) * (ONE + V)) ** 2
-        assert space_e_character(SPACES["abelian-surface"], [neg, neg]) == expected
+        assert space_character(SPACES["abelian-surface"], neg) == expected

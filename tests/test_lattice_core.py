@@ -117,6 +117,7 @@ class TestSmithNormalForm:
     def test_decomposition_properties(self, m):
         d = smith_normal_form(m)
         assert d.U * m * d.V == d.D
+        assert d.U * d.U_inverse == IntegerMatrix.identity(m.rows)
         assert abs(d.U.det()) == 1
         assert abs(d.V.det()) == 1
         diag = [d.D[i, i] for i in range(min(m.rows, m.cols))]
@@ -294,6 +295,19 @@ class TestInducedAutomorphism:
         m = M([[2, 0], [0, 6]])
         aut = induced_automorphism(IntegerMatrix.identity(2), m)
         assert fixed_count(aut) == aut.group.order == 12
+
+    def test_u_inverse_computed_once_per_decomposition(self, monkeypatch):
+        inverse = IntegerMatrix.inverse_unimodular
+        calls = []
+        monkeypatch.setattr(
+            IntegerMatrix, "inverse_unimodular", lambda m: calls.append(m) or inverse(m)
+        )
+        m = M([[0, 6, 0], [10, 0, 0], [0, 0, 15]])
+        for c in (IntegerMatrix.identity(3), IntegerMatrix.identity(3).scale(-1)):
+            induced_automorphism(c, m)
+            induced_automorphism(c, m)
+        column_span_basis(m)
+        assert len(calls) <= 1
 
     def test_rejects_non_preserving(self):
         # c does not map im(M) = 2Z x Z into itself

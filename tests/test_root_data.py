@@ -5,6 +5,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbev.lattice_core import IntegerMatrix, solve_right_integer
 from orbev.root_data import (
@@ -12,13 +14,13 @@ from orbev.root_data import (
     DatumFormatError,
     classical_datum,
     custom_datum,
-    datum_equivalent,
     datum_to_text,
     dual_datum,
     parse_datum_text,
     sl_quotient_datum,
 )
 from orbev.weyl import generate_group
+from oracles import datum_equivalent
 
 G2_PATH = str(Path(__file__).parent / "data" / "g2.datum")
 
@@ -241,3 +243,49 @@ generators
             parse_datum_text("rank 1\nbasis\n1\n")  # missing gram
         with pytest.raises(DatumFormatError):
             parse_datum_text("rank 2\nbasis\n1 0\ngram")  # basis ends early
+
+
+# Tokens a damaged datum file might hold: keywords, numbers of every shape the
+# parser reads, and text that is none of them.
+_TOKENS = st.sampled_from(
+    ["rank", "denominator", "label", "basis", "gram", "generators", "#", "0", "1", "-1",
+     "2", "3", "-3", "2/3", "1/0", "0/0", "-", "/", "1.5", "1e3", "1_0", "nan", "x",
+     "\u0663", "99999999999999999999"]
+)
+
+
+@st.composite
+def mutated_g2_text(draw):
+    """g2.datum with lines and tokens dropped, duplicated or replaced."""
+    lines = Path(G2_PATH).read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 4))):  # the file has 18 lines, so some stay
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "replace"]))
+        if draw(st.booleans()):  # act on the whole line
+            if op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                lines[i] = " ".join(draw(st.lists(_TOKENS, max_size=4)))
+            continue
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        if op == "drop":
+            del tokens[j]
+        elif op == "duplicate":
+            tokens.insert(j, tokens[j])
+        else:
+            tokens[j] = draw(_TOKENS)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_g2_text())
+def test_mutated_datum_text_parses_or_fails_cleanly(text):
+    try:
+        datum = parse_datum_text(text)
+    except DatumError:  # DatumFormatError is a DatumError
+        return
+    datum.validate()

@@ -13,11 +13,11 @@ from orbev.sln_formula import (
     FormulaError,
     Partition,
     closed_form_eorb,
-    direct_sym_oracle,
     partitions,
     sym_e_polynomial,
     tau,
 )
+from oracles import direct_sym_oracle
 
 P = BivariatePolynomial
 ONE = P.one()

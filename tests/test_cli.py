@@ -119,17 +119,25 @@ class TestClosedForm:
         assert total == P.monomial(2, 2) + P.monomial(1, 1, 4) + P.one()
         assert [t["partition"] for t in doc["classes"]] == [[2], [1, 1]]
 
+    def test_explicit_d_must_match_surface(self, capsys):
+        # d follows from --surface; a d that contradicts it is refused
+        code, out = run_cli(
+            ["closed-form", "--n", "2", "--m", "1", "--d", "4", "--surface", "betti"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --d" in capsys.readouterr().err
+
     def test_d_is_not_an_option(self, capsys):
-        # d follows from --surface and is echoed; it cannot be set
+        # the derived d is echoed; even the value --surface implies cannot be set
         _, out = run_cli(["closed-form", "--n", "2", "--m", "1", "--surface", "betti"])
         assert json.loads(out)["config_echo"]["d"] == 2
-        for d in ("2", "4"):
-            code, out = run_cli(
-                ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--d", d]
-            )
-            assert code == 1
-            assert out == ""
-            assert "unrecognized arguments: --d" in capsys.readouterr().err
+        code, out = run_cli(
+            ["closed-form", "--n", "2", "--m", "1", "--d", "2", "--surface", "betti"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --d" in capsys.readouterr().err
 
 
 class TestCrossValidate:
@@ -142,16 +150,28 @@ class TestCrossValidate:
         assert doc["total"] == doc["closed_form_total"]
 
     def test_space_is_not_an_option(self, capsys):
-        # the engine's space follows from --surface and is echoed; it cannot be set
+        # the engine's space follows from --surface and is echoed; it cannot be set,
+        # not even to the surface's own space
         code, out = run_cli(["cross-validate", "--n", "2", "--m", "1", "--surface", "abelian"])
         assert code == 0
         doc = json.loads(out)
         assert doc["config_echo"]["space"] == "abelian-surface"
         assert doc["verdict"] is True
-        for surface, space in (("abelian", "abelian-surface"), ("betti", "dolbeault")):
+        code, out = run_cli(
+            ["cross-validate", "--n", "2", "--m", "1", "--surface", "abelian",
+             "--space", "abelian-surface"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --space" in capsys.readouterr().err
+
+    def test_mismatched_space_is_usage_error(self, capsys):
+        # the closed form of the betti surface says nothing about the
+        # dolbeault space, so asking for the comparison is a usage error, not a verdict
+        for n, m in (("2", "1"), ("4", "2")):
             code, out = run_cli(
-                ["cross-validate", "--n", "2", "--m", "1", "--surface", surface,
-                 "--space", space]
+                ["cross-validate", "--n", n, "--m", m, "--surface", "betti",
+                 "--space", "dolbeault"]
             )
             assert code == 1
             assert out == ""

@@ -44,6 +44,15 @@ class IntegerMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ents)
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntegerMatrix":
+        """A matrix from entries already known to be int tuples of the right shape, without re-checking."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntegerMatrix is immutable")
 
@@ -69,7 +78,7 @@ class IntegerMatrix:
         if not columns:
             return IntegerMatrix(rows if rows is not None else 0, 0, tuple(() for _ in range(rows or 0)))
         rows = len(columns[0])
-        return IntegerMatrix(rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows)))
+        return IntegerMatrix._of(rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows)))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -94,7 +103,7 @@ class IntegerMatrix:
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix(
+        return IntegerMatrix._of(
             self.rows,
             self.cols,
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
@@ -102,20 +111,20 @@ class IntegerMatrix:
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix(
+        return IntegerMatrix._of(
             self.rows,
             self.cols,
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
         )
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
+        return IntegerMatrix._of(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise LatticeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         bt = other.transpose().entries
-        return IntegerMatrix(
+        return IntegerMatrix._of(
             self.rows,
             other.cols,
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries),
@@ -125,7 +134,7 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, self.cols, tuple(tuple(k * a for a in row) for row in self.entries))
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
+        return IntegerMatrix._of(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols

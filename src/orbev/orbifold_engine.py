@@ -37,7 +37,7 @@ from .lattice_core import (
     torsion_of_cokernel,
 )
 from .root_data import RootDatum, dual_datum
-from .weyl import DEFAULT_CAP, MatrixGroup, centralizer, conjugacy_classes, generate_group
+from .weyl import DEFAULT_CAP, MatrixGroup, centralizer, conjugacy_classes, dual_group, generate_group
 
 
 class EngineError(LatticeError):
@@ -173,12 +173,21 @@ def class_contribution(
     )
 
 
-@lru_cache(maxsize=None)
-def _group_data(datum: RootDatum, cap: int):
-    group = generate_group(datum.generators, cap)
+def _class_data(group: MatrixGroup):
     table = conjugacy_classes(group)
     cents = tuple(centralizer(group, rep) for rep in table.representatives)
     return group, table, cents
+
+
+@lru_cache(maxsize=None)
+def _group_data(datum: RootDatum, cap: int):
+    return _class_data(generate_group(datum.generators, cap))
+
+
+@lru_cache(maxsize=None)
+def _dual_group_data(datum: RootDatum, cap: int):
+    """Group data of dual_datum(datum), read off the primal group's keys."""
+    return _class_data(dual_group(_group_data(datum, cap)[0]))
 
 
 def _rank_zero_report(datum: RootDatum) -> OrbifoldReport:
@@ -202,8 +211,12 @@ def orbifold_e_polynomial(
     """Sum of weighted class contributions; total must have integer coefficients."""
     if datum.rank == 0:
         return _rank_zero_report(datum)
-    group, table, cents = _group_data(datum, cap)
-    if any(len(cent.elements) * size != group.order for size, cent in zip(table.sizes, cents)):
+    return _report(datum, space, _group_data(datum, cap))
+
+
+def _report(datum: RootDatum, space: SpaceDescriptor, group_data) -> OrbifoldReport:
+    group, table, cents = group_data
+    if any(cent.order * size != group.order for size, cent in zip(table.sizes, cents)):
         raise EngineError("orbit-stabilizer mismatch in class table")
     contributions = [
         class_contribution(datum, space, rep, cent.elements, class_size=size)
@@ -219,18 +232,24 @@ def orbifold_e_polynomial(
 
 @lru_cache(maxsize=None)
 def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CAP) -> MirrorReport:
-    """Compare E_orb on (Λ, W) and (Λ̂, Ŵ), matching classes by w ↔ (w⁻¹)ᵀ."""
+    """Compare E_orb on (Λ, W) and (Λ̂, Ŵ), matching classes by w ↔ (w⁻¹)ᵀ.
+
+    A key names w in W and (w⁻¹)ᵀ in Ŵ, so the matching is a lookup of each
+    primal representative's key in the dual class table.
+    """
     primal = orbifold_e_polynomial(datum, space, cap)
-    dual = orbifold_e_polynomial(dual_datum(datum), space, cap)
     if datum.rank == 0:
+        dual = orbifold_e_polynomial(dual_datum(datum), space, cap)
         pair = MirrorPair(0, 0, BivariatePolynomial.zero())
         return MirrorReport(primal, dual, (pair,), True, True)
-    _, dual_table, _ = _group_data(dual_datum(datum), cap)
+    primal_table = _group_data(datum, cap)[1]
+    dual_data = _dual_group_data(datum, cap)
+    dual = _report(dual_datum(datum), space, dual_data)
+    dual_table = dual_data[1]
     pairs = []
     seen_dual = set()
-    for i, contribution in enumerate(primal.contributions):
-        dual_rep = _dual(contribution.representative)
-        j = dual_table.class_of(dual_rep)
+    for i, (key, contribution) in enumerate(zip(primal_table.keys, primal.contributions)):
+        j = dual_table.class_index[key]
         seen_dual.add(j)
         difference = contribution.weighted - dual.contributions[j].weighted
         pairs.append(MirrorPair(i, j, difference))
@@ -246,16 +265,17 @@ def duality_check(datum: RootDatum, cap: int = DEFAULT_CAP) -> DualityReport:
     """π₀ duality: torsion orders and centralizer fixed counts agree on Λ and Λ̂."""
     if datum.rank == 0:
         return DualityReport(datum.label, (), True)
-    _, table, cents = _group_data(datum, cap)
+    group, table, cents = _group_data(datum, cap)
+    dual = dual_group(group)
     rows = []
-    for rep, cent in zip(table.representatives, cents):
-        dual_rep = _dual(rep)
+    for key, rep, cent in zip(table.keys, table.representatives, cents):
+        dual_rep = dual.matrix(key)
         pi0_primal = _fixed_data(rep)[1]
         pi0_dual = _fixed_data(dual_rep)[1]
         orders_agree = pi0_primal.order == pi0_dual.order
         counts_agree = all(
-            _pi0_fixed_count(rep, c) == _pi0_fixed_count(dual_rep, _dual(c))
-            for c in cent.elements
+            _pi0_fixed_count(rep, c) == _pi0_fixed_count(dual_rep, dual.matrix(k))
+            for k, c in zip(cent.keys, cent.elements)
         )
         rows.append(
             DualityRow(rep, pi0_primal.divisors, pi0_dual.divisors, orders_agree, counts_agree)

@@ -11,6 +11,7 @@ can be compared.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -327,6 +328,16 @@ def _dual_label(label: str) -> str:
 _KEYWORDS = {"rank", "denominator", "label", "basis", "gram", "generators"}
 
 
+_GRAM_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _gram_entry(tok: str) -> Fraction:
+    """`p` or `p/q` in decimal digits; ValueError for any other form, before any number is built."""
+    if _GRAM_ENTRY.fullmatch(tok) is None:
+        raise ValueError(f"gram entry {tok!r} is not p or p/q")
+    return Fraction(tok)
+
+
 def _content_lines(text: str) -> list[str]:
     out = []
     for raw in text.splitlines():
@@ -400,7 +411,7 @@ def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
                     if pos >= len(lines):
                         raise DatumFormatError("gram section ends early")
                     try:
-                        gram_rows.append([Fraction(tok) for tok in lines[pos].split()])
+                        gram_rows.append([_gram_entry(tok) for tok in lines[pos].split()])
                     except (ValueError, ZeroDivisionError) as exc:
                         raise DatumFormatError(f"malformed gram row: {lines[pos]!r}") from exc
                     pos += 1
@@ -417,6 +428,8 @@ def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
         raise DatumFormatError("missing gram section")
     if any(len(r) != rank for r in gram_rows):
         raise DatumFormatError("gram rows must each have `rank` entries")
+    if rank == 0 and generator_rows:
+        raise DatumFormatError("generator rows given for a rank 0 datum")
     if len(generator_rows) % max(rank, 1) != 0:
         raise DatumFormatError("generators section is not a whole number of rank-row blocks")
 

@@ -1,17 +1,36 @@
-"""Finite matrix-group machinery: generation, conjugacy classes, centralizers.
+"""Finite matrix groups held as permutations: generation, conjugacy classes, centralizers.
 
-Groups are enumerated fully (practical through rank-6 classical Weyl groups);
-element order is the deterministic breadth-first insertion order with sorted
-generator application, so class representatives and reports are reproducible.
+A group W of unimodular r x r integer matrices permutes the finite W-orbit O of
+the standard basis vectors e_0, ..., e_{r-1}.  The orbit is enumerated first,
+with e_j as point j, and every element w is stored as its key, the tuple p with
+w·O[i] = O[p[i]].  The key is faithful: column j of w is O[p[j]], so a matrix
+is rebuilt by reading r points, and only for the elements whose matrices are
+asked for (class representatives and the centralizer elements the engine
+reads).  The product x·g has the key i ↦ x[g[i]].
+
+Order bound.  |O| ≤ r·|W|, so an orbit of more than r·cap points proves
+|W| > cap.  Otherwise |W| is computed by the deterministic Schreier–Sims
+algorithm on the permutation action (Sims 1970; Seress, *Permutation Group
+Algorithms*, 2003) before any element is enumerated, and a group larger than
+the cap is refused without spending memory on it.
+
+Element order is the breadth-first insertion order of x·g over generators
+sorted by their matrix entries, so class representatives (the first element of
+each class in that order) and reports are reproducible.  The Langlands dual
+Ŵ = {(w⁻¹)ᵀ} is the same abstract group: `dual_group` reads the same keys as
+matrices through w ↦ (w⁻¹)ᵀ and replays the breadth-first search with the dual
+generators' own sorted order, so a key names w in W and (w⁻¹)ᵀ in Ŵ at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import prod
 
 from .lattice_core import IntegerMatrix, LatticeError
 
 DEFAULT_CAP = 10_000_000
+
+Key = tuple[int, ...]
 
 
 class GroupError(LatticeError):
@@ -19,7 +38,7 @@ class GroupError(LatticeError):
 
 
 class CapExceededError(GroupError):
-    """Group generation exceeded the element cap."""
+    """The group has more elements than the cap allows."""
 
     def __init__(self, cap: int, partial_count: int):
         super().__init__(f"group generation exceeded cap {cap} (at least {partial_count} elements)")
@@ -27,33 +46,224 @@ class CapExceededError(GroupError):
         self.partial_count = partial_count
 
 
+def _compose(a: Key, b: Key) -> Key:
+    """The key of the matrix product a·b: i ↦ a[b[i]]."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(a: Key) -> Key:
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+class _Action:
+    """The orbit O that keys index, and how a key reads as a matrix.
+
+    With dual set, the key of w reads as (w⁻¹)ᵀ, whose rows are the columns
+    of w⁻¹.  A group and its subgroups share one action and its matrix cache.
+    """
+
+    __slots__ = ("points", "point_index", "rank", "dual", "matrices")
+
+    def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, dual: bool):
+        self.points = points
+        self.point_index = point_index
+        self.rank = rank
+        self.dual = dual
+        self.matrices: dict[Key, IntegerMatrix] = {}
+
+    def matrix(self, key: Key) -> IntegerMatrix:
+        m = self.matrices.get(key)
+        if m is None:
+            r, points = self.rank, self.points
+            if self.dual:
+                inv = _inverse(key)
+                m = IntegerMatrix._of(r, r, tuple(points[inv[j]] for j in range(r)))
+            else:
+                m = IntegerMatrix._of(r, r, tuple(zip(*(points[key[j]] for j in range(r)))))
+            self.matrices[key] = m
+        return m
+
+    def key(self, m: IntegerMatrix) -> Key:
+        """The key of m; GroupError if m does not permute the orbit."""
+        if m.rows != self.rank or m.cols != self.rank:
+            raise GroupError("matrix is not an element of the group")
+        rows = m.transpose().entries if self.dual else m.entries
+        try:
+            key = tuple(self.point_index[_apply(rows, v)] for v in self.points)
+        except KeyError:
+            raise GroupError("matrix is not an element of the group") from None
+        return _inverse(key) if self.dual else key
+
+
+def _apply(rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
+
+
 class MatrixGroup:
-    """Finite group of unimodular integer matrices, closed under the product."""
+    """Finite group of unimodular integer matrices, held as keys in element order."""
 
-    __slots__ = ("elements", "generators", "index")
+    __slots__ = ("action", "keys", "index", "generators", "generator_keys")
 
-    def __init__(self, elements: tuple[IntegerMatrix, ...], generators: tuple[IntegerMatrix, ...]):
-        self.elements = elements
+    def __init__(
+        self,
+        action: _Action,
+        keys: tuple[Key, ...],
+        generators: tuple[IntegerMatrix, ...],
+        generator_keys: tuple[Key, ...],
+    ):
+        self.action = action
+        self.keys = keys
+        self.index = {k: i for i, k in enumerate(keys)}
         self.generators = generators
-        self.index = {m: i for i, m in enumerate(elements)}
+        self.generator_keys = generator_keys
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
+
+    @property
+    def elements(self) -> tuple[IntegerMatrix, ...]:
+        matrix = self.action.matrix
+        return tuple(matrix(k) for k in self.keys)
+
+    def matrix(self, key: Key) -> IntegerMatrix:
+        return self.action.matrix(key)
+
+    def key(self, m: IntegerMatrix) -> Key:
+        key = self.action.key(m)
+        if key not in self.index:
+            raise GroupError("matrix is not an element of the group")
+        return key
 
     def __contains__(self, m: IntegerMatrix) -> bool:
-        return m in self.index
+        try:
+            self.key(m)
+        except GroupError:
+            return False
+        return True
 
     def __iter__(self):
         return iter(self.elements)
 
 
-def _sorted_generators(generators: tuple[IntegerMatrix, ...]) -> tuple[IntegerMatrix, ...]:
-    return tuple(sorted(set(generators), key=lambda g: g.entries))
+def _orbit(generators: tuple[IntegerMatrix, ...], rank: int, cap: int) -> tuple[list, dict, list[Key]]:
+    """Points of the orbit of e_0..e_{r-1}, their index, and each generator's key."""
+    points = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    point_index = {v: j for j, v in enumerate(points)}
+    images: list[list[int]] = [[] for _ in generators]
+    limit = cap * rank
+    for v in points:  # grows while it is read
+        for g, image in zip(generators, images):
+            w = _apply(g.entries, v)
+            j = point_index.get(w)
+            if j is None:
+                if len(points) >= limit:
+                    # |O| ≤ rank·|W|, so |W| ≥ ⌈|O| / rank⌉ > cap.
+                    raise CapExceededError(cap, -(-(len(points) + 1) // rank))
+                j = point_index[w] = len(points)
+                points.append(w)
+            image.append(j)
+    return points, point_index, [tuple(image) for image in images]
+
+
+def schreier_sims_order(generator_keys: list[Key] | tuple[Key, ...], degree: int) -> int:
+    """|⟨generators⟩| for permutations of range(degree), by deterministic Schreier–Sims.
+
+    Builds a base b_0, b_1, ... and strong generators S_i fixing b_0..b_{i-1},
+    with a transversal of the orbit of b_i under S_i at each level, and checks
+    every Schreier generator of each level from the bottom up, sifting it
+    through the levels below (Seress 2003, §4.2).  A residue that does not
+    sift to the identity joins the strong generators of the levels it reached,
+    and the check restarts at the lowest of them.  The order is the product of
+    the orbit lengths.
+    """
+    identity = tuple(range(degree))
+    gens = [g for g in dict.fromkeys(generator_keys) if g != identity]
+    base: list[int] = []
+    for g in gens:
+        if all(g[b] == b for b in base):
+            base.append(next(i for i in range(degree) if g[i] != i))
+    strong = [[g for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))]
+
+    def transversal(i: int) -> dict[int, tuple[Key, Key]]:
+        """Point -> (u, u⁻¹) with u in ⟨S_i⟩ taking b_i to the point."""
+        table = {base[i]: (identity, identity)}
+        queue = [base[i]]
+        for p in queue:
+            u = table[p][0]
+            for s in strong[i]:
+                q = s[p]
+                if q not in table:
+                    su = _compose(s, u)
+                    table[q] = (su, _inverse(su))
+                    queue.append(q)
+        return table
+
+    trans = [transversal(i) for i in range(len(base))]
+
+    def sift(g: Key, start: int) -> tuple[Key, int]:
+        for i in range(start, len(base)):
+            entry = trans[i].get(g[base[i]])
+            if entry is None:
+                return g, i
+            g = _compose(entry[1], g)
+        return g, len(base)
+
+    # checked[i]: (point, generator) pairs whose Schreier generator lies in
+    # ⟨S_{i+1}⟩; that stays true while level i is unchanged, as ⟨S_{i+1}⟩ only grows.
+    checked: list[set[tuple[int, int]]] = [set() for _ in base]
+    i = len(base) - 1
+    while i >= 0:
+        restart = None
+        for p, (u, _) in list(trans[i].items()):
+            for n_s, s in enumerate(strong[i]):
+                if (p, n_s) in checked[i]:
+                    continue
+                h, j = sift(_compose(trans[i][s[p]][1], _compose(s, u)), i + 1)
+                if h == identity:
+                    checked[i].add((p, n_s))
+                    continue
+                if j == len(base):
+                    base.append(next(x for x in range(degree) if h[x] != x))
+                    strong.append([])
+                    trans.append({})
+                    checked.append(set())
+                for level in range(i + 1, j + 1):
+                    strong[level].append(h)
+                    trans[level] = transversal(level)
+                    checked[level].clear()
+                restart = j
+                break
+            if restart is not None:
+                break
+        i = i - 1 if restart is None else restart
+    return prod(len(t) for t in trans)
+
+
+def _sorted_generators(generators, keys) -> tuple[Key, ...]:
+    """Generator keys, duplicates dropped, in the order of their matrices' entries."""
+    pairs = dict(zip(generators, keys))
+    return tuple(pairs[g] for g in sorted(pairs, key=lambda g: g.entries))
+
+
+def _breadth_first(generator_keys: tuple[Key, ...], degree: int) -> tuple[Key, ...]:
+    identity = tuple(range(degree))
+    keys = [identity]
+    seen = {identity}
+    for x in keys:  # grows while it is read
+        for g in generator_keys:
+            y = _compose(x, g)
+            if y not in seen:
+                seen.add(y)
+                keys.append(y)
+    return tuple(keys)
 
 
 def generate_group(generators: tuple[IntegerMatrix, ...] | list[IntegerMatrix], cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """Close the generators under multiplication by breadth-first search."""
+    """Enumerate the group the generators generate; CapExceededError when |W| > cap."""
     generators = tuple(generators)
     if cap < 1:
         raise GroupError("cap must be at least 1")
@@ -65,65 +275,71 @@ def generate_group(generators: tuple[IntegerMatrix, ...] | list[IntegerMatrix], 
             raise GroupError("generators must be square matrices of equal size")
         if not g.is_unimodular():
             raise GroupError("generators must be unimodular")
-    gens = _sorted_generators(generators)
-    identity = IntegerMatrix.identity(n)
-    elements: list[IntegerMatrix] = [identity]
-    seen = {identity}
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(elements) >= cap:
-                    raise CapExceededError(cap, len(elements) + 1)
-                seen.add(y)
-                elements.append(y)
-    return MatrixGroup(tuple(elements), generators)
+    points, point_index, keys = _orbit(generators, n, cap)
+    order = schreier_sims_order(keys, len(points))
+    if order > cap:
+        raise CapExceededError(cap, order)
+    elements = _breadth_first(_sorted_generators(generators, keys), len(points))
+    if len(elements) != order:
+        raise GroupError(f"enumeration found {len(elements)} elements, Schreier–Sims {order}")
+    return MatrixGroup(_Action(points, point_index, n, False), elements, generators, tuple(keys))
 
 
-@dataclass(frozen=True)
+def dual_group(group: MatrixGroup) -> MatrixGroup:
+    """{(w⁻¹)ᵀ : w ∈ group} from the group's keys, in its own breadth-first order.
+
+    The result equals generate_group of the inverse-transposed generators,
+    element order included; each key names w in `group` and (w⁻¹)ᵀ here.
+    """
+    old = group.action
+    action = _Action(old.points, old.point_index, old.rank, not old.dual)
+    generators = tuple(action.matrix(k) for k in group.generator_keys)
+    keys = _breadth_first(_sorted_generators(generators, group.generator_keys), len(old.points))
+    return MatrixGroup(action, keys, generators, group.generator_keys)
+
+
 class ConjugacyClassTable:
-    representatives: tuple[IntegerMatrix, ...]
-    sizes: tuple[int, ...]
-    class_index: dict[IntegerMatrix, int]
+    """Classes of a group: representative keys, sizes, and the class of every key."""
 
-    def __post_init__(self):
-        if len(self.representatives) != len(self.sizes):
+    __slots__ = ("group", "keys", "sizes", "class_index")
+
+    def __init__(self, group: MatrixGroup, keys: tuple[Key, ...], sizes: tuple[int, ...], class_index: dict[Key, int]):
+        if len(keys) != len(sizes):
             raise GroupError("class table shape mismatch")
+        self.group = group
+        self.keys = keys
+        self.sizes = sizes
+        self.class_index = class_index
 
     @property
     def count(self) -> int:
-        return len(self.representatives)
+        return len(self.keys)
+
+    @property
+    def representatives(self) -> tuple[IntegerMatrix, ...]:
+        return tuple(self.group.matrix(k) for k in self.keys)
 
     def class_of(self, m: IntegerMatrix) -> int:
-        try:
-            return self.class_index[m]
-        except KeyError:
-            raise GroupError("matrix is not an element of the group") from None
+        return self.class_index[self.group.key(m)]
 
 
 def conjugacy_classes(group: MatrixGroup) -> ConjugacyClassTable:
     """Orbit refinement under conjugation; representative = least element
     in the group's deterministic element order."""
-    conjugators = group.generators if group.generators else group.elements
-    pairs = [(g, g.inverse_unimodular()) for g in conjugators]
-    class_index: dict[IntegerMatrix, int] = {}
-    representatives: list[IntegerMatrix] = []
+    conjugators = group.generator_keys or group.keys
+    pairs = [(g, _inverse(g)) for g in dict.fromkeys(conjugators)]
+    class_index: dict[Key, int] = {}
+    representatives: list[Key] = []
     sizes: list[int] = []
-    for seed in group.elements:
+    for seed in group.keys:
         if seed in class_index:
             continue
         cls = len(representatives)
         orbit = [seed]
         class_index[seed] = cls
-        head = 0
-        while head < len(orbit):
-            x = orbit[head]
-            head += 1
+        for x in orbit:  # grows while it is read
             for g, ginv in pairs:
-                y = g * x * ginv
+                y = tuple([g[x[j]] for j in ginv])  # g·x·g⁻¹
                 if y not in class_index:
                     class_index[y] = cls
                     orbit.append(y)
@@ -131,12 +347,21 @@ def conjugacy_classes(group: MatrixGroup) -> ConjugacyClassTable:
         sizes.append(len(orbit))
     if sum(sizes) != group.order:
         raise GroupError("conjugacy classes do not partition the group")
-    return ConjugacyClassTable(tuple(representatives), tuple(sizes), class_index)
+    return ConjugacyClassTable(group, tuple(representatives), tuple(sizes), class_index)
 
 
 def centralizer(group: MatrixGroup, w: IntegerMatrix) -> MatrixGroup:
     """Subgroup of all elements commuting with w (w must lie in the group)."""
-    if w not in group:
-        raise GroupError("matrix is not an element of the group")
-    fixed = tuple(c for c in group.elements if c * w == w * c)
-    return MatrixGroup(fixed, ())
+    k = group.key(w)
+    # Keys that agree on the first r points are equal: those points are the
+    # columns.  c·w and w·c are compared on column 0 first, which rejects most c.
+    r = group.action.rank
+    if r == 0:
+        return MatrixGroup(group.action, group.keys, (), ())
+    head = k[:r]
+    fixed = tuple(
+        c
+        for c in group.keys
+        if c[head[0]] == k[c[0]] and tuple(map(c.__getitem__, head)) == tuple(map(k.__getitem__, c[:r]))
+    )
+    return MatrixGroup(group.action, fixed, (), ())

@@ -9,6 +9,8 @@ test can check the package's result against it:
   generating function of sln_formula.sym_e_polynomial.
 - datum_equivalent: equality of root data up to a change of basis, against
   the explicit dual pairs that root_data builds.
+- matrix_group_oracle: group elements, conjugacy classes and centralizers by
+  IntegerMatrix products alone, against weyl's permutation keys.
 """
 
 from __future__ import annotations
@@ -159,3 +161,40 @@ def datum_equivalent(d1: RootDatum, d2: RootDatum, up_to_gram_scale: bool = Fals
             for j in range(d2.rank)
         )
     return False
+
+
+def matrix_group_oracle(generators) -> tuple[list, list, list, list]:
+    """(elements, class representatives, class sizes, centralizers) by matrix products.
+
+    Elements come in the breadth-first order of x·g over the distinct
+    generators sorted by their entries; a class is the orbit of its first
+    element in that order under conjugation by the generators; a centralizer
+    lists the elements commuting with the representative, in element order.
+    """
+    gens = sorted(set(generators), key=lambda g: g.entries)
+    elements = [IntegerMatrix.identity(gens[0].rows)]
+    seen = set(elements)
+    for x in elements:  # grows while it is read
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    pairs = [(g, g.inverse_unimodular()) for g in gens]
+    classes: dict[IntegerMatrix, int] = {}
+    representatives, sizes = [], []
+    for seed in elements:
+        if seed in classes:
+            continue
+        classes[seed] = len(representatives)
+        orbit = [seed]
+        for x in orbit:
+            for g, ginv in pairs:
+                y = g * x * ginv
+                if y not in classes:
+                    classes[y] = len(representatives)
+                    orbit.append(y)
+        representatives.append(seed)
+        sizes.append(len(orbit))
+    centralizers = [[c for c in elements if c * w == w * c] for w in representatives]
+    return elements, representatives, sizes, centralizers

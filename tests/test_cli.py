@@ -4,6 +4,8 @@ import io
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 from orbev.cli import dumps_canonical, main
@@ -219,6 +221,41 @@ class TestErrors:
     def test_cap_exceeded(self):
         code, _ = run_cli(["compute", "--group", "sl", "4", "1", "--space", "betti", "--cap", "5"])
         assert code == 1
+
+    def test_oversized_group_refused_before_enumeration(self, capsys):
+        # |W(B12)| = 2^12·12! ≈ 2·10^12 is over the default cap of 10^7; the
+        # order comes from Schreier–Sims on 264 orbit points, so no element is
+        # enumerated.  Memory is traced in this process only.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out = run_cli(["compute", "--group", "classical", "B", "12", "sc", "--space", "betti"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("orbev: error: group generation exceeded cap 10000000") and err.count("\n") == 1
+        assert elapsed < 30
+        assert peak < 32 * 2**20
+
+    def test_gram_entry_in_exponent_form_fails_fast(self, tmp_path, capsys):
+        # Fraction("1e9999999") would build 10^9999999 (about 12 s); only p and p/q are read.
+        bad = tmp_path / "exponent.datum"
+        bad.write_text("rank 1\nbasis\n1\ngram\n1e9999999\ngenerators\n-1\n")
+        start = time.perf_counter()
+        code, out = run_cli(["compute", "--group", "custom", str(bad), "--space", "betti"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("orbev: error: malformed gram row")
+
+    def test_generator_rows_at_rank_zero(self, tmp_path, capsys):
+        bad = tmp_path / "rank0.datum"
+        bad.write_text("rank 0\nbasis\ngram\ngenerators\n1 2 3\n7\n")
+        code, out = run_cli(["compute", "--group", "custom", str(bad), "--space", "betti"])
+        assert (code, out) == (1, "")
+        assert "rank 0" in capsys.readouterr().err
 
     def test_no_command(self):
         assert run_cli([])[0] == 1

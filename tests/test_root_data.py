@@ -244,6 +244,24 @@ generators
         with pytest.raises(DatumFormatError):
             parse_datum_text("rank 2\nbasis\n1 0\ngram")  # basis ends early
 
+    @pytest.mark.parametrize("entry", ["1e9999999", "1.5", "1_0", "0x10", "\u0663", "inf", "1/-2", "1/0"])
+    def test_gram_entries_other_than_p_or_p_over_q_rejected(self, entry):
+        with pytest.raises(DatumFormatError, match="malformed gram row"):
+            parse_datum_text(f"rank 1\nbasis\n1\ngram\n{entry}\ngenerators\n-1\n")
+
+    @pytest.mark.parametrize("entry, value", [("2", Fraction(2)), ("+4/2", Fraction(2)), ("-1/2", Fraction(-1, 2))])
+    def test_gram_entries_p_and_p_over_q(self, entry, value):
+        text = f"rank 1\nbasis\n1\ngram\n{entry}\ngenerators\n-1\n"
+        if value > 0:
+            assert parse_datum_text(text).gram == ((value,),)
+        else:
+            with pytest.raises(DatumError, match="not positive definite"):
+                parse_datum_text(text)
+
+    def test_generator_rows_at_rank_zero_rejected(self):
+        with pytest.raises(DatumFormatError, match="rank 0"):
+            parse_datum_text("rank 0\nbasis\ngram\ngenerators\n1 2 3\n7\n")
+
 
 # Tokens a damaged datum file might hold: keywords, numbers of every shape the
 # parser reads, and text that is none of them.

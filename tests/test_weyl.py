@@ -1,16 +1,33 @@
 """Finite matrix group generation, conjugacy classes, centralizers."""
 
+import random
+from math import factorial
+from pathlib import Path
+
 import pytest
 
+from oracles import matrix_group_oracle
 from orbev.lattice_core import IntegerMatrix
-from orbev.root_data import classical_datum, sl_quotient_datum
+from orbev.root_data import (
+    RootDatum,
+    _congruence,
+    classical_datum,
+    custom_datum,
+    dual_datum,
+    sl_quotient_datum,
+)
 from orbev.sln_formula import partitions
 from orbev.weyl import (
     CapExceededError,
+    GroupError,
     centralizer,
     conjugacy_classes,
+    dual_group,
     generate_group,
+    schreier_sims_order,
 )
+
+G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 
 
 def M(rows):
@@ -129,3 +146,117 @@ class TestCentralizer:
         for rep in table.representatives:
             for c in centralizer(g, rep):
                 assert c * rep == rep * c
+
+
+class TestOrderBeforeEnumeration:
+    @pytest.mark.parametrize(
+        "family, n, order",
+        [("B", 12, 2**12 * factorial(12)), ("C", 7, 2**7 * factorial(7)), ("D", 9, 2**8 * factorial(9))],
+    )
+    def test_schreier_sims_order_of_large_weyl_groups(self, family, n, order):
+        # W acting on ±e_1..±e_n: point i is e_{i+1}, point n + i is -e_{i+1}.
+        def perm(images):
+            p = list(range(2 * n))
+            for i, j in images.items():
+                p[i], p[(i + n) % (2 * n)] = j, (j + n) % (2 * n)
+            return tuple(p)
+
+        swaps = [perm({i: i + 1, i + 1: i}) for i in range(n - 1)]
+        if family == "D":  # e_{n-1} ↔ -e_n
+            last = perm({n - 2: 2 * n - 1, n - 1: 2 * n - 2})
+        else:  # e_n ↔ -e_n
+            last = perm({n - 1: 2 * n - 1})
+        identity = tuple(range(2 * n))  # dropped, like any repeated generator
+        assert schreier_sims_order(swaps + [last, identity, last], 2 * n) == order
+
+    def test_order_matches_enumeration(self):
+        for d in (sl_quotient_datum(5, 1), classical_datum("D", 4, "adjoint")):
+            g = generate_group(d.generators)
+            assert schreier_sims_order(g.generator_keys, len(g.action.points)) == g.order
+
+    def test_cap_at_the_order_passes_one_below_refuses(self):
+        gens = sl_quotient_datum(4, 1).generators
+        assert generate_group(gens, cap=24).order == 24
+        with pytest.raises(CapExceededError) as info:
+            generate_group(gens, cap=23)
+        assert info.value.partial_count == 24
+
+    def test_oversized_group_refused_by_its_order(self):
+        with pytest.raises(CapExceededError) as info:
+            generate_group(classical_datum("B", 12, "simply_connected").generators)
+        assert info.value.partial_count == 2**12 * factorial(12)
+
+
+def rebased(d: RootDatum, seed: int) -> RootDatum:
+    """d in the basis basis·T for a seeded unimodular T."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(d.rank)] for i in range(d.rank)]
+    for _ in range(4):
+        i, j = rng.sample(range(d.rank), 2)
+        k = rng.choice((-1, 1))
+        for row in rows:
+            row[j] += k * row[i]
+    t = IntegerMatrix.from_rows(rows, cols=d.rank)
+    t_inv = t.inverse_unimodular()
+    out = RootDatum(
+        rank=d.rank,
+        basis=d.basis * t,
+        denominator=d.denominator,
+        gram=_congruence(t, d.gram),
+        generators=tuple(t_inv * g * t for g in d.generators),
+        label="rebased",
+    )
+    out.validate()
+    return out
+
+
+def oracle_data():
+    """Every built-in of rank <= 4, the G2 datum file and one re-based datum."""
+    data = [sl_quotient_datum(n, m) for n in range(2, 6) for m in range(1, n + 1) if n % m == 0]
+    forms = ("simply_connected", "adjoint")
+    data += [classical_datum(f, n, form) for f in "BC" for n in (2, 3, 4) for form in forms]
+    data += [classical_datum("D", n, form) for n in (3, 4) for form in forms]
+    data.append(custom_datum(G2_PATH))
+    data.append(rebased(classical_datum("C", 3, "adjoint"), seed=7))
+    return data
+
+
+def assert_matches_oracle(group, generators):
+    elements, representatives, sizes, centralizers = matrix_group_oracle(generators)
+    table = conjugacy_classes(group)
+    assert list(group.elements) == elements
+    assert list(table.representatives) == representatives
+    assert list(table.sizes) == sizes
+    assert [list(centralizer(group, w).elements) for w in table.representatives] == centralizers
+
+
+@pytest.mark.parametrize("datum", oracle_data(), ids=lambda d: d.label)
+class TestAgainstMatrixOracle:
+    def test_group_classes_and_centralizers(self, datum):
+        assert_matches_oracle(generate_group(datum.generators), datum.generators)
+
+    def test_dual_by_index_equals_dual_enumeration(self, datum):
+        dual = dual_datum(datum)
+        group = dual_group(generate_group(datum.generators))
+        assert group.generators == dual.generators
+        assert_matches_oracle(group, dual.generators)
+
+
+class TestKeys:
+    def test_dual_key_names_the_inverse_transpose(self):
+        group = generate_group(classical_datum("C", 3, "adjoint").generators)
+        dual = dual_group(group)
+        for k in group.keys:
+            assert dual.matrix(k) == group.matrix(k).inverse_transpose()
+            assert dual.key(dual.matrix(k)) == k
+
+    def test_dual_of_dual_reads_the_primal_matrices(self):
+        group = generate_group(sl_quotient_datum(4, 2).generators)
+        assert dual_group(dual_group(group)).elements == group.elements
+
+    def test_matrix_outside_the_orbit_is_not_a_member(self):
+        g = generate_group(sl_quotient_datum(3, 1).generators)
+        with pytest.raises(GroupError):
+            g.key(M([[2, 0], [0, 1]]))
+        assert M([[1, 0], [0, 1]]) in g
+        assert M([[-1, 0], [0, -1]]) not in g  # permutes the roots of A2 but is not in W

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .epoly import BivariatePolynomial, SPACES
 from .lattice_core import IntegerMatrix, LatticeError
@@ -55,7 +56,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="orbev", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

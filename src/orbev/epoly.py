@@ -130,6 +130,12 @@ class BivariatePolynomial:
     def scale(self, c: Fraction | int) -> "BivariatePolynomial":
         return self * BivariatePolynomial.constant(c)
 
+    def times_monomial(self, p: int, q: int) -> "BivariatePolynomial":
+        """self · u^p v^q, by moving every exponent."""
+        if p < 0 or q < 0:
+            raise PolynomialError("negative exponents are not supported")
+        return BivariatePolynomial._of({(a + p, b + q): c for (a, b), c in self.coeffs.items()})
+
     def substitute_powers(self, i: int, j: int) -> "BivariatePolynomial":
         """u -> u^i, v -> v^j."""
         if i < 0 or j < 0:
@@ -207,9 +213,6 @@ def exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePol
             if s:
                 remainder[key] = s
     return BivariatePolynomial._of(quotient)
-
-
-UV = BivariatePolynomial.monomial(1, 1)
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,17 @@ the E-character of c restricted to the factor's fixed sublattice Λ^w: the
 component group of (A ⊗ Λ)^w is π₀(T^w)^d(kind) with π₀(T^w) = Tor(Λ/(w-1)Λ),
 and components fixed by c contribute the identity-component character because
 translations act trivially on cohomology.
+
+Key histogram.  A factor's E-character of c depends only on the
+characteristic polynomial of c on Λ^w, so the average needs only a histogram
+of keys: per lattice side the space uses, the characteristic polynomial of c
+on that side's Λ^w and the π₀ fixed count, with the number of elements of
+C(w) that have the key.  The histogram is built once per class and set of
+sides and memoized by the matrices it reads, so every space on Λ alone shares
+one histogram and a space on Λ and Λ̂ shares a second.  A space's average is
+then one E-character product per distinct key, weighted by the key's count
+and fixed counts, divided once by |C(w)|, and (uv)^F(w) is an exponent shift.
+The dual-side matrices (c⁻¹)ᵀ are read from the group's orbit action by key.
 """
 
 from __future__ import annotations
@@ -20,9 +31,10 @@ from functools import lru_cache
 
 from .epoly import (
     DUAL,
-    UV,
+    PRIMAL,
     BivariatePolynomial,
     SpaceDescriptor,
+    char_poly,
     factor_dimension,
     factor_e_character,
 )
@@ -115,12 +127,6 @@ def _fixed_data(w: IntegerMatrix) -> tuple[IntegerMatrix, FiniteAbelianGroup]:
 
 
 @lru_cache(maxsize=None)
-def _dual(m: IntegerMatrix) -> IntegerMatrix:
-    """(m⁻¹)ᵀ, the action of m on the dual lattice, computed once per matrix."""
-    return m.inverse_transpose()
-
-
-@lru_cache(maxsize=None)
 def _restricted_action(w: IntegerMatrix, c: IntegerMatrix) -> IntegerMatrix:
     """Matrix of c on the fixed sublattice Λ^w, in the fixed basis."""
     basis = _fixed_data(w)[0]
@@ -133,43 +139,73 @@ def _pi0_fixed_count(w: IntegerMatrix, c: IntegerMatrix) -> int:
     return fixed_count(aut)
 
 
+@lru_cache(maxsize=None)
+def _class_histogram(lattices: tuple[tuple[IntegerMatrix, tuple[IntegerMatrix, ...]], ...]):
+    """The key histogram of C(w) on the lattice sides in `lattices`.
+
+    Each side is (w, the elements of C(w)) as matrices on that side's
+    lattice, with the elements in one order on every side.  An element's key
+    is, per side, the characteristic polynomial of its action on Λ^w and its
+    π₀ fixed count.  Returns one (restricted actions, fixed counts, count)
+    row per distinct key, with the restricted actions of the first element
+    that has it.
+    """
+    rows: dict[tuple, list] = {}
+    for cs in zip(*(elements for _, elements in lattices)):
+        restricted = tuple(_restricted_action(w, c) for (w, _), c in zip(lattices, cs))
+        fixes = tuple(_pi0_fixed_count(w, c) for (w, _), c in zip(lattices, cs))
+        key = (tuple(map(char_poly, restricted)), fixes)
+        row = rows.get(key)
+        if row is None:
+            rows[key] = [restricted, fixes, 1]
+        else:
+            row[2] += 1
+    return tuple(map(tuple, rows.values()))
+
+
 def class_contribution(
     datum: RootDatum,
     space: SpaceDescriptor,
     w: IntegerMatrix,
-    cent: MatrixGroup | tuple[IntegerMatrix, ...],
+    cent: MatrixGroup,
     class_size: int = 1,
 ) -> ClassContribution:
     """One conjugacy-class term: average over C(w), then shift by (uv)^F(w)."""
-    cent_elements = tuple(cent)
-    if not cent_elements:
+    order = cent.order
+    if not order:
         raise EngineError("centralizer must contain at least the identity")
     shift = fermionic_shift(w)
-    if space.uses_dual and fermionic_shift(_dual(w)) != shift:
-        raise EngineError("fermionic shift differs between the lattice and its dual")
+    sides = tuple(side for side in (PRIMAL, DUAL) if any(s == side for _, s in space.factors))
+    lattices = []
+    for side in sides:
+        if side == PRIMAL:
+            lattices.append((w, cent.elements))
+            continue
+        dual_w = cent.dual_matrix(cent.key(w))
+        if fermionic_shift(dual_w) != shift:
+            raise EngineError("fermionic shift differs between the lattice and its dual")
+        lattices.append((dual_w, tuple(map(cent.dual_matrix, cent.keys))))
+    position = {side: i for i, side in enumerate(sides)}
 
-    total = BivariatePolynomial.zero()
-    for c in cent_elements:
-        term = BivariatePolynomial.one()
+    total: dict[tuple[int, int], int] = {}
+    for restricted, fixes, count in _class_histogram(tuple(lattices)):
+        product, weight = None, count
         for kind, side in space.factors:
-            w_side, c_side = (_dual(w), _dual(c)) if side == DUAL else (w, c)
-            term = term * factor_e_character(kind, _restricted_action(w_side, c_side))
-            d = factor_dimension(kind)
-            if d:
-                fix = _pi0_fixed_count(w_side, c_side)
-                if fix != 1:
-                    term = term.scale(fix**d)
-        total = total + term
-    average = total.scale(Fraction(1, len(cent_elements)))
-    weighted = average * UV**shift
+            i = position[side]
+            character = factor_e_character(kind, restricted[i])
+            product = character if product is None else product * character
+            weight *= fixes[i] ** factor_dimension(kind)
+        for term, c in product.coeffs.items():
+            total[term] = total.get(term, 0) + weight * c
+    average = BivariatePolynomial({term: Fraction(c, order) for term, c in total.items()})
     return ClassContribution(
         representative=w,
         class_size=class_size,
-        centralizer_order=len(cent_elements),
+        centralizer_order=order,
         shift=shift,
         pi0_divisors=_fixed_data(w)[1].divisors,
         average=average,
-        weighted=weighted,
+        weighted=average.times_monomial(shift, shift),
     )
 
 
@@ -219,7 +255,7 @@ def _report(datum: RootDatum, space: SpaceDescriptor, group_data) -> OrbifoldRep
     if any(cent.order * size != group.order for size, cent in zip(table.sizes, cents)):
         raise EngineError("orbit-stabilizer mismatch in class table")
     contributions = [
-        class_contribution(datum, space, rep, cent.elements, class_size=size)
+        class_contribution(datum, space, rep, cent, class_size=size)
         for rep, size, cent in zip(table.representatives, table.sizes, cents)
     ]
     total = BivariatePolynomial.zero()

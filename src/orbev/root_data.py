@@ -6,7 +6,8 @@ denominator), the Weyl generators as integer matrices acting in that basis,
 and a W-invariant positive definite rational form on the basis.  Every
 downstream computation uses only the basis representation; the ambient
 coordinates exist so that Λ and its dual Λ̂ = Hom(Λ, Z) live in one space and
-can be compared.
+can be compared.  A RootDatum is immutable, so the built-in constructors and
+`dual_datum` are memoized and their callers share one instance per argument.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
 from typing import Sequence
@@ -190,6 +192,7 @@ def _adjacent_swap(n: int, i: int) -> IntegerMatrix:
     return _permutation_matrix(image)
 
 
+@lru_cache(maxsize=None)
 def sl_quotient_datum(n: int, m: int) -> RootDatum:
     """Coweight datum of SL(n)/Z_m: Λ = {x ∈ Z^n + Z·(1/m,…,1/m) : Σx_j = 0}.
 
@@ -219,6 +222,7 @@ def sl_quotient_datum(n: int, m: int) -> RootDatum:
 _FORMS = {"simply_connected": "sc", "adjoint": "ad"}
 
 
+@lru_cache(maxsize=None)
 def classical_datum(family: str, n: int, form: str) -> RootDatum:
     """Coweight data for types B, C, D in ambient Z^n coordinates.
 
@@ -279,6 +283,7 @@ def classical_datum(family: str, n: int, form: str) -> RootDatum:
     return _make_datum(basis, denominator, _gram_from_ambient(basis, denominator), generators, label)
 
 
+@lru_cache(maxsize=None)
 def dual_datum(d: RootDatum) -> RootDatum:
     """Langlands-dual datum: Λ̂ = Hom(Λ, Z) realized via the gram pairing.
 

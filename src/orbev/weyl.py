@@ -62,10 +62,11 @@ class _Action:
     """The orbit O that keys index, and how a key reads as a matrix.
 
     With dual set, the key of w reads as (w⁻¹)ᵀ, whose rows are the columns
-    of w⁻¹.  A group and its subgroups share one action and its matrix cache.
+    of w⁻¹.  A group and its subgroups share one action and its matrix cache,
+    and a group and its dual share the pair of actions `flipped` links.
     """
 
-    __slots__ = ("points", "point_index", "rank", "dual", "matrices")
+    __slots__ = ("points", "point_index", "rank", "dual", "matrices", "_flipped")
 
     def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, dual: bool):
         self.points = points
@@ -73,6 +74,14 @@ class _Action:
         self.rank = rank
         self.dual = dual
         self.matrices: dict[Key, IntegerMatrix] = {}
+        self._flipped: _Action | None = None
+
+    def flipped(self) -> "_Action":
+        """The same keys read the other way, as (w⁻¹)ᵀ for w; built once, flipping back to self."""
+        if self._flipped is None:
+            self._flipped = _Action(self.points, self.point_index, self.rank, not self.dual)
+            self._flipped._flipped = self
+        return self._flipped
 
     def matrix(self, key: Key) -> IntegerMatrix:
         m = self.matrices.get(key)
@@ -131,6 +140,10 @@ class MatrixGroup:
 
     def matrix(self, key: Key) -> IntegerMatrix:
         return self.action.matrix(key)
+
+    def dual_matrix(self, key: Key) -> IntegerMatrix:
+        """(w⁻¹)ᵀ for the element w that key names, read from the orbit without inverting."""
+        return self.action.flipped().matrix(key)
 
     def key(self, m: IntegerMatrix) -> Key:
         key = self.action.key(m)
@@ -291,10 +304,9 @@ def dual_group(group: MatrixGroup) -> MatrixGroup:
     The result equals generate_group of the inverse-transposed generators,
     element order included; each key names w in `group` and (w⁻¹)ᵀ here.
     """
-    old = group.action
-    action = _Action(old.points, old.point_index, old.rank, not old.dual)
+    action = group.action.flipped()
     generators = tuple(action.matrix(k) for k in group.generator_keys)
-    keys = _breadth_first(_sorted_generators(generators, group.generator_keys), len(old.points))
+    keys = _breadth_first(_sorted_generators(generators, group.generator_keys), len(action.points))
     return MatrixGroup(action, keys, generators, group.generator_keys)
 
 

@@ -11,17 +11,38 @@ test can check the package's result against it:
   the explicit dual pairs that root_data builds.
 - matrix_group_oracle: group elements, conjugacy classes and centralizers by
   IntegerMatrix products alone, against weyl's permutation keys.
+- per_element_class_oracle: a class term summed element by element, against
+  the key histogram of orbifold_engine.class_contribution.
+
+`rebased` is a test datum, not an oracle: a datum in a seeded new basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from orbev.epoly import BivariatePolynomial, char_poly
-from orbev.lattice_core import InexactSolveError, IntegerMatrix, solve_exact
+from orbev.epoly import (
+    DUAL,
+    BivariatePolynomial,
+    SpaceDescriptor,
+    char_poly,
+    factor_dimension,
+    factor_e_character,
+)
+from orbev.lattice_core import (
+    InexactSolveError,
+    IntegerMatrix,
+    fixed_count,
+    fixed_sublattice,
+    induced_automorphism,
+    solve_exact,
+    solve_right_integer,
+    torsion_of_cokernel,
+)
 from orbev.orbifold_engine import EngineError
 from orbev.root_data import RootDatum, _congruence
 from orbev.sln_formula import FormulaError
@@ -198,3 +219,53 @@ def matrix_group_oracle(generators) -> tuple[list, list, list, list]:
         sizes.append(len(orbit))
     centralizers = [[c for c in elements if c * w == w * c] for w in representatives]
     return elements, representatives, sizes, centralizers
+
+
+def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> tuple:
+    """(average, weighted, shift, pi0_divisors) of w's class, one element at a time.
+
+    Each c in the centralizer contributes the product over the space's factors
+    of the E-character of c on the factor's Λ^w times Fix(c, π₀(T^w))^d, with
+    every piece computed afresh: a dual-side matrix by Bareiss inversion, the
+    restricted action by a solve on the fixed basis, the fixed count from the
+    induced automorphism.  The shift comes from eigenvalue angles and (uv)^F is
+    a power of uv.  No engine cache, key read or histogram is used.
+    """
+    cent = tuple(cent)
+    eye = IntegerMatrix.identity(w.rows)
+    total = BivariatePolynomial.zero()
+    for c in cent:
+        term = BivariatePolynomial.one()
+        for kind, side in space.factors:
+            ws, cs = (w.inverse_transpose(), c.inverse_transpose()) if side == DUAL else (w, c)
+            basis = fixed_sublattice(ws)
+            term = term * factor_e_character(kind, solve_right_integer(basis, cs * basis))
+            term = term.scale(fixed_count(induced_automorphism(cs, ws - eye)) ** factor_dimension(kind))
+        total = total + term
+    average = total.scale(Fraction(1, len(cent)))
+    shift = direct_shift_oracle(w)
+    weighted = average * BivariatePolynomial.monomial(1, 1) ** shift
+    return average, weighted, shift, torsion_of_cokernel(w - eye).divisors
+
+
+def rebased(d: RootDatum, seed: int) -> RootDatum:
+    """d in the basis basis·T for a seeded unimodular T."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(d.rank)] for i in range(d.rank)]
+    for _ in range(4):
+        i, j = rng.sample(range(d.rank), 2)
+        k = rng.choice((-1, 1))
+        for row in rows:
+            row[j] += k * row[i]
+    t = IntegerMatrix.from_rows(rows, cols=d.rank)
+    t_inv = t.inverse_unimodular()
+    out = RootDatum(
+        rank=d.rank,
+        basis=d.basis * t,
+        denominator=d.denominator,
+        gram=_congruence(t, d.gram),
+        generators=tuple(t_inv * g * t for g in d.generators),
+        label="rebased",
+    )
+    out.validate()
+    return out

@@ -272,3 +272,42 @@ class TestSubprocess:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert P.from_json_terms(doc["total"]) == P.monomial(2, 2) + P.monomial(1, 1, 4) + P.one()
+
+    def test_one_process_prints_what_separate_processes_print(self):
+        # main builds its parser once per process and reuses it; a usage error
+        # and --help before a valid run must not change any output or exit code
+        argvs = [
+            ["compute", "--group", "sl", "2", "1", "--space", "klein-bottle"],
+            ["--help"],
+            ["compute", "--group", "sl", "2", "1", "--space", "betti"],
+        ]
+        separate = []
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "orbev", *argv], capture_output=True, text=True)
+            separate.append([proc.returncode, proc.stdout, proc.stderr])
+        assert [code for code, _, _ in separate] == [1, 0, 0]
+        proc = subprocess.run(
+            [sys.executable, "-c", ONE_PROCESS_SCRIPT, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *together, parsers_built = json.loads(proc.stdout)
+        assert together == separate
+        assert parsers_built == 1
+
+
+ONE_PROCESS_SCRIPT = """
+import contextlib, io, json, sys
+from orbev.cli import _build_parser, main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results + [_build_parser.cache_info().misses]))
+"""

@@ -1,22 +1,29 @@
 """Orbifold E-polynomial assembly: shifts, class terms, totals, mirror and duality."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from orbev.epoly import SPACES, BivariatePolynomial
+from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
 from orbev.lattice_core import IntegerMatrix, fixed_sublattice, torsion_of_cokernel
 from orbev.orbifold_engine import (
+    _class_histogram,
+    _dual_group_data,
+    _group_data,
+    _pi0_fixed_count,
+    _restricted_action,
     class_contribution,
     duality_check,
     fermionic_shift,
     mirror_check,
     orbifold_e_polynomial,
 )
-from orbev.root_data import RootDatum, classical_datum, dual_datum, sl_quotient_datum
-from orbev.weyl import centralizer, conjugacy_classes, generate_group
-from oracles import direct_shift_oracle
+from orbev.root_data import RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
+from orbev.weyl import centralizer, conjugacy_classes, dual_group, generate_group
+from oracles import direct_shift_oracle, per_element_class_oracle, rebased
 
+G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 P = BivariatePolynomial
 ONE = P.one()
 UV = P.monomial(1, 1)
@@ -314,3 +321,72 @@ class TestDualityCheck:
         for datum in [sl_quotient_datum(4, 2), classical_datum("C", 2, "adjoint"),
                       classical_datum("D", 3, "adjoint")]:
             assert duality_check(datum).equal
+
+
+def oracle_data():
+    """Every built-in of rank <= 3 in both forms, then the G2 datum file."""
+    data = [sl_quotient_datum(n, m) for n in range(2, 5) for m in range(1, n + 1) if n % m == 0]
+    forms = ("simply_connected", "adjoint")
+    data += [classical_datum(f, n, form) for f in "BC" for n in (2, 3) for form in forms]
+    data += [classical_datum("D", 3, form) for form in forms]
+    data.append(custom_datum(G2_PATH))
+    return data
+
+
+def assert_report_matches_oracle(report, group, space):
+    table = conjugacy_classes(group)
+    assert len(report.contributions) == table.count
+    for rep, contribution in zip(table.representatives, report.contributions):
+        assert contribution.representative == rep
+        expected = per_element_class_oracle(space, rep, centralizer(group, rep))
+        got = (contribution.average, contribution.weighted, contribution.shift, contribution.pi0_divisors)
+        assert got == expected
+
+
+def histogram_sides(group, w, space):
+    """The (w, C(w)) matrices per lattice side that class_contribution reads for space."""
+    cent = centralizer(group, w)
+    sides = [(w, cent.elements)]
+    if space.uses_dual:
+        sides.append((w.inverse_transpose(), tuple(c.inverse_transpose() for c in cent.elements)))
+    return cent, tuple(sides)
+
+
+class TestKeyHistogram:
+    @pytest.mark.parametrize("datum", oracle_data(), ids=lambda d: d.label)
+    @pytest.mark.parametrize("space", list(SPACES), ids=str)
+    def test_primal_and_dual_reports_match_per_element_oracle(self, datum, space):
+        report = mirror_check(datum, SPACES[space])
+        group = generate_group(datum.generators)
+        assert_report_matches_oracle(report.primal, group, SPACES[space])
+        assert_report_matches_oracle(report.dual, dual_group(group), SPACES[space])
+
+    def test_rebased_c3_adjoint_on_mixed_matches_oracle(self):
+        datum = rebased(classical_datum("C", 3, "adjoint"), seed=7)
+        report = mirror_check(datum, SPACES["mixed"])
+        group = generate_group(datum.generators)
+        assert_report_matches_oracle(report.primal, group, SPACES["mixed"])
+        assert_report_matches_oracle(report.dual, dual_group(group), SPACES["mixed"])
+        assert report.equal and report.term_by_term
+
+    @pytest.mark.parametrize("space", ["betti", "mixed"])
+    def test_multiplicities_sum_to_centralizer_order(self, space):
+        for datum in oracle_data():
+            group = generate_group(datum.generators)
+            for w in conjugacy_classes(group).representatives:
+                cent, sides = histogram_sides(group, w, SPACES[space])
+                rows = _class_histogram(sides)
+                assert sum(count for _, _, count in rows) == cent.order
+                assert len({(tuple(map(char_poly, r)), f) for r, f, _ in rows}) == len(rows)
+
+    def test_space_order_does_not_change_reports(self):
+        data = [sl_quotient_datum(4, 2), classical_datum("B", 3, "simply_connected"),
+                rebased(classical_datum("C", 3, "adjoint"), seed=7)]
+        runs = []
+        for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
+            for cached in (mirror_check, orbifold_e_polynomial, _class_histogram, _group_data,
+                           _dual_group_data, _restricted_action, _pi0_fixed_count,
+                           factor_e_character, char_poly):
+                cached.cache_clear()
+            runs.append({(d.label, s.name): mirror_check(d, s) for d in data for s in spaces})
+        assert runs[0] == runs[1]

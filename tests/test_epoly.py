@@ -60,6 +60,13 @@ class TestArithmetic:
     def test_negative_exponents_rejected(self):
         with pytest.raises(PolynomialError):
             P.monomial(-1, 0)
+        with pytest.raises(PolynomialError):
+            (ONE + U).times_monomial(0, -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys, st.integers(0, 4), st.integers(0, 4))
+    def test_times_monomial_is_a_product(self, p, i, j):
+        assert p.times_monomial(i, j) == p * P.monomial(i, j)
 
     def test_substitute_powers(self):
         p = UV - ONE

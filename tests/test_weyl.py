@@ -1,16 +1,13 @@
 """Finite matrix group generation, conjugacy classes, centralizers."""
 
-import random
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from oracles import matrix_group_oracle
+from oracles import matrix_group_oracle, rebased
 from orbev.lattice_core import IntegerMatrix
 from orbev.root_data import (
-    RootDatum,
-    _congruence,
     classical_datum,
     custom_datum,
     dual_datum,
@@ -187,29 +184,6 @@ class TestOrderBeforeEnumeration:
         assert info.value.partial_count == 2**12 * factorial(12)
 
 
-def rebased(d: RootDatum, seed: int) -> RootDatum:
-    """d in the basis basis·T for a seeded unimodular T."""
-    rng = random.Random(seed)
-    rows = [[int(i == j) for j in range(d.rank)] for i in range(d.rank)]
-    for _ in range(4):
-        i, j = rng.sample(range(d.rank), 2)
-        k = rng.choice((-1, 1))
-        for row in rows:
-            row[j] += k * row[i]
-    t = IntegerMatrix.from_rows(rows, cols=d.rank)
-    t_inv = t.inverse_unimodular()
-    out = RootDatum(
-        rank=d.rank,
-        basis=d.basis * t,
-        denominator=d.denominator,
-        gram=_congruence(t, d.gram),
-        generators=tuple(t_inv * g * t for g in d.generators),
-        label="rebased",
-    )
-    out.validate()
-    return out
-
-
 def oracle_data():
     """Every built-in of rank <= 4, the G2 datum file and one re-based datum."""
     data = [sl_quotient_datum(n, m) for n in range(2, 6) for m in range(1, n + 1) if n % m == 0]
@@ -249,6 +223,9 @@ class TestKeys:
         for k in group.keys:
             assert dual.matrix(k) == group.matrix(k).inverse_transpose()
             assert dual.key(dual.matrix(k)) == k
+            # the group and its dual share one pair of actions and their matrix caches
+            assert group.dual_matrix(k) is dual.matrix(k)
+            assert dual.dual_matrix(k) is group.matrix(k)
 
     def test_dual_of_dual_reads_the_primal_matrices(self):
         group = generate_group(sl_quotient_datum(4, 2).generators)

@@ -58,7 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it unchanged.
+
+    This saves work only for a process that calls `main` more than once;
+    a single `python -m orbev` run builds it once either way.
+    """
     parser = _Parser(prog="orbev", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

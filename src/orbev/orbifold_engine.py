@@ -15,12 +15,12 @@ Key histogram.  A factor's E-character of c depends only on the
 characteristic polynomial of c on Λ^w, so the average needs only a histogram
 of keys: per lattice side the space uses, the characteristic polynomial of c
 on that side's Λ^w and the π₀ fixed count, with the number of elements of
-C(w) that have the key.  The histogram is built once per class and set of
-sides and memoized by the matrices it reads, so every space on Λ alone shares
-one histogram and a space on Λ and Λ̂ shares a second.  A space's average is
-then one E-character product per distinct key, weighted by the key's count
-and fixed counts, divided once by |C(w)|, and (uv)^F(w) is an exponent shift.
-The dual-side matrices (c⁻¹)ᵀ are read from the group's orbit action by key.
+C(w) that have the key.  A space's average is one E-character product per
+distinct key, weighted by the key's count and fixed counts, divided once by
+|C(w)|, and (uv)^F(w) is an exponent shift.  The per-element data a key is
+made of are cached per matrix, so a later space of the same datum in one
+process rebuilds its histogram from cache hits.  The dual-side matrices
+(c⁻¹)ᵀ are read from the group's orbit action by key.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import epoly
 from .epoly import (
     DUAL,
-    PRIMAL,
     BivariatePolynomial,
     SpaceDescriptor,
-    char_poly,
     factor_dimension,
     factor_e_character,
 )
@@ -139,8 +138,7 @@ def _pi0_fixed_count(w: IntegerMatrix, c: IntegerMatrix) -> int:
     return fixed_count(aut)
 
 
-@lru_cache(maxsize=None)
-def _class_histogram(lattices: tuple[tuple[IntegerMatrix, tuple[IntegerMatrix, ...]], ...]):
+def _class_histogram(lattices: list[tuple[IntegerMatrix, tuple[IntegerMatrix, ...]]]):
     """The key histogram of C(w) on the lattice sides in `lattices`.
 
     Each side is (w, the elements of C(w)) as matrices on that side's
@@ -154,13 +152,14 @@ def _class_histogram(lattices: tuple[tuple[IntegerMatrix, tuple[IntegerMatrix, .
     for cs in zip(*(elements for _, elements in lattices)):
         restricted = tuple(_restricted_action(w, c) for (w, _), c in zip(lattices, cs))
         fixes = tuple(_pi0_fixed_count(w, c) for (w, _), c in zip(lattices, cs))
-        key = (tuple(map(char_poly, restricted)), fixes)
+        # Looked up in epoly at call time, so a wrapper on epoly.char_poly sees the call.
+        key = (tuple(map(epoly.char_poly, restricted)), fixes)
         row = rows.get(key)
         if row is None:
             rows[key] = [restricted, fixes, 1]
         else:
             row[2] += 1
-    return tuple(map(tuple, rows.values()))
+    return rows.values()
 
 
 def class_contribution(
@@ -175,23 +174,18 @@ def class_contribution(
     if not order:
         raise EngineError("centralizer must contain at least the identity")
     shift = fermionic_shift(w)
-    sides = tuple(side for side in (PRIMAL, DUAL) if any(s == side for _, s in space.factors))
-    lattices = []
-    for side in sides:
-        if side == PRIMAL:
-            lattices.append((w, cent.elements))
-            continue
+    lattices = [(w, cent.elements)]
+    if space.uses_dual:
         dual_w = cent.dual_matrix(cent.key(w))
         if fermionic_shift(dual_w) != shift:
             raise EngineError("fermionic shift differs between the lattice and its dual")
         lattices.append((dual_w, tuple(map(cent.dual_matrix, cent.keys))))
-    position = {side: i for i, side in enumerate(sides)}
 
     total: dict[tuple[int, int], int] = {}
-    for restricted, fixes, count in _class_histogram(tuple(lattices)):
+    for restricted, fixes, count in _class_histogram(lattices):
         product, weight = None, count
         for kind, side in space.factors:
-            i = position[side]
+            i = 1 if side == DUAL else 0
             character = factor_e_character(kind, restricted[i])
             product = character if product is None else product * character
             weight *= fixes[i] ** factor_dimension(kind)

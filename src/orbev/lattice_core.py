@@ -67,11 +67,15 @@ class IntegerMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        if n < 0:
+            raise LatticeError("matrix dimensions must be nonnegative")
+        return IntegerMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise LatticeError("matrix dimensions must be nonnegative")
+        return IntegerMatrix._of(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
@@ -131,7 +135,7 @@ class IntegerMatrix:
         )
 
     def scale(self, k: int) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, tuple(tuple(k * a for a in row) for row in self.entries))
+        return IntegerMatrix._of(self.rows, self.cols, tuple(tuple(k * a for a in row) for row in self.entries))
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix._of(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
@@ -168,7 +172,7 @@ class IntegerMatrix:
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise LatticeError("row count mismatch in hstack")
-        return IntegerMatrix(
+        return IntegerMatrix._of(
             self.rows, self.cols + other.cols, tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
         )
 

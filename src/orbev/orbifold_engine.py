@@ -21,6 +21,16 @@ distinct key, weighted by the key's count and fixed counts, divided once by
 made of are cached per matrix, so a later space of the same datum in one
 process rebuilds its histogram from cache hits.  The dual-side matrices
 (c⁻¹)ᵀ are read from the group's orbit action by key.
+
+Per-w projections.  The lattice work on an element c is a projection that is
+built once per w from the cached Smith form U·(w - 1)·V = D and then applied
+to every c.  On π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U_T the rows
+of U and U⁻¹_T the columns of U⁻¹ at the divisors dᵢ ≥ 2 and row i reduced
+mod dᵢ; its fixed count is 1 when π₀(T^w) is trivial and is otherwise
+computed once per distinct block.  On Λ^w, with B the columns of V at the
+zero divisors and P the same rows of V⁻¹ (so P·B = 1), c acts by P·(c·B).
+Both need c to commute with w, which is checked once per class on keys; a
+non-commuting element raises NonCentralizingError.
 """
 
 from __future__ import annotations
@@ -39,16 +49,19 @@ from .epoly import (
 )
 from .lattice_core import (
     FiniteAbelianGroup,
+    GroupAutomorphism,
     IntegerMatrix,
     LatticeError,
+    NonCentralizingError,
     fixed_count,
     fixed_sublattice,
-    induced_automorphism,
-    solve_right_integer,
+    smith_normal_form,
     torsion_of_cokernel,
 )
+# No longer called here; imported because perfbench's tracer wraps them in this module.
+from .lattice_core import induced_automorphism, solve_right_integer
 from .root_data import RootDatum, dual_datum
-from .weyl import DEFAULT_CAP, MatrixGroup, centralizer, conjugacy_classes, dual_group, generate_group
+from .weyl import DEFAULT_CAP, Key, MatrixGroup, centralizer, conjugacy_classes, dual_group, generate_group
 
 
 class EngineError(LatticeError):
@@ -126,16 +139,78 @@ def _fixed_data(w: IntegerMatrix) -> tuple[IntegerMatrix, FiniteAbelianGroup]:
 
 
 @lru_cache(maxsize=None)
-def _restricted_action(w: IntegerMatrix, c: IntegerMatrix) -> IntegerMatrix:
-    """Matrix of c on the fixed sublattice Λ^w, in the fixed basis."""
+def _fixed_projection(w: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """The fixed basis B of Λ^w and the integer P with P·B = 1.
+
+    B is the columns of V at the zero divisors of U·(w - 1)·V = D, and P the
+    same rows of V⁻¹.  For c commuting with w, c·B = B·X, so X = P·(c·B).
+    """
     basis = _fixed_data(w)[0]
-    return solve_right_integer(basis, c * basis)
+    snf = smith_normal_form(w - IntegerMatrix.identity(w.rows))
+    inverse = snf.V.inverse_unimodular().entries
+    zero = [j for j in range(w.rows) if snf.D[j, j] == 0]
+    projection = IntegerMatrix._of(len(zero), w.rows, tuple(inverse[j] for j in zero))
+    if not (projection * basis).is_identity():
+        raise EngineError("fixed basis is not the zero-divisor columns of the Smith transform")
+    return basis, projection
+
+
+@lru_cache(maxsize=None)
+def _pi0_projection(w: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """π₀(T^w)'s divisors dᵢ, the rows U_T of U at them, and the columns U⁻¹_T of U⁻¹.
+
+    c acts on π₀(T^w) = Tor(Λ/(w - 1)Λ) by the block U_T·c·U⁻¹_T with row i
+    taken mod dᵢ; this is induced_automorphism's block, read without the rest
+    of U·c·U⁻¹.
+    """
+    divisors = _fixed_data(w)[1].divisors
+    if not divisors:
+        return divisors, (), ()
+    snf = smith_normal_form(w - IntegerMatrix.identity(w.rows))
+    torsion = [i for i in range(w.rows) if snf.D[i, i] >= 2]
+    return divisors, tuple(snf.U.entries[i] for i in torsion), tuple(snf.U_inverse.column(j) for j in torsion)
+
+
+@lru_cache(maxsize=None)
+def _restricted_action(w: IntegerMatrix, c: IntegerMatrix) -> IntegerMatrix:
+    """Matrix of c on the fixed sublattice Λ^w, in the fixed basis; c must commute with w."""
+    basis, projection = _fixed_projection(w)
+    return projection * (c * basis)
 
 
 @lru_cache(maxsize=None)
 def _pi0_fixed_count(w: IntegerMatrix, c: IntegerMatrix) -> int:
-    aut = induced_automorphism(c, w - IntegerMatrix.identity(w.rows))
-    return fixed_count(aut)
+    """Fix(c, π₀(T^w)) for c commuting with w: 1 when π₀(T^w) is trivial, else one memo per block."""
+    divisors = _pi0_projection(w)[0]
+    return _block_fixed_count(divisors, _pi0_block(w, c)) if divisors else 1
+
+
+def _pi0_block(w: IntegerMatrix, c: IntegerMatrix) -> tuple[tuple[int, ...], ...]:
+    """The entries of c on π₀(T^w): U_T·c·U⁻¹_T with row i mod dᵢ."""
+    divisors, rows, columns = _pi0_projection(w)
+    image = [tuple(sum(a * b for a, b in zip(row, col)) for row in c.entries) for col in columns]
+    return tuple(tuple(sum(a * b for a, b in zip(row, v)) % d for v in image) for row, d in zip(rows, divisors))
+
+
+@lru_cache(maxsize=None)
+def _block_fixed_count(divisors: tuple[int, ...], block: tuple[tuple[int, ...], ...]) -> int:
+    """Fixed points of the automorphism of ⊕ Z/dᵢ with this block, once per distinct block."""
+    k = len(divisors)
+    return fixed_count(GroupAutomorphism(FiniteAbelianGroup(divisors), IntegerMatrix._of(k, k, block)))
+
+
+def _require_centralizer(cent: MatrixGroup, key: Key) -> None:
+    """NonCentralizingError unless every element of cent commutes with the element w that key names.
+
+    c·w = w·c is compared on the first r points, which are the columns.  On
+    Λ this gives c·Λ^w ⊆ Λ^w and c·im(w - 1) ⊆ im(w - 1), on Λ̂ the same for
+    (c⁻¹)ᵀ and (w⁻¹)ᵀ, which the per-w projections need.
+    """
+    points = range(cent.action.rank)
+    for c in cent.keys:
+        for i in points:
+            if c[key[i]] != key[c[i]]:
+                raise NonCentralizingError("centralizer element does not commute with w")
 
 
 def _class_histogram(lattices: list[tuple[IntegerMatrix, tuple[IntegerMatrix, ...]]]):
@@ -173,10 +248,12 @@ def class_contribution(
     order = cent.order
     if not order:
         raise EngineError("centralizer must contain at least the identity")
+    key = cent.key(w)
+    _require_centralizer(cent, key)
     shift = fermionic_shift(w)
     lattices = [(w, cent.elements)]
     if space.uses_dual:
-        dual_w = cent.dual_matrix(cent.key(w))
+        dual_w = cent.dual_matrix(key)
         if fermionic_shift(dual_w) != shift:
             raise EngineError("fermionic shift differs between the lattice and its dual")
         lattices.append((dual_w, tuple(map(cent.dual_matrix, cent.keys))))
@@ -295,20 +372,19 @@ def duality_check(datum: RootDatum, cap: int = DEFAULT_CAP) -> DualityReport:
     """π₀ duality: torsion orders and centralizer fixed counts agree on Λ and Λ̂."""
     if datum.rank == 0:
         return DualityReport(datum.label, (), True)
-    group, table, cents = _group_data(datum, cap)
-    dual = dual_group(group)
-    rows = []
-    for key, rep, cent in zip(table.keys, table.representatives, cents):
-        dual_rep = dual.matrix(key)
-        pi0_primal = _fixed_data(rep)[1]
-        pi0_dual = _fixed_data(dual_rep)[1]
-        orders_agree = pi0_primal.order == pi0_dual.order
-        counts_agree = all(
-            _pi0_fixed_count(rep, c) == _pi0_fixed_count(dual_rep, dual.matrix(k))
-            for k, c in zip(cent.keys, cent.elements)
-        )
-        rows.append(
-            DualityRow(rep, pi0_primal.divisors, pi0_dual.divisors, orders_agree, counts_agree)
-        )
+    _, table, cents = _group_data(datum, cap)
+    rows = tuple(_duality_row(cent, key) for key, cent in zip(table.keys, cents))
     equal = all(r.orders_agree and r.fixed_counts_agree for r in rows)
-    return DualityReport(datum.label, tuple(rows), equal)
+    return DualityReport(datum.label, rows, equal)
+
+
+def _duality_row(cent: MatrixGroup, key: Key) -> DualityRow:
+    """The class of the element w that key names, with cent = C(w): w on Λ against (w⁻¹)ᵀ on Λ̂."""
+    _require_centralizer(cent, key)
+    rep, dual_rep = cent.matrix(key), cent.dual_matrix(key)
+    pi0_primal = _fixed_data(rep)[1]
+    pi0_dual = _fixed_data(dual_rep)[1]
+    counts_agree = all(
+        _pi0_fixed_count(rep, cent.matrix(k)) == _pi0_fixed_count(dual_rep, cent.dual_matrix(k)) for k in cent.keys
+    )
+    return DualityRow(rep, pi0_primal.divisors, pi0_dual.divisors, pi0_primal.order == pi0_dual.order, counts_agree)

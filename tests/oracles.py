@@ -13,8 +13,11 @@ test can check the package's result against it:
   IntegerMatrix products alone, against weyl's permutation keys.
 - per_element_class_oracle: a class term summed element by element, against
   the key histogram of orbifold_engine.class_contribution.
+- per_element_duality_oracle: a duality_check row rebuilt element by element
+  from induced automorphisms, against the engine's per-w π₀ projections.
 
-`rebased` is a test datum, not an oracle: a datum in a seeded new basis.
+`rebased` and `rank_four_data` are test data, not oracles: a datum in a
+seeded new basis, and the built-ins of rank <= 4 with two more data.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from pathlib import Path
 
 from orbev.epoly import (
     DUAL,
@@ -44,8 +48,10 @@ from orbev.lattice_core import (
     torsion_of_cokernel,
 )
 from orbev.orbifold_engine import EngineError
-from orbev.root_data import RootDatum, _congruence
+from orbev.root_data import RootDatum, _congruence, classical_datum, custom_datum, sl_quotient_datum
 from orbev.sln_formula import FormulaError
+
+G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 
 
 @lru_cache(maxsize=None)
@@ -246,6 +252,34 @@ def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> 
     shift = direct_shift_oracle(w)
     weighted = average * BivariatePolynomial.monomial(1, 1) ** shift
     return average, weighted, shift, torsion_of_cokernel(w - eye).divisors
+
+
+def per_element_duality_oracle(w: IntegerMatrix, cent) -> tuple:
+    """(pi0_primal, pi0_dual, orders_agree, fixed_counts_agree) of w's duality row.
+
+    Every count is fixed_count of a fresh induced automorphism, and the dual
+    side is w and each c inverted and transposed by Bareiss.
+    """
+    eye = IntegerMatrix.identity(w.rows)
+    dual_w = w.inverse_transpose()
+    primal, dual = torsion_of_cokernel(w - eye), torsion_of_cokernel(dual_w - eye)
+    counts_agree = all(
+        fixed_count(induced_automorphism(c, w - eye))
+        == fixed_count(induced_automorphism(c.inverse_transpose(), dual_w - eye))
+        for c in cent
+    )
+    return primal.divisors, dual.divisors, primal.order == dual.order, counts_agree
+
+
+def rank_four_data() -> list[RootDatum]:
+    """Every built-in of rank <= 4 in both forms, the G2 datum file and C3_ad re-based."""
+    data = [sl_quotient_datum(n, m) for n in range(2, 6) for m in range(1, n + 1) if n % m == 0]
+    forms = ("simply_connected", "adjoint")
+    data += [classical_datum(f, n, form) for f in "BC" for n in (2, 3, 4) for form in forms]
+    data += [classical_datum("D", n, form) for n in (3, 4) for form in forms]
+    data.append(custom_datum(G2_PATH))
+    data.append(rebased(classical_datum("C", 3, "adjoint"), seed=7))
+    return data
 
 
 def rebased(d: RootDatum, seed: int) -> RootDatum:

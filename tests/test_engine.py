@@ -1,18 +1,31 @@
 """Orbifold E-polynomial assembly: shifts, class terms, totals, mirror and duality."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from orbev import epoly
+from orbev import epoly, orbifold_engine
 from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
-from orbev.lattice_core import IntegerMatrix, fixed_sublattice, torsion_of_cokernel
+from orbev.lattice_core import (
+    IntegerMatrix,
+    NonCentralizingError,
+    fixed_count,
+    fixed_sublattice,
+    induced_automorphism,
+    solve_right_integer,
+    torsion_of_cokernel,
+)
 from orbev.orbifold_engine import (
+    _block_fixed_count,
     _class_histogram,
+    _duality_row,
     _dual_group_data,
+    _fixed_data,
+    _fixed_projection,
     _group_data,
+    _pi0_block,
     _pi0_fixed_count,
+    _pi0_projection,
     _restricted_action,
     class_contribution,
     duality_check,
@@ -22,9 +35,15 @@ from orbev.orbifold_engine import (
 )
 from orbev.root_data import RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
 from orbev.weyl import centralizer, conjugacy_classes, dual_group, generate_group
-from oracles import direct_shift_oracle, per_element_class_oracle, rebased
+from oracles import (
+    G2_PATH,
+    direct_shift_oracle,
+    per_element_class_oracle,
+    per_element_duality_oracle,
+    rank_four_data,
+    rebased,
+)
 
-G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 P = BivariatePolynomial
 ONE = P.one()
 UV = P.monomial(1, 1)
@@ -398,8 +417,65 @@ class TestKeyHistogram:
         runs = []
         for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
             for cached in (mirror_check, orbifold_e_polynomial, _group_data,
-                           _dual_group_data, _restricted_action, _pi0_fixed_count,
+                           _dual_group_data, _fixed_data, _fixed_projection, _pi0_projection,
+                           _restricted_action, _pi0_fixed_count, _block_fixed_count,
                            factor_e_character, char_poly):
                 cached.cache_clear()
             runs.append({(d.label, s.name): mirror_check(d, s) for d in data for s in spaces})
         assert runs[0] == runs[1]
+
+
+class TestLatticeProjections:
+    """The per-w projections against the per-element primitives they replace."""
+
+    @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
+    def test_projections_match_per_element_primitives(self, datum):
+        group = generate_group(datum.generators)
+        table = conjugacy_classes(group)
+        for key, w in zip(table.keys, table.representatives):
+            cent = centralizer(group, w)
+            sides = [(w, cent.elements), (cent.dual_matrix(key), tuple(map(cent.dual_matrix, cent.keys)))]
+            for ws, elements in sides:
+                eye = IntegerMatrix.identity(ws.rows)
+                basis = fixed_sublattice(ws)
+                for c in elements:
+                    aut = induced_automorphism(c, ws - eye)
+                    assert _pi0_block(ws, c) == aut.matrix.entries
+                    assert _pi0_fixed_count(ws, c) == fixed_count(aut)
+                    assert _restricted_action(ws, c) == solve_right_integer(basis, c * basis)
+        report = duality_check(datum)
+        assert len(report.rows) == table.count
+        for row, w in zip(report.rows, table.representatives):
+            assert row.representative == w
+            got = (row.pi0_primal, row.pi0_dual, row.orders_agree, row.fixed_counts_agree)
+            assert got == per_element_duality_oracle(w, centralizer(group, w).elements)
+
+    def test_fixed_count_runs_once_per_distinct_block(self, monkeypatch):
+        autos = []
+        monkeypatch.setattr(orbifold_engine, "fixed_count", lambda aut: autos.append(aut) or fixed_count(aut))
+        for cached in (duality_check, _pi0_fixed_count, _block_fixed_count):
+            cached.cache_clear()
+        duality_check(sl_quotient_datum(4, 4))
+        blocks = [(aut.group.divisors, aut.matrix) for aut in autos]
+        assert 0 < len(set(blocks)) == len(blocks)
+
+
+def reflection_in_sl3():
+    datum = sl_quotient_datum(3, 1)
+    group = generate_group(datum.generators)
+    w = datum.generators[0]
+    assert fermionic_shift(w) == 1
+    return datum, group, w
+
+
+class TestCentralizerGuard:
+    def test_class_contribution_rejects_non_commuting_elements(self):
+        datum, group, w = reflection_in_sl3()
+        for space in ("betti", "mixed"):
+            with pytest.raises(NonCentralizingError):
+                class_contribution(datum, SPACES[space], w, group)
+
+    def test_duality_row_rejects_non_commuting_elements(self):
+        _, group, w = reflection_in_sl3()
+        with pytest.raises(NonCentralizingError):
+            _duality_row(group, group.key(w))

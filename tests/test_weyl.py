@@ -1,15 +1,13 @@
 """Finite matrix group generation, conjugacy classes, centralizers."""
 
 from math import factorial
-from pathlib import Path
 
 import pytest
 
-from oracles import matrix_group_oracle, rebased
+from oracles import matrix_group_oracle, rank_four_data
 from orbev.lattice_core import IntegerMatrix
 from orbev.root_data import (
     classical_datum,
-    custom_datum,
     dual_datum,
     sl_quotient_datum,
 )
@@ -23,8 +21,6 @@ from orbev.weyl import (
     generate_group,
     schreier_sims_order,
 )
-
-G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 
 
 def M(rows):
@@ -184,17 +180,6 @@ class TestOrderBeforeEnumeration:
         assert info.value.partial_count == 2**12 * factorial(12)
 
 
-def oracle_data():
-    """Every built-in of rank <= 4, the G2 datum file and one re-based datum."""
-    data = [sl_quotient_datum(n, m) for n in range(2, 6) for m in range(1, n + 1) if n % m == 0]
-    forms = ("simply_connected", "adjoint")
-    data += [classical_datum(f, n, form) for f in "BC" for n in (2, 3, 4) for form in forms]
-    data += [classical_datum("D", n, form) for n in (3, 4) for form in forms]
-    data.append(custom_datum(G2_PATH))
-    data.append(rebased(classical_datum("C", 3, "adjoint"), seed=7))
-    return data
-
-
 def assert_matches_oracle(group, generators):
     elements, representatives, sizes, centralizers = matrix_group_oracle(generators)
     table = conjugacy_classes(group)
@@ -204,7 +189,7 @@ def assert_matches_oracle(group, generators):
     assert [list(centralizer(group, w).elements) for w in table.representatives] == centralizers
 
 
-@pytest.mark.parametrize("datum", oracle_data(), ids=lambda d: d.label)
+@pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
 class TestAgainstMatrixOracle:
     def test_group_classes_and_centralizers(self, datum):
         assert_matches_oracle(generate_group(datum.generators), datum.generators)

@@ -5,6 +5,11 @@ Output is deterministic for identical configuration, as JSON or text encoding
 the same data.  Exit codes: 0 on success and on verified equalities, 2 when a
 verification command finds an inequality (a counterexample report is a
 successful run), 1 on usage or validation errors.
+
+JSON output is written by `dumps_canonical`, which reproduces
+`json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"` byte for byte for the
+types the reports are made of (dict, list, str, int, bool, None) and raises
+TypeError for any other.
 """
 
 from __future__ import annotations
@@ -163,9 +168,45 @@ def _class_text(i: int, c) -> list[str]:
     ]
 
 
+_encode_str = json.encoder.encode_basestring  # json's own string encoder for ensure_ascii=False
+
+
+def _encode(obj, newline: str) -> str:
+    """obj in json.dumps's indent=2 layout, with its nested lines starting at newline."""
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for k, v in obj.items():
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(_encode_str(k) + ": " + _encode(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def dumps_canonical(obj) -> str:
-    """The one JSON encoding used everywhere, so output round-trips byte-for-byte."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """The one JSON encoding used everywhere: json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"."""
+    return _encode(obj, "\n") + "\n"
 
 
 def _emit_compute(report: OrbifoldReport, echo: dict, fmt: str, out) -> int:

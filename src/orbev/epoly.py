@@ -108,9 +108,16 @@ class BivariatePolynomial:
         return BivariatePolynomial._of({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1 or len(b) == 1:
+            # A one-term factor moves every exponent of the other: no two terms collide.
+            if len(b) != 1:
+                a, b = b, a
+            ((p2, q2), c2), = b.items()
+            return BivariatePolynomial._of({(p1 + p2, q1 + q2): c1 * c2 for (p1, q1), c1 in a.items()})
         out: dict[tuple[int, int], int | Fraction] = {}
-        for (p1, q1), c1 in self.coeffs.items():
-            for (p2, q2), c2 in other.coeffs.items():
+        for (p1, q1), c1 in a.items():
+            for (p2, q2), c2 in b.items():
                 key = (p1 + p2, q1 + q2)
                 out[key] = out.get(key, 0) + c1 * c2
         return BivariatePolynomial._of(out)

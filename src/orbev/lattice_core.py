@@ -347,9 +347,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
             negate_row(t)
         t += 1
 
-    d = IntegerMatrix.from_rows(a, cols=cols)
-    um = IntegerMatrix.from_rows(u, cols=rows)
-    vm = IntegerMatrix.from_rows(v, cols=cols)
+    # Every entry is an int by construction, so the results skip re-validation.
+    d = IntegerMatrix._of(rows, cols, tuple(map(tuple, a)))
+    um = IntegerMatrix._of(rows, rows, tuple(map(tuple, u)))
+    vm = IntegerMatrix._of(cols, cols, tuple(map(tuple, v)))
     return SmithDecomposition(um, d, vm)
 
 
@@ -471,8 +472,8 @@ def fixed_count(aut: GroupAutomorphism) -> int:
     k = len(aut.group.divisors)
     if k == 0:
         return 1
-    d = IntegerMatrix.from_rows(
-        [[aut.group.divisors[i] if i == j else 0 for j in range(k)] for i in range(k)], cols=k
+    d = IntegerMatrix._of(
+        k, k, tuple(tuple(aut.group.divisors[i] if i == j else 0 for j in range(k)) for i in range(k))
     )
     stacked = (aut.matrix - IntegerMatrix.identity(k)).hstack(d)
     divisors = smith_normal_form(stacked).divisors

@@ -120,16 +120,16 @@ class DualityReport:
 
 
 def fermionic_shift(w: IntegerMatrix) -> int:
-    """F(w) = rank(w - 1) over Q.
+    """F(w) = rank(w - 1) over Q, read as r - dim Λ^w from the cached fixed data of w.
 
     For the doubled tangent spaces of the supported space families, the sum of
     the eigenvalue angles of w equals the number of eigenvalues different from
     1, which is this rank.  The tests check it against a direct sum of the
-    eigenvalue angles.
+    eigenvalue angles.  w must be unimodular, as every group element is.
     """
     if not w.is_square():
         raise EngineError("fermionic_shift requires a square matrix")
-    return (w - IntegerMatrix.identity(w.rows)).rank()
+    return w.rows - _fixed_data(w)[0].cols
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +268,9 @@ def class_contribution(
             weight *= fixes[i] ** factor_dimension(kind)
         for term, c in product.coeffs.items():
             total[term] = total.get(term, 0) + weight * c
-    average = BivariatePolynomial({term: Fraction(c, order) for term, c in total.items()})
+    average = BivariatePolynomial._of(
+        {term: c // order if c % order == 0 else Fraction(c, order) for term, c in total.items()}
+    )
     return ClassContribution(
         representative=w,
         class_size=class_size,

@@ -63,10 +63,12 @@ class _Action:
 
     With dual set, the key of w reads as (w⁻¹)ᵀ, whose rows are the columns
     of w⁻¹.  A group and its subgroups share one action and its matrix cache,
-    and a group and its dual share the pair of actions `flipped` links.
+    and a group and its dual share the pair of actions `flipped` links.  The
+    key of a matrix the action built is looked up by identity (the cache keeps
+    every such matrix alive, so no id is reused); any other matrix is scanned.
     """
 
-    __slots__ = ("points", "point_index", "rank", "dual", "matrices", "_flipped")
+    __slots__ = ("points", "point_index", "rank", "dual", "matrices", "matrix_keys", "_flipped")
 
     def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, dual: bool):
         self.points = points
@@ -74,6 +76,7 @@ class _Action:
         self.rank = rank
         self.dual = dual
         self.matrices: dict[Key, IntegerMatrix] = {}
+        self.matrix_keys: dict[int, Key] = {}
         self._flipped: _Action | None = None
 
     def flipped(self) -> "_Action":
@@ -93,10 +96,14 @@ class _Action:
             else:
                 m = IntegerMatrix._of(r, r, tuple(zip(*(points[key[j]] for j in range(r)))))
             self.matrices[key] = m
+            self.matrix_keys[id(m)] = key
         return m
 
     def key(self, m: IntegerMatrix) -> Key:
         """The key of m; GroupError if m does not permute the orbit."""
+        key = self.matrix_keys.get(id(m))
+        if key is not None:
+            return key
         if m.rows != self.rank or m.cols != self.rank:
             raise GroupError("matrix is not an element of the group")
         rows = m.transpose().entries if self.dual else m.entries

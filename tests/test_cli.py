@@ -8,6 +8,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from orbev.cli import dumps_canonical, main
 from orbev.epoly import BivariatePolynomial
 
@@ -19,6 +23,19 @@ def run_cli(args):
     buf = io.StringIO()
     code = main(args, out=buf)
     return code, buf.getvalue()
+
+
+def json_dumps_reference(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+# Strings mix arbitrary text with the characters JSON escapes or must not escape.
+json_strings = st.text(st.sampled_from('"\\/\n\t\r\b\f\x00\x1f\x7f ä€😀a') | st.characters(), max_size=12)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | json_strings,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(json_strings, children, max_size=5),
+    max_leaves=40,
+)
 
 
 class TestCompute:
@@ -47,7 +64,7 @@ class TestCompute:
 
     def test_json_round_trips_byte_identical(self):
         _, out = run_cli(["compute", "--group", "sl", "3", "1", "--space", "betti"])
-        assert dumps_canonical(json.loads(out)) == out
+        assert json_dumps_reference(json.loads(out)) == out
 
     def test_text_and_json_encode_same_polynomial(self):
         args = ["compute", "--group", "sl", "2", "2", "--space", "abelian-surface"]
@@ -76,6 +93,33 @@ class TestCompute:
         )
         assert code_long == code_short == 0
         assert json.loads(out_long)["total"] == json.loads(out_short)["total"]
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_writer_matches_json_dumps(self, obj):
+        assert dumps_canonical(obj) == json_dumps_reference(obj)
+
+    def test_empty_containers_and_int_lists(self):
+        obj = {"a": [], "b": {}, "c": [[]], "d": [1, -2, 10**30], "e": [True, 0, None], "": [{}]}
+        assert dumps_canonical(obj) == json_dumps_reference(obj)
+        assert dumps_canonical([]) == "[]\n"
+        assert dumps_canonical({}) == "{}\n"
+
+    @pytest.mark.parametrize("obj", [1.5, [0.0], {"x": float("nan")}, {1: "a"}, {"a": {None: 1}}, (1, 2)])
+    def test_other_types_and_non_str_keys_raise(self, obj):
+        with pytest.raises(TypeError):
+            dumps_canonical(obj)
+
+    def test_custom_path_with_space_quote_and_umlaut(self, tmp_path):
+        path = tmp_path / 'g2 "quoted" ä.datum'
+        path.write_text(Path(G2_PATH).read_text())
+        code, out = run_cli(["mirror-check", "--group", "custom", str(path), "--space", "betti"])
+        assert code == 0
+        assert json.loads(out)["config_echo"]["group"] == ["custom", str(path)]
+        assert '\\"quoted\\" ä' in out
+        assert out == json_dumps_reference(json.loads(out))
 
 
 class TestMirrorCheck:

@@ -34,7 +34,7 @@ from orbev.orbifold_engine import (
     orbifold_e_polynomial,
 )
 from orbev.root_data import RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
-from orbev.weyl import centralizer, conjugacy_classes, dual_group, generate_group
+from orbev.weyl import DEFAULT_CAP, GroupError, centralizer, conjugacy_classes, dual_group, generate_group
 from oracles import (
     G2_PATH,
     direct_shift_oracle,
@@ -458,6 +458,25 @@ class TestLatticeProjections:
         duality_check(sl_quotient_datum(4, 4))
         blocks = [(aut.group.divisors, aut.matrix) for aut in autos]
         assert 0 < len(set(blocks)) == len(blocks)
+
+
+class TestKeysAndShifts:
+    """The table key and the shift that class_contribution reads, against a fresh scan and rank."""
+
+    @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
+    def test_keys_and_shifts_on_both_lattices(self, datum):
+        for group, table, cents in (_group_data(datum, DEFAULT_CAP), _dual_group_data(datum, DEFAULT_CAP)):
+            for key, w, cent in zip(table.keys, table.representatives, cents):
+                assert fermionic_shift(w) == (w - IntegerMatrix.identity(w.rows)).rank()
+                # w was built by the group's action, fresh was not: a lookup and a scan
+                fresh = IntegerMatrix.from_rows([list(row) for row in w.entries], cols=w.cols)
+                assert cent.key(w) == cent.key(fresh) == key
+                with pytest.raises(GroupError):
+                    cent.key(w.scale(2))
+                outside = next((k for k in group.keys if k not in cent.index), None)
+                if outside is not None:
+                    with pytest.raises(GroupError):
+                        cent.key(group.matrix(outside))
 
 
 def reflection_in_sl3():

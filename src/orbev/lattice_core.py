@@ -477,7 +477,8 @@ def fixed_count(aut: GroupAutomorphism) -> int:
     )
     stacked = (aut.matrix - IntegerMatrix.identity(k)).hstack(d)
     divisors = smith_normal_form(stacked).divisors
-    assert len(divisors) == k, "lattice (A-1)Z^k + DZ^k must have full rank"
+    if len(divisors) != k:
+        raise LatticeError("lattice (A-1)Z^k + DZ^k must have full rank")
     count = 1
     for x in divisors:
         count *= x

@@ -12,25 +12,23 @@ and components fixed by c contribute the identity-component character because
 translations act trivially on cohomology.
 
 Key histogram.  A factor's E-character of c depends only on the
-characteristic polynomial of c on Λ^w, so the average needs only a histogram
-of keys: per lattice side the space uses, the characteristic polynomial of c
-on that side's Λ^w and the π₀ fixed count, with the number of elements of
-C(w) that have the key.  A space's average is one E-character product per
-distinct key, weighted by the key's count and fixed counts, divided once by
-|C(w)|, and (uv)^F(w) is an exponent shift.  The per-element data a key is
-made of are cached per matrix, so a later space of the same datum in one
-process rebuilds its histogram from cache hits.  The dual-side matrices
-(c⁻¹)ᵀ are read from the group's orbit action by key.
+characteristic polynomial of c on Λ^w, which is the same on the dual side,
+so the average needs only a histogram of keys: that polynomial and the π₀
+fixed count per lattice side the space uses, with the number of elements of
+C(w) that have the key.  C(w) is walked once per class and side set, on its
+permutation keys with no matrix per element, and the histogram serves every
+later space of the datum in the process.  A space's average is one
+E-character product per distinct polynomial, weighted by the counts and
+fixed counts, divided once by |C(w)|, and (uv)^F(w) is an exponent shift.
 
-Per-w projections.  The lattice work on an element c is a projection that is
-built once per w from the cached Smith form U·(w - 1)·V = D and then applied
-to every c.  On π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U_T the rows
-of U and U⁻¹_T the columns of U⁻¹ at the divisors dᵢ ≥ 2 and row i reduced
-mod dᵢ; its fixed count is 1 when π₀(T^w) is trivial and is otherwise
-computed once per distinct block.  On Λ^w, with B the columns of V at the
-zero divisors and P the same rows of V⁻¹ (so P·B = 1), c acts by P·(c·B).
-Both need c to commute with w, which is checked once per class on keys; a
-non-commuting element raises NonCentralizingError.
+Per-w tables.  The power traces tr(c^k | Λ^w) are r lookups each in a table
+built from Σ_j w^j, and Newton's identities give the polynomial over ℤ.  On
+π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U·(w - 1)·V = D the cached
+Smith form, U_T the rows of U and U⁻¹_T the columns of U⁻¹ at the divisors
+dᵢ ≥ 2 and row i reduced mod dᵢ; the block is a sum of r table entries, and
+its fixed count is computed once per distinct block.  Both tables need c to
+commute with w, which the walk checks; a non-commuting element raises
+NonCentralizingError.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import getitem, mod, mul
 
-from . import epoly
 from .epoly import (
     DUAL,
     BivariatePolynomial,
@@ -138,103 +136,134 @@ def _fixed_data(w: IntegerMatrix) -> tuple[IntegerMatrix, FiniteAbelianGroup]:
     return fixed_sublattice(w), torsion_of_cokernel(w - IntegerMatrix.identity(w.rows))
 
 
-@lru_cache(maxsize=None)
-def _fixed_projection(w: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """The fixed basis B of Λ^w and the integer P with P·B = 1.
+def _pi0_reader(cent: MatrixGroup, key: Key, inverse: bool):
+    """π₀(T^w)'s divisors on one lattice side, and a map from the key of c to c's block there.
 
-    B is the columns of V at the zero divisors of U·(w - 1)·V = D, and P the
-    same rows of V⁻¹.  For c commuting with w, c·B = B·X, so X = P·(c·B).
+    The side reads a key c as the matrix with columns O[c[i]] (inverse false)
+    or as its inverse transpose, whose rows are O[c⁻¹[i]].  The block
+    U_T·c·U⁻¹_T, flattened row by row, is then a sum over i < r of outer
+    products: of U_T·O[c[i]] with row i of U⁻¹_T, or of column i of U_T with
+    O[c⁻¹[i]]·U⁻¹_T.  A table per w holds them for every i and orbit point.
+    This is induced_automorphism's block, read without the rest of U·c·U⁻¹.
     """
-    basis = _fixed_data(w)[0]
-    snf = smith_normal_form(w - IntegerMatrix.identity(w.rows))
-    inverse = snf.V.inverse_unimodular().entries
-    zero = [j for j in range(w.rows) if snf.D[j, j] == 0]
-    projection = IntegerMatrix._of(len(zero), w.rows, tuple(inverse[j] for j in zero))
-    if not (projection * basis).is_identity():
-        raise EngineError("fixed basis is not the zero-divisor columns of the Smith transform")
-    return basis, projection
-
-
-@lru_cache(maxsize=None)
-def _pi0_projection(w: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """π₀(T^w)'s divisors dᵢ, the rows U_T of U at them, and the columns U⁻¹_T of U⁻¹.
-
-    c acts on π₀(T^w) = Tor(Λ/(w - 1)Λ) by the block U_T·c·U⁻¹_T with row i
-    taken mod dᵢ; this is induced_automorphism's block, read without the rest
-    of U·c·U⁻¹.
-    """
+    action = cent.action if cent.action.dual == inverse else cent.action.flipped()
+    w, r, points = action.matrix(key), action.rank, action.points
     divisors = _fixed_data(w)[1].divisors
     if not divisors:
-        return divisors, (), ()
-    snf = smith_normal_form(w - IntegerMatrix.identity(w.rows))
-    torsion = [i for i in range(w.rows) if snf.D[i, i] >= 2]
-    return divisors, tuple(snf.U.entries[i] for i in torsion), tuple(snf.U_inverse.column(j) for j in torsion)
+        return divisors, None
+    snf = smith_normal_form(w - IntegerMatrix.identity(r))
+    torsion = [i for i in range(r) if snf.D[i, i] >= 2]
+    rows, columns = [snf.U.entries[i] for i in torsion], [snf.U_inverse.column(j) for j in torsion]
+    if inverse:
+        right = [tuple(sum(map(mul, p, col)) for col in columns) for p in points]
+        table = [[tuple(a * b for a in left for b in v) for v in right] for left in zip(*rows)]
+    else:
+        left = [tuple(sum(map(mul, row, p)) for row in rows) for p in points]
+        table = [[tuple(a * b for a in v for b in right) for v in left] for right in zip(*columns)]
+    mods = tuple(d for d in divisors for _ in divisors)
+
+    def block(c: Key) -> tuple[int, ...]:
+        heads = map(c.index, range(r)) if inverse else c
+        return tuple(map(mod, map(sum, zip(*map(getitem, table, heads))), mods))
+
+    return divisors, block
 
 
 @lru_cache(maxsize=None)
-def _restricted_action(w: IntegerMatrix, c: IntegerMatrix) -> IntegerMatrix:
-    """Matrix of c on the fixed sublattice Λ^w, in the fixed basis; c must commute with w."""
-    basis, projection = _fixed_projection(w)
-    return projection * (c * basis)
-
-
-@lru_cache(maxsize=None)
-def _pi0_fixed_count(w: IntegerMatrix, c: IntegerMatrix) -> int:
-    """Fix(c, π₀(T^w)) for c commuting with w: 1 when π₀(T^w) is trivial, else one memo per block."""
-    divisors = _pi0_projection(w)[0]
-    return _block_fixed_count(divisors, _pi0_block(w, c)) if divisors else 1
-
-
-def _pi0_block(w: IntegerMatrix, c: IntegerMatrix) -> tuple[tuple[int, ...], ...]:
-    """The entries of c on π₀(T^w): U_T·c·U⁻¹_T with row i mod dᵢ."""
-    divisors, rows, columns = _pi0_projection(w)
-    image = [tuple(sum(a * b for a, b in zip(row, col)) for row in c.entries) for col in columns]
-    return tuple(tuple(sum(a * b for a, b in zip(row, v)) % d for v in image) for row, d in zip(rows, divisors))
-
-
-@lru_cache(maxsize=None)
-def _block_fixed_count(divisors: tuple[int, ...], block: tuple[tuple[int, ...], ...]) -> int:
-    """Fixed points of the automorphism of ⊕ Z/dᵢ with this block, once per distinct block."""
+def _block_fixed_count(divisors: tuple[int, ...], block: tuple[int, ...]) -> int:
+    """Fixed points of the automorphism of ⊕ Z/dᵢ with this flattened block, once per distinct block."""
     k = len(divisors)
-    return fixed_count(GroupAutomorphism(FiniteAbelianGroup(divisors), IntegerMatrix._of(k, k, block)))
+    rows = tuple(block[i * k : i * k + k] for i in range(k))
+    return fixed_count(GroupAutomorphism(FiniteAbelianGroup(divisors), IntegerMatrix._of(k, k, rows)))
 
 
-def _require_centralizer(cent: MatrixGroup, key: Key) -> None:
-    """NonCentralizingError unless every element of cent commutes with the element w that key names.
+def _exact(a: int, b: int, message: str) -> int:
+    """a / b, or EngineError(message) when b does not divide a."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise EngineError(message)
+    return q
 
-    c·w = w·c is compared on the first r points, which are the columns.  On
-    Λ this gives c·Λ^w ⊆ Λ^w and c·im(w - 1) ⊆ im(w - 1), on Λ̂ the same for
-    (c⁻¹)ᵀ and (w⁻¹)ᵀ, which the per-w projections need.
+
+def _trace_reader(cent: MatrixGroup, key: Key):
+    """ord w, and a map from the key of c ∈ C(w) to ord w·tr(c^k | Λ^w) for k = 1..dim Λ^w.
+
+    (1/ord w)·Σ_j w^j projects onto Λ^w ⊗ ℚ and commutes with c (Serre,
+    §2.6), so with Q = Σ_j w^j, ord w·tr(g | Λ^w) = tr(g·Q) = Σ_i O[g[i]]·Q[i]
+    for g in C(w), Q[i] being row i of Q: r lookups in a table of O[p]·Q[i].
+    The traces are the same on Λ̂: there g reads as (g⁻¹)ᵀ, and a finite-order
+    integer matrix has the trace of its inverse.
     """
-    points = range(cent.action.rank)
+    r, points = cent.action.rank, cent.action.points
+    powers = [tuple(range(r))]
+    while (h := tuple(map(key.__getitem__, powers[-1]))) != powers[0]:
+        powers.append(h)
+    # Column a of Q is Σ_j O[w^j[a]].
+    q_columns = [tuple(map(sum, zip(*(points[h[a]] for h in powers)))) for a in range(r)]
+    table = [[sum(map(mul, p, row)) for p in points] for row in zip(*q_columns)]
+    dim = _exact(sum(table[i][i] for i in range(r)), len(powers), "tr(Σ_j w^j) is not divisible by ord w")
+
+    def traces(c: Key) -> tuple[int, ...]:
+        out, h = [], c[:r]
+        for _ in range(dim):
+            out.append(sum(map(getitem, table, h)))
+            h = tuple(map(c.__getitem__, h))
+        return tuple(out)
+
+    return len(powers), traces
+
+
+def _newton(traces: tuple[int, ...], order: int) -> tuple[int, ...]:
+    """(c_0, ..., c_n) of det(t·1 - c) on Λ^w from ord w times its power traces pₖ.
+
+    Newton's identities k·eₖ = Σ_{i=1..k} (-1)^(i-1)·e_{k-i}·pᵢ give the
+    coefficients c_{n-k} = (-1)^k·eₖ (Macdonald, I §2), with exact divisions.
+    """
+    e, p = [1], []
+    for k, s in enumerate(traces, 1):
+        p.append(_exact(s, order, "a power trace is not divisible by ord w"))
+        newton_sum = sum((-1) ** i * e[k - 1 - i] * p[i] for i in range(k))
+        e.append(_exact(newton_sum, k, "Newton's identities left a remainder"))
+    return tuple((-1) ** k * e[k] for k in range(len(p), -1, -1))
+
+
+@lru_cache(maxsize=None)
+def _key_histogram(cent: MatrixGroup, key: Key, inverses: tuple[bool, ...], polys: bool = True):
+    """The key histogram of C(w) = cent, for the element w that key names, in one walk of its keys.
+
+    An element's key is its characteristic polynomial on Λ^w (None unless
+    polys) and its π₀ fixed count on each lattice side in `inverses`, which
+    read keys as `_pi0_reader` says.  Returns one (characteristic polynomial,
+    fixed counts, count) row per distinct key.  Every element must commute
+    with w, which the per-w tables need: c·w = w·c is compared on the first
+    r points, which are the columns.
+    """
+    r = cent.action.rank
+    head = key[:r]
+    readers = [_pi0_reader(cent, key, inverse) for inverse in inverses]
+    order, traces = _trace_reader(cent, key) if polys else (1, None)
+    counts: dict[tuple, int] = {}
     for c in cent.keys:
-        for i in points:
-            if c[key[i]] != key[c[i]]:
-                raise NonCentralizingError("centralizer element does not commute with w")
+        if tuple(map(c.__getitem__, head)) != tuple(map(key.__getitem__, c[:r])):
+            raise NonCentralizingError("centralizer element does not commute with w")
+        fixes = tuple(_block_fixed_count(divisors, block(c)) if divisors else 1 for divisors, block in readers)
+        item = (traces(c) if polys else None, fixes)
+        counts[item] = counts.get(item, 0) + 1
+    return tuple((_newton(t, order) if polys else None, fixes, n) for (t, fixes), n in counts.items())
 
 
-def _class_histogram(lattices: list[tuple[IntegerMatrix, tuple[IntegerMatrix, ...]]]):
-    """The key histogram of C(w) on the lattice sides in `lattices`.
+# perfbench's cache_counters reads cache_info() under these names: the restricted actions
+# and per-element π₀ counts they named are now the class histograms and the block memo.
+_restricted_action, _pi0_fixed_count = _key_histogram, _block_fixed_count
 
-    Each side is (w, the elements of C(w)) as matrices on that side's
-    lattice, with the elements in one order on every side.  An element's key
-    is, per side, the characteristic polynomial of its action on Λ^w and its
-    π₀ fixed count.  Returns one (restricted actions, fixed counts, count)
-    row per distinct key, with the restricted actions of the first element
-    that has it.
-    """
-    rows: dict[tuple, list] = {}
-    for cs in zip(*(elements for _, elements in lattices)):
-        restricted = tuple(_restricted_action(w, c) for (w, _), c in zip(lattices, cs))
-        fixes = tuple(_pi0_fixed_count(w, c) for (w, _), c in zip(lattices, cs))
-        # Looked up in epoly at call time, so a wrapper on epoly.char_poly sees the call.
-        key = (tuple(map(epoly.char_poly, restricted)), fixes)
-        row = rows.get(key)
-        if row is None:
-            rows[key] = [restricted, fixes, 1]
-        else:
-            row[2] += 1
-    return rows.values()
+
+@lru_cache(maxsize=None)
+def _space_character(factors: tuple[tuple[str, str], ...], poly: tuple[int, ...]) -> BivariatePolynomial:
+    """The product of the factors' E-characters of an element whose polynomial on Λ^w (and on Λ̂) is poly."""
+    product = factor_e_character(factors[0][0], poly)
+    for kind, _ in factors[1:]:
+        product = product * factor_e_character(kind, poly)
+    return product
 
 
 def class_contribution(
@@ -249,24 +278,21 @@ def class_contribution(
     if not order:
         raise EngineError("centralizer must contain at least the identity")
     key = cent.key(w)
-    _require_centralizer(cent, key)
     shift = fermionic_shift(w)
-    lattices = [(w, cent.elements)]
+    inverses = (cent.action.dual,)
     if space.uses_dual:
-        dual_w = cent.dual_matrix(key)
-        if fermionic_shift(dual_w) != shift:
+        if fermionic_shift(cent.dual_matrix(key)) != shift:
             raise EngineError("fermionic shift differs between the lattice and its dual")
-        lattices.append((dual_w, tuple(map(cent.dual_matrix, cent.keys))))
+        inverses += (not cent.action.dual,)
 
-    total: dict[tuple[int, int], int] = {}
-    for restricted, fixes, count in _class_histogram(lattices):
-        product, weight = None, count
+    weights: dict[tuple[int, ...], int] = {}
+    for poly, fixes, weight in _key_histogram(cent, key, inverses):
         for kind, side in space.factors:
-            i = 1 if side == DUAL else 0
-            character = factor_e_character(kind, restricted[i])
-            product = character if product is None else product * character
-            weight *= fixes[i] ** factor_dimension(kind)
-        for term, c in product.coeffs.items():
+            weight *= fixes[side == DUAL] ** factor_dimension(kind)
+        weights[poly] = weights.get(poly, 0) + weight
+    total: dict[tuple[int, int], int] = {}
+    for poly, weight in weights.items():
+        for term, c in _space_character(space.factors, poly).coeffs.items():
             total[term] = total.get(term, 0) + weight * c
     average = BivariatePolynomial._of(
         {term: c // order if c % order == 0 else Fraction(c, order) for term, c in total.items()}
@@ -382,11 +408,9 @@ def duality_check(datum: RootDatum, cap: int = DEFAULT_CAP) -> DualityReport:
 
 def _duality_row(cent: MatrixGroup, key: Key) -> DualityRow:
     """The class of the element w that key names, with cent = C(w): w on Λ against (w⁻¹)ᵀ on Λ̂."""
-    _require_centralizer(cent, key)
     rep, dual_rep = cent.matrix(key), cent.dual_matrix(key)
     pi0_primal = _fixed_data(rep)[1]
     pi0_dual = _fixed_data(dual_rep)[1]
-    counts_agree = all(
-        _pi0_fixed_count(rep, cent.matrix(k)) == _pi0_fixed_count(dual_rep, cent.dual_matrix(k)) for k in cent.keys
-    )
+    rows = _key_histogram(cent, key, (cent.action.dual, not cent.action.dual), False)
+    counts_agree = all(primal == dual for _, (primal, dual), _ in rows)
     return DualityRow(rep, pi0_primal.divisors, pi0_dual.divisors, pi0_primal.order == pi0_dual.order, counts_agree)

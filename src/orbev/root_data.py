@@ -211,7 +211,8 @@ def sl_quotient_datum(n: int, m: int) -> RootDatum:
     cols[n - 1] = [1] * n
     cols[n - 1][n - 1] = 1 - n
     basis = column_span_basis(IntegerMatrix.from_columns(cols, rows=n))
-    assert basis.cols == n - 1
+    if basis.cols != n - 1:
+        raise DatumError("the root lattice basis must have n - 1 columns")
     generators = tuple(
         _restrict_ambient_action(basis, _adjacent_swap(n, i)) for i in range(n - 1)
     )

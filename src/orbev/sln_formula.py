@@ -91,7 +91,8 @@ def tau(l: int, m: int, g: int, d: int) -> int:
     step = (g // mg) * (g // lg)
     total = sum((mg * sum(1 for j in range(lg) if t * j * step % g == 0)) ** d for t in range(g))
     count, rem = divmod(total, g)
-    assert rem == 0, "character sum is not divisible by g"
+    if rem:
+        raise FormulaError("character sum is not divisible by g")
     return count
 
 

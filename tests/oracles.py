@@ -245,7 +245,7 @@ def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> 
         for kind, side in space.factors:
             ws, cs = (w.inverse_transpose(), c.inverse_transpose()) if side == DUAL else (w, c)
             basis = fixed_sublattice(ws)
-            term = term * factor_e_character(kind, solve_right_integer(basis, cs * basis))
+            term = term * factor_e_character(kind, char_poly(solve_right_integer(basis, cs * basis)))
             term = term.scale(fixed_count(induced_automorphism(cs, ws - eye)) ** factor_dimension(kind))
         total = total + term
     average = total.scale(Fraction(1, len(cent)))

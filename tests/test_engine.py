@@ -1,10 +1,11 @@
 """Orbifold E-polynomial assembly: shifts, class terms, totals, mirror and duality."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from orbev import epoly, orbifold_engine
+from orbev import orbifold_engine
 from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
 from orbev.lattice_core import (
     IntegerMatrix,
@@ -17,16 +18,16 @@ from orbev.lattice_core import (
 )
 from orbev.orbifold_engine import (
     _block_fixed_count,
-    _class_histogram,
     _duality_row,
     _dual_group_data,
     _fixed_data,
-    _fixed_projection,
     _group_data,
-    _pi0_block,
-    _pi0_fixed_count,
-    _pi0_projection,
-    _restricted_action,
+    _key_histogram,
+    _newton,
+    _pi0_reader,
+    _report,
+    _space_character,
+    _trace_reader,
     class_contribution,
     duality_check,
     fermionic_shift,
@@ -363,13 +364,9 @@ def assert_report_matches_oracle(report, group, space):
         assert got == expected
 
 
-def histogram_sides(group, w, space):
-    """The (w, C(w)) matrices per lattice side that class_contribution reads for space."""
-    cent = centralizer(group, w)
-    sides = [(w, cent.elements)]
-    if space.uses_dual:
-        sides.append((w.inverse_transpose(), tuple(c.inverse_transpose() for c in cent.elements)))
-    return cent, sides
+def histogram_inverses(space):
+    """The lattice sides class_contribution reads for space, on a group that reads keys directly."""
+    return (False, True) if space.uses_dual else (False,)
 
 
 class TestKeyHistogram:
@@ -393,56 +390,81 @@ class TestKeyHistogram:
     def test_multiplicities_sum_to_centralizer_order(self, space):
         for datum in oracle_data():
             group = generate_group(datum.generators)
-            for w in conjugacy_classes(group).representatives:
-                cent, sides = histogram_sides(group, w, SPACES[space])
-                rows = _class_histogram(sides)
+            table = conjugacy_classes(group)
+            for key, w in zip(table.keys, table.representatives):
+                cent = centralizer(group, w)
+                rows = _key_histogram(cent, key, histogram_inverses(SPACES[space]))
                 assert sum(count for _, _, count in rows) == cent.order
-                assert len({(tuple(map(char_poly, r)), f) for r, f, _ in rows}) == len(rows)
+                assert len({(poly, fixes) for poly, fixes, _ in rows}) == len(rows)
 
-    def test_histogram_calls_char_poly_through_epoly(self, monkeypatch):
-        """A wrapper on epoly.char_poly, as perfbench's tracer installs, sees every key."""
-        calls = []
-        original = epoly.char_poly
-        monkeypatch.setattr(epoly, "char_poly", lambda m: calls.append(m) or original(m))
-        datum = sl_quotient_datum(3, 3)
-        group = generate_group(datum.generators)
-        w = conjugacy_classes(group).representatives[1]
-        cent = centralizer(group, w)
-        class_contribution(datum, SPACES["mixed"], w, cent)
-        assert len(calls) >= 2 * cent.order
+    def test_spaces_walk_each_class_and_side_set_once(self, monkeypatch):
+        """The five spaces of one datum share one walk per (class, lattice side set).
+
+        A walk reads one trace table, and one π₀ table per side: four spaces
+        read Λ alone and `mixed` reads Λ and Λ̂.
+        """
+        traces, pi0 = Counter(), Counter()
+        trace_reader, pi0_reader = orbifold_engine._trace_reader, orbifold_engine._pi0_reader
+        monkeypatch.setattr(orbifold_engine, "_trace_reader",
+                            lambda cent, key: traces.update([key]) or trace_reader(cent, key))
+        monkeypatch.setattr(orbifold_engine, "_pi0_reader",
+                            lambda cent, key, inverse: pi0.update([(key, inverse)]) or pi0_reader(cent, key, inverse))
+        datum = classical_datum("B", 3, "simply_connected")
+        group_data = _group_data(datum, DEFAULT_CAP)
+        _key_histogram.cache_clear()
+        for space in SPACES.values():
+            _report(datum, space, group_data)
+        keys = group_data[1].keys
+        assert traces == Counter({key: 2 for key in keys})
+        assert pi0 == Counter({**{(key, False): 2 for key in keys}, **{(key, True): 1 for key in keys}})
 
     def test_space_order_does_not_change_reports(self):
         data = [sl_quotient_datum(4, 2), classical_datum("B", 3, "simply_connected"),
                 rebased(classical_datum("C", 3, "adjoint"), seed=7)]
         runs = []
         for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
-            for cached in (mirror_check, orbifold_e_polynomial, _group_data,
-                           _dual_group_data, _fixed_data, _fixed_projection, _pi0_projection,
-                           _restricted_action, _pi0_fixed_count, _block_fixed_count,
+            for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_group_data, _fixed_data,
+                           _key_histogram, _block_fixed_count, _space_character,
                            factor_e_character, char_poly):
                 cached.cache_clear()
             runs.append({(d.label, s.name): mirror_check(d, s) for d in data for s in spaces})
         assert runs[0] == runs[1]
+
+    def test_matrix_caches_hold_only_representatives_and_generators(self):
+        datum = classical_datum("B", 4, "simply_connected")
+        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_group_data):
+            cached.cache_clear()
+        mirror_check(datum, SPACES["mixed"])
+        group, table, cents = _group_data(datum, DEFAULT_CAP)
+        allowed = set(table.keys) | set(_dual_group_data(datum, DEFAULT_CAP)[1].keys) | set(group.generator_keys)
+        built = set(group.action.matrices) | set(group.action.flipped().matrices)
+        assert built <= allowed
+        assert sum(cent.order for cent in cents) > len(allowed)
 
 
 class TestLatticeProjections:
     """The per-w projections against the per-element primitives they replace."""
 
     @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
-    def test_projections_match_per_element_primitives(self, datum):
+    def test_key_reads_match_per_element_primitives(self, datum):
+        """Trace polynomials and π₀ blocks read from keys, on Λ and Λ̂, for every element of every class."""
         group = generate_group(datum.generators)
         table = conjugacy_classes(group)
         for key, w in zip(table.keys, table.representatives):
             cent = centralizer(group, w)
-            sides = [(w, cent.elements), (cent.dual_matrix(key), tuple(map(cent.dual_matrix, cent.keys)))]
-            for ws, elements in sides:
+            order, traces = _trace_reader(cent, key)
+            sides = [(False, w, cent.elements), (True, cent.dual_matrix(key), tuple(map(cent.dual_matrix, cent.keys)))]
+            for inverse, ws, elements in sides:
                 eye = IntegerMatrix.identity(ws.rows)
                 basis = fixed_sublattice(ws)
-                for c in elements:
-                    aut = induced_automorphism(c, ws - eye)
-                    assert _pi0_block(ws, c) == aut.matrix.entries
-                    assert _pi0_fixed_count(ws, c) == fixed_count(aut)
-                    assert _restricted_action(ws, c) == solve_right_integer(basis, c * basis)
+                divisors, block = _pi0_reader(cent, key, inverse)
+                for c, cs in zip(cent.keys, elements):
+                    assert _newton(traces(c), order) == char_poly(solve_right_integer(basis, cs * basis))
+                    aut = induced_automorphism(cs, ws - eye)
+                    assert divisors == aut.group.divisors
+                    if divisors:
+                        assert block(c) == sum(aut.matrix.entries, ())
+                        assert _block_fixed_count(divisors, block(c)) == fixed_count(aut)
         report = duality_check(datum)
         assert len(report.rows) == table.count
         for row, w in zip(report.rows, table.representatives):
@@ -453,7 +475,7 @@ class TestLatticeProjections:
     def test_fixed_count_runs_once_per_distinct_block(self, monkeypatch):
         autos = []
         monkeypatch.setattr(orbifold_engine, "fixed_count", lambda aut: autos.append(aut) or fixed_count(aut))
-        for cached in (duality_check, _pi0_fixed_count, _block_fixed_count):
+        for cached in (duality_check, _key_histogram, _block_fixed_count):
             cached.cache_clear()
         duality_check(sl_quotient_datum(4, 4))
         blocks = [(aut.group.divisors, aut.matrix) for aut in autos]

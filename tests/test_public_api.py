@@ -1,5 +1,6 @@
 """The package's public surface: the README's Library example runs against it."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -27,3 +28,14 @@ def test_every_exported_name_is_documented_or_used_by_the_cli():
     for name in orbev.__all__:
         assert hasattr(orbev, name)
         assert re.search(rf"\b{re.escape(name)}\b", text), name
+
+
+def test_no_assert_statements_in_the_package():
+    """Exactness checks raise the package's errors: `python -O` strips assert statements."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(orbev.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .lattice_core import IntegerMatrix, LatticeError
@@ -195,30 +196,43 @@ class BivariatePolynomial:
 def exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
     """r with r·q = p; raises InexactDivisionError when no such polynomial exists.
 
-    Quotient coefficients come from divmod, or Fraction when that leaves a
-    remainder: `/` on ints would round through a float.
+    Long division on lex-leading terms, (degree_u, degree_v) compared in that
+    order.  The remainder's leading key comes from a max-heap (keys negated);
+    a key whose coefficient has cancelled stays in the heap and is skipped when
+    it surfaces.  Every key a step adds is below the one it removes, so no
+    popped key comes back.  Quotient coefficients come from divmod, or Fraction
+    when that leaves a remainder: `/` on ints would round through a float.
     """
     if q.is_zero():
         raise PolynomialError("division by the zero polynomial")
     remainder = dict(p.coeffs)
-    q_lead = max(q.coeffs)  # lex order on (degree_u, degree_v)
+    heap = [(-a, -b) for a, b in remainder]
+    heapify(heap)
+    q_lead = max(q.coeffs)
     q_lead_coeff = q.coeffs[q_lead]
+    # c·q_lead_coeff equals the leading coefficient exactly, so that term just goes.
+    q_rest = [(key, c) for key, c in q.coeffs.items() if key != q_lead]
     quotient: dict[tuple[int, int], int | Fraction] = {}
-    while remainder:
-        r_lead = max(remainder)
-        dp, dq = r_lead[0] - q_lead[0], r_lead[1] - q_lead[1]
+    while heap:
+        neg_p, neg_q = heappop(heap)
+        a = remainder.pop((-neg_p, -neg_q), 0)
+        if not a:
+            continue
+        dp, dq = -neg_p - q_lead[0], -neg_q - q_lead[1]
         if dp < 0 or dq < 0:
             raise InexactDivisionError("division is not exact")
-        a = remainder[r_lead]
         c, rem = divmod(a, q_lead_coeff)
         if rem:
             c = Fraction(a, q_lead_coeff)
         quotient[(dp, dq)] = c
-        for (p2, q2), c2 in q.coeffs.items():
+        for (p2, q2), c2 in q_rest:
             key = (p2 + dp, q2 + dq)
-            s = remainder.pop(key, 0) - c * c2
+            old = remainder.pop(key, None)
+            s = (0 if old is None else old) - c * c2
             if s:
                 remainder[key] = s
+                if old is None:
+                    heappush(heap, (-key[0], -key[1]))
     return BivariatePolynomial._of(quotient)
 
 

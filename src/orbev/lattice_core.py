@@ -66,7 +66,9 @@ class IntegerMatrix:
         return IntegerMatrix(rows, len(entries[0]), entries)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(n: int) -> "IntegerMatrix":
+        """The n×n identity, built once per n and shared, as an IntegerMatrix is immutable."""
         if n < 0:
             raise LatticeError("matrix dimensions must be nonnegative")
         return IntegerMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))

@@ -4,15 +4,22 @@
 
 with l = n/m, g(α) the gcd of the part lengths of α, d the number of U(1)
 factors of A, and τ the count of pairs in the g-torsion of (A, Â) annihilated
-by (m,g) and (l,g) respectively whose pairing is trivial.  This module is the
-independent oracle for the general conjugacy-class engine on type A.
+by (m,g) and (l,g) respectively whose pairing is trivial.  Only τ depends on m,
+and only through g(α), so the sum is taken in the grouped form
+
+    E_orb = (1/E(A)) · Σ_g τ_{l,m}^{g,d} · S_g(n),
+    S_g(n) = Σ_{α : g(α) = g} (uv)^{n-|α|} · Π_i E(Sym^{α_i} A),
+
+with each S_g(n) built once per (n, E(A)) and shared by every m | n.  This
+module is the independent oracle for the general conjugacy-class engine on
+type A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 from .epoly import BivariatePolynomial, InexactDivisionError, PolynomialError, exact_divide
 
@@ -100,43 +107,49 @@ def tau(l: int, m: int, g: int, d: int) -> int:
 def sym_e_polynomial(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
     """E(Sym^a A) as the t^a coefficient of Π_{p,q} (1 - u^p v^q t)^{-e^{p,q}(A)}.
 
-    Positive exponents e expand as truncated geometric/binomial series; the
-    negative exponents of odd-weight classes give honest polynomial factors
-    (1 - u^p v^q t)^{|e|}.
+    The series s_0 + s_1·t + ... + s_a·t^a starts at 1 and takes, for each term
+    e·x of E(A) with x = u^p v^q, the factor (1 - x·t)^{-1} e times when e > 0
+    (s_k += x·s_{k-1} for ascending k) or (1 - x·t) |e| times when e < 0, as
+    for the odd-weight classes (s_k -= x·s_{k-1} for descending k).  Each step
+    is a monomial shift and an add, in place.
     """
     if a < 0:
         raise FormulaError("symmetric power requires a >= 0")
-    # Series in t, truncated at degree a; coefficients are polynomials in u, v.
     series: list[BivariatePolynomial] = [BivariatePolynomial.one()] + [
         BivariatePolynomial.zero() for _ in range(a)
     ]
     for (p, q), e in sorted(e_a.coeffs.items()):
         if type(e) is not int:
             raise FormulaError("E-polynomial exponents e^{p,q} must be integers")
-        mono = BivariatePolynomial.monomial(p, q)
-        factor: list[BivariatePolynomial] = []
-        if e > 0:
-            # (1 - x t)^{-e} = Σ_j C(e+j-1, j) x^j t^j
-            power = BivariatePolynomial.one()
-            for j in range(a + 1):
-                factor.append(power.scale(comb(e + j - 1, j)))
-                power = power * mono
-        else:
-            # (1 - x t)^{|e|}, a finite binomial
-            k = -e
-            power = BivariatePolynomial.one()
-            for j in range(min(k, a) + 1):
-                factor.append(power.scale((-1) ** j * comb(k, j)))
-                power = power * mono
-            factor += [BivariatePolynomial.zero()] * (a + 1 - len(factor))
-        series = [
-            sum(
-                (series[i] * factor[k - i] for i in range(k + 1)),
-                BivariatePolynomial.zero(),
-            )
-            for k in range(a + 1)
-        ]
+        for _ in range(abs(e)):
+            if e > 0:
+                for k in range(1, a + 1):
+                    series[k] = series[k] + series[k - 1].times_monomial(p, q)
+            else:
+                for k in range(a, 0, -1):
+                    series[k] = series[k] - series[k - 1].times_monomial(p, q)
     return series[a]
+
+
+@lru_cache(maxsize=None)
+def _grouped_partition_sums(n: int, e_a: BivariatePolynomial) -> tuple[tuple[int, BivariatePolynomial], ...]:
+    """(g, S_g(n)) for each gcd g of part lengths that occurs, in ascending g.
+
+    Π_i E(Sym^{α_i} A) depends only on the multiplicities α_i, so it is built
+    once per prefix of their sorted tuple and shared between partitions; that
+    dict of products is dropped when the call returns.
+    """
+    products = {(): BivariatePolynomial.one()}
+    sums: dict[int, BivariatePolynomial] = {}
+    for alpha in partitions(n):
+        mults = tuple(sorted(alpha.multiplicities().values()))
+        for k in range(1, len(mults) + 1):
+            if mults[:k] not in products:
+                products[mults[:k]] = products[mults[: k - 1]] * sym_e_polynomial(e_a, mults[k - 1])
+        shift = n - alpha.size
+        term = products[mults].times_monomial(shift, shift)
+        sums[alpha.g] = sums.get(alpha.g, BivariatePolynomial.zero()) + term
+    return tuple(sorted(sums.items()))
 
 
 def closed_form_eorb(n: int, m: int, d: int, e_a: BivariatePolynomial) -> BivariatePolynomial:
@@ -147,12 +160,8 @@ def closed_form_eorb(n: int, m: int, d: int, e_a: BivariatePolynomial) -> Bivari
         raise FormulaError(f"m = {m} does not divide n = {n}")
     l = n // m
     total = BivariatePolynomial.zero()
-    for alpha in partitions(n):
-        term = BivariatePolynomial.constant(tau(l, m, alpha.g, d))
-        term = term * BivariatePolynomial.monomial(n - alpha.size, n - alpha.size)
-        for _, mult in sorted(alpha.multiplicities().items()):
-            term = term * sym_e_polynomial(e_a, mult)
-        total = total + term
+    for g, s_g in _grouped_partition_sums(n, e_a):
+        total = total + s_g.scale(tau(l, m, g, d))
     try:
         return exact_divide(total, e_a)
     except InexactDivisionError as exc:

@@ -7,6 +7,14 @@ test can check the package's result against it:
   against orbifold_engine.fermionic_shift (the rank of w - 1).
 - direct_sym_oracle: E(Sym^a A) by averaging over all of S_a, against the
   generating function of sln_formula.sym_e_polynomial.
+- binomial_sym_series: E(Sym^a A) by convolving the whole binomial series of
+  each factor (1 - u^p v^q t)^{-e}, against the in-place recurrence of
+  sln_formula.sym_e_polynomial.
+- scan_exact_divide: long division that finds the leading remainder term by
+  a scan of the whole remainder, against the heap of epoly.exact_divide.
+- per_partition_closed_form: the closed form summed one partition at a time,
+  each with its own product of symmetric powers, against the grouped sums of
+  sln_formula.closed_form_eorb.
 - datum_equivalent: equality of root data up to a change of basis, against
   the explicit dual pairs that root_data builds.
 - matrix_group_oracle: group elements, conjugacy classes and centralizers by
@@ -26,12 +34,14 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from pathlib import Path
 
 from orbev.epoly import (
     DUAL,
     BivariatePolynomial,
+    InexactDivisionError,
+    PolynomialError,
     SpaceDescriptor,
     char_poly,
     factor_dimension,
@@ -49,7 +59,7 @@ from orbev.lattice_core import (
 )
 from orbev.orbifold_engine import EngineError
 from orbev.root_data import RootDatum, _congruence, classical_datum, custom_datum, sl_quotient_datum
-from orbev.sln_formula import FormulaError
+from orbev.sln_formula import FormulaError, partitions, tau
 
 G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 
@@ -135,6 +145,93 @@ def direct_sym_oracle(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
             term = term * e_a.substitute_powers(length, length)
         total = total + term
     return total.scale(Fraction(1, factorial(a)))
+
+
+@lru_cache(maxsize=None)
+def binomial_sym_series(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
+    """E(Sym^a A) as the t^a coefficient of Π_{p,q} (1 - u^p v^q t)^{-e^{p,q}(A)}.
+
+    Each factor is expanded in full and convolved into the series truncated at
+    t^a: a positive exponent e as the binomial series Σ_j C(e+j-1, j) x^j t^j,
+    a negative one as the finite binomial (1 - x t)^{|e|}.
+    """
+    if a < 0:
+        raise FormulaError("symmetric power requires a >= 0")
+    series = [BivariatePolynomial.one()] + [BivariatePolynomial.zero() for _ in range(a)]
+    for (p, q), e in sorted(e_a.coeffs.items()):
+        if type(e) is not int:
+            raise FormulaError("E-polynomial exponents e^{p,q} must be integers")
+        mono = BivariatePolynomial.monomial(p, q)
+        factor: list[BivariatePolynomial] = []
+        power = BivariatePolynomial.one()
+        if e > 0:
+            for j in range(a + 1):
+                factor.append(power.scale(comb(e + j - 1, j)))
+                power = power * mono
+        else:
+            for j in range(min(-e, a) + 1):
+                factor.append(power.scale((-1) ** j * comb(-e, j)))
+                power = power * mono
+            factor += [BivariatePolynomial.zero()] * (a + 1 - len(factor))
+        series = [
+            sum((series[i] * factor[k - i] for i in range(k + 1)), BivariatePolynomial.zero())
+            for k in range(a + 1)
+        ]
+    return series[a]
+
+
+def scan_exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
+    """r with r·q = p by long division that scans the remainder for its lex-leading term.
+
+    Raises InexactDivisionError when a leading term is not a multiple of q's;
+    quotient coefficients come from divmod, or Fraction when that leaves a
+    remainder.
+    """
+    if q.is_zero():
+        raise PolynomialError("division by the zero polynomial")
+    remainder = dict(p.coeffs)
+    q_lead = max(q.coeffs)
+    q_lead_coeff = q.coeffs[q_lead]
+    quotient = {}
+    while remainder:
+        r_lead = max(remainder)
+        dp, dq = r_lead[0] - q_lead[0], r_lead[1] - q_lead[1]
+        if dp < 0 or dq < 0:
+            raise InexactDivisionError("division is not exact")
+        a = remainder[r_lead]
+        c, rem = divmod(a, q_lead_coeff)
+        if rem:
+            c = Fraction(a, q_lead_coeff)
+        quotient[(dp, dq)] = c
+        for (p2, q2), c2 in q.coeffs.items():
+            key = (p2 + dp, q2 + dq)
+            s = remainder.pop(key, 0) - c * c2
+            if s:
+                remainder[key] = s
+    return BivariatePolynomial(quotient)
+
+
+def per_partition_closed_form(n: int, m: int, d: int, e_a: BivariatePolynomial) -> BivariatePolynomial:
+    """Σ_α τ·(uv)^{n-|α|}·Π_i E(Sym^{α_i} A), one partition α at a time, divided by E(A).
+
+    Symmetric powers come from binomial_sym_series and the division from
+    scan_exact_divide; an inexact division raises FormulaError.
+    """
+    if n < 1:
+        raise FormulaError("closed_form_eorb requires n >= 1")
+    if m < 1 or n % m != 0:
+        raise FormulaError(f"m = {m} does not divide n = {n}")
+    total = BivariatePolynomial.zero()
+    for alpha in partitions(n):
+        term = BivariatePolynomial.constant(tau(n // m, m, alpha.g, d))
+        term = term * BivariatePolynomial.monomial(n - alpha.size, n - alpha.size)
+        for _, mult in sorted(alpha.multiplicities().items()):
+            term = term * binomial_sym_series(e_a, mult)
+        total = total + term
+    try:
+        return scan_exact_divide(total, e_a)
+    except InexactDivisionError as exc:
+        raise FormulaError("division by E(A) is not exact") from exc
 
 
 def datum_equivalent(d1: RootDatum, d2: RootDatum, up_to_gram_scale: bool = False) -> bool:

@@ -24,6 +24,7 @@ from orbev.epoly import (
 from orbev.lattice_core import IntegerMatrix
 from orbev.root_data import classical_datum, sl_quotient_datum
 from orbev.weyl import conjugacy_classes, generate_group
+from oracles import scan_exact_divide
 
 P = BivariatePolynomial
 ONE = P.one()
@@ -41,6 +42,16 @@ polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=5
 ).map(P)
 points = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+int_polys = st.dictionaries(monomials, st.integers(-3, 3), max_size=6).map(P)
+
+
+@st.composite
+def divisors(draw):
+    """A nonzero int polynomial whose lex-leading coefficient is ±1, ±2 or 3."""
+    terms = draw(st.dictionaries(monomials, st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
+    terms[max(terms)] = draw(st.sampled_from([1, -1, 2, -2, 3]))
+    return P(terms)
 
 
 class TestArithmetic:
@@ -114,6 +125,19 @@ class TestExactDivide:
         if q.is_zero():
             return
         assert exact_divide(p * q, q) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys, divisors(), int_polys)
+    def test_heap_division_agrees_with_scan(self, r, q, s):
+        assert exact_divide(r * q, q) == r
+        p = r * q + s
+        try:
+            expected = scan_exact_divide(p, q)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                exact_divide(p, q)
+        else:
+            assert exact_divide(p, q) == expected
 
 
 def is_exact(c):

@@ -72,6 +72,13 @@ class TestIntegerMatrix:
         assert a == M([[1, 2], [3, 4]])
         assert len({a, M([[1, 2], [3, 4]])}) == 1
 
+    def test_identity_is_built_once_and_rejects_negative_size(self):
+        assert IntegerMatrix.identity(4) is IntegerMatrix.identity(4)
+        assert IntegerMatrix.identity(2).entries == ((1, 0), (0, 1))
+        assert IntegerMatrix.identity(0).entries == ()
+        with pytest.raises(LatticeError):
+            IntegerMatrix.identity(-1)
+
     def test_empty_matrix(self):
         e = IntegerMatrix.zero(2, 0)
         assert e.rank() == 0

@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from orbev import sln_formula
+from orbev.cli import SURFACES
 from orbev.epoly import SPACES, BivariatePolynomial
 from orbev.orbifold_engine import orbifold_e_polynomial
 from orbev.root_data import sl_quotient_datum
@@ -17,7 +19,7 @@ from orbev.sln_formula import (
     sym_e_polynomial,
     tau,
 )
-from oracles import direct_sym_oracle
+from oracles import binomial_sym_series, direct_sym_oracle, per_partition_closed_form
 
 P = BivariatePolynomial
 ONE = P.one()
@@ -31,6 +33,8 @@ E_TORUS2 = (UV - ONE) ** 2
 E_ELLIPTIC = (ONE - U) * (ONE - V)
 E_ABELIAN = ((ONE - U) * (ONE - V)) ** 2
 FIVE_GROUPS = [E_POINT, E_CSTAR, E_TORUS2, E_ELLIPTIC, E_ABELIAN]
+# (E(A), d): d is the number of U(1) factors of A.
+PAIRS = list(dict.fromkeys([(e_a, d) for e_a, d, _ in SURFACES.values()] + list(zip(FIVE_GROUPS, [0, 1, 2, 2, 4]))))
 
 
 class TestPartitions:
@@ -140,6 +144,16 @@ class TestSymEPolynomial:
         with pytest.raises(FormulaError):
             direct_sym_oracle(E_CSTAR, 6)
 
+    @pytest.mark.parametrize("a", range(11))
+    def test_recurrence_matches_binomial_series(self, a):
+        # E_TORUS2 and E_ABELIAN carry the exponents -2 and 4.
+        for e_a in FIVE_GROUPS:
+            assert sym_e_polynomial(e_a, a) == binomial_sym_series(e_a, a)
+
+    def test_rejects_non_integer_exponents(self):
+        with pytest.raises(FormulaError):
+            sym_e_polynomial(UV.scale(Fraction(1, 2)), 2)
+
 
 class TestDirectSymOracle:
     def test_a1(self):
@@ -188,3 +202,32 @@ class TestClosedForm:
         # cannot come out exact
         with pytest.raises(FormulaError):
             closed_form_eorb(2, 1, 2, UV + ONE)
+        with pytest.raises(FormulaError):
+            per_partition_closed_form(2, 1, 2, UV + ONE)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_per_partition_oracle(self, n):
+        for e_a, d in PAIRS:
+            for m in range(1, n + 1):
+                if n % m == 0:
+                    assert closed_form_eorb(n, m, d, e_a) == per_partition_closed_form(n, m, d, e_a)
+
+    def test_grouped_sums_built_once_per_n_and_surface(self, monkeypatch):
+        calls = []
+        original = sln_formula.sym_e_polynomial
+
+        def counting(e_a, a):
+            calls.append((e_a, a))
+            return original(e_a, a)
+
+        monkeypatch.setattr(sln_formula, "sym_e_polynomial", counting)
+        sln_formula._grouped_partition_sums.cache_clear()
+        for e_a, d in [(E_TORUS2, 2), (E_ABELIAN, 4)]:
+            before = len(calls)
+            closed_form_eorb(6, 1, d, e_a)
+            built = len(calls)
+            assert built > before
+            for m in (2, 3, 6):
+                closed_form_eorb(6, m, d, e_a)
+            assert len(calls) == built
+        assert sln_formula._grouped_partition_sums.cache_info().misses == 2

@@ -139,10 +139,15 @@ class BivariatePolynomial:
         return self * BivariatePolynomial.constant(c)
 
     def times_monomial(self, p: int, q: int) -> "BivariatePolynomial":
-        """self · u^p v^q, by moving every exponent."""
+        """self · u^p v^q, by moving every exponent.
+
+        The coefficients are self's, which are valid already, so they are not re-scanned.
+        """
         if p < 0 or q < 0:
             raise PolynomialError("negative exponents are not supported")
-        return BivariatePolynomial._of({(a + p, b + q): c for (a, b), c in self.coeffs.items()})
+        out = object.__new__(BivariatePolynomial)
+        object.__setattr__(out, "coeffs", {(a + p, b + q): c for (a, b), c in self.coeffs.items()})
+        return out
 
     def substitute_powers(self, i: int, j: int) -> "BivariatePolynomial":
         """u -> u^i, v -> v^j."""

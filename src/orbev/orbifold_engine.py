@@ -14,10 +14,14 @@ translations act trivially on cohomology.
 Key histogram.  A factor's E-character of c depends only on the
 characteristic polynomial of c on Λ^w, which is the same on the dual side,
 so the average needs only a histogram of keys: that polynomial and the π₀
-fixed count per lattice side the space uses, with the number of elements of
-C(w) that have the key.  C(w) is walked once per class and side set, on its
+fixed count per lattice side read, with the number of elements of C(w) that
+have the key.  C(w) is walked once per class and side set, on its
 permutation keys with no matrix per element, and the histogram serves every
-later space of the datum in the process.  A space's average is one
+later space of the datum in the process.  `compute` reads Λ alone for a
+space on Λ and both sides for `mixed`.  The mirror check reads both sides for
+every space, and one walk per class serves both of its reports: Ŵ's class
+table is W's reordered, and a dual class term, a class function, is read at
+W's representative with the π₀ sides swapped.  A space's average is one
 E-character product per distinct polynomial, weighted by the counts and
 fixed counts, divided once by |C(w)|, and (uv)^F(w) is an exponent shift.
 
@@ -59,7 +63,7 @@ from .lattice_core import (
 # No longer called here; imported because perfbench's tracer wraps them in this module.
 from .lattice_core import induced_automorphism, solve_right_integer
 from .root_data import RootDatum, dual_datum
-from .weyl import DEFAULT_CAP, Key, MatrixGroup, centralizer, conjugacy_classes, dual_group, generate_group
+from .weyl import DEFAULT_CAP, Key, MatrixGroup, centralizer, conjugacy_classes, dual_class_table, generate_group
 
 
 class EngineError(LatticeError):
@@ -272,23 +276,38 @@ def class_contribution(
     w: IntegerMatrix,
     cent: MatrixGroup,
     class_size: int = 1,
+    at: Key | None = None,
+    both_sides: bool = False,
 ) -> ClassContribution:
-    """One conjugacy-class term: average over C(w), then shift by (uv)^F(w)."""
+    """One conjugacy-class term: average over C(w), then shift by (uv)^F(w).
+
+    The average is read from the key histogram of C(w) at the key of w, on
+    w's own lattice side and, when the space uses Λ̂, the other one too; with
+    both_sides it reads both in any case, so that the mirror check's two
+    reports share one walk.  The term is a class function, so it may also be
+    read at another element: with `at`, cent = C(x) for the element x that
+    key `at` names on cent's side, and w is conjugate to x read on the other
+    side.  C(w) and C(x) then have the same histogram with the π₀ sides
+    swapped, while the representative, the shift and π₀'s divisors are w's.
+    """
     order = cent.order
     if not order:
         raise EngineError("centralizer must contain at least the identity")
-    key = cent.key(w)
+    if at is None:
+        key, own, other = cent.key(w), cent.action.dual, cent.dual_matrix
+    else:
+        key, own, other = at, not cent.action.dual, cent.matrix
     shift = fermionic_shift(w)
-    inverses = (cent.action.dual,)
-    if space.uses_dual:
-        if fermionic_shift(cent.dual_matrix(key)) != shift:
-            raise EngineError("fermionic shift differs between the lattice and its dual")
-        inverses += (not cent.action.dual,)
+    if space.uses_dual and fermionic_shift(other(key)) != shift:
+        raise EngineError("fermionic shift differs between the lattice and its dual")
+    sides = (False, True) if both_sides or space.uses_dual else (own,)
+    # A factor on the PRIMAL side reads w's own lattice, one on the DUAL side the other.
+    columns = [(sides.index(own != (side == DUAL)), factor_dimension(kind)) for kind, side in space.factors]
 
     weights: dict[tuple[int, ...], int] = {}
-    for poly, fixes, weight in _key_histogram(cent, key, inverses):
-        for kind, side in space.factors:
-            weight *= fixes[side == DUAL] ** factor_dimension(kind)
+    for poly, fixes, weight in _key_histogram(cent, key, sides):
+        for i, d in columns:
+            weight *= fixes[i] ** d
         weights[poly] = weights.get(poly, 0) + weight
     total: dict[tuple[int, int], int] = {}
     for poly, weight in weights.items():
@@ -308,21 +327,17 @@ def class_contribution(
     )
 
 
-def _class_data(group: MatrixGroup):
-    table = conjugacy_classes(group)
-    cents = tuple(centralizer(group, rep) for rep in table.representatives)
-    return group, table, cents
-
-
 @lru_cache(maxsize=None)
 def _group_data(datum: RootDatum, cap: int):
-    return _class_data(generate_group(datum.generators, cap))
+    group = generate_group(datum.generators, cap)
+    table = conjugacy_classes(group)
+    return group, table, tuple(centralizer(group, rep) for rep in table.representatives)
 
 
 @lru_cache(maxsize=None)
-def _dual_group_data(datum: RootDatum, cap: int):
-    """Group data of dual_datum(datum), read off the primal group's keys."""
-    return _class_data(dual_group(_group_data(datum, cap)[0]))
+def _dual_class_table(datum: RootDatum, cap: int):
+    """The class table of dual_datum(datum)'s group, read off the primal one's."""
+    return dual_class_table(_group_data(datum, cap)[1])
 
 
 def _rank_zero_report(datum: RootDatum) -> OrbifoldReport:
@@ -349,41 +364,54 @@ def orbifold_e_polynomial(
     return _report(datum, space, _group_data(datum, cap))
 
 
-def _report(datum: RootDatum, space: SpaceDescriptor, group_data) -> OrbifoldReport:
+def _report(datum: RootDatum, space: SpaceDescriptor, group_data, both_sides: bool = False) -> OrbifoldReport:
     group, table, cents = group_data
     if any(cent.order * size != group.order for size, cent in zip(table.sizes, cents)):
         raise EngineError("orbit-stabilizer mismatch in class table")
     contributions = [
-        class_contribution(datum, space, rep, cent, class_size=size)
+        class_contribution(datum, space, rep, cent, size, both_sides=both_sides)
         for rep, size, cent in zip(table.representatives, table.sizes, cents)
     ]
+    return _summed(datum, group.order, contributions)
+
+
+def _summed(datum: RootDatum, group_order: int, contributions: list[ClassContribution]) -> OrbifoldReport:
     total = BivariatePolynomial.zero()
     for contribution in contributions:
         total = total + contribution.weighted
     if not total.has_integer_coefficients():
         raise EngineError("orbifold E-polynomial has non-integer coefficients")
-    return OrbifoldReport(datum.label, group.order, tuple(contributions), total)
+    return OrbifoldReport(datum.label, group_order, tuple(contributions), total)
 
 
 @lru_cache(maxsize=None)
 def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CAP) -> MirrorReport:
     """Compare E_orb on (Λ, W) and (Λ̂, Ŵ), matching classes by w ↔ (w⁻¹)ᵀ.
 
-    A key names w in W and (w⁻¹)ᵀ in Ŵ, so the matching is a lookup of each
-    primal representative's key in the dual class table.
+    A key names w in W and (w⁻¹)ᵀ in Ŵ, so Ŵ's class table is W's reordered
+    (`dual_class_table`) and the matching is a lookup of each primal
+    representative's key in it.  Each class is walked once, with both lattice
+    sides: the primal term reads the histogram of C(w), and the dual term of
+    the class reads the same histogram at W's representative with its sides
+    swapped.  Ŵ needs no class scan, centralizer or walk of its own.
     """
-    primal = orbifold_e_polynomial(datum, space, cap)
     if datum.rank == 0:
+        primal = orbifold_e_polynomial(datum, space, cap)
         dual = orbifold_e_polynomial(dual_datum(datum), space, cap)
         pair = MirrorPair(0, 0, BivariatePolynomial.zero())
         return MirrorReport(primal, dual, (pair,), True, True)
-    primal_table = _group_data(datum, cap)[1]
-    dual_data = _dual_group_data(datum, cap)
-    dual = _report(dual_datum(datum), space, dual_data)
-    dual_table = dual_data[1]
+    group_data = _group_data(datum, cap)
+    group, table, cents = group_data
+    primal = _report(datum, space, group_data, both_sides=True)
+    dual_d, dual_table = dual_datum(datum), _dual_class_table(datum, cap)
+    dual_terms = []
+    for rep, size, key in zip(dual_table.representatives, dual_table.sizes, dual_table.keys):
+        i = table.class_index[key]
+        dual_terms.append(class_contribution(dual_d, space, rep, cents[i], size, at=table.keys[i], both_sides=True))
+    dual = _summed(dual_d, group.order, dual_terms)
     pairs = []
     seen_dual = set()
-    for i, (key, contribution) in enumerate(zip(primal_table.keys, primal.contributions)):
+    for i, (key, contribution) in enumerate(zip(table.keys, primal.contributions)):
         j = dual_table.class_index[key]
         seen_dual.add(j)
         difference = contribution.weighted - dual.contributions[j].weighted

@@ -77,25 +77,20 @@ def _gram_inverse(gram: FractionMatrix) -> FractionMatrix:
     return tuple(tuple(x * scale for x in row) for row in inverse)
 
 
-def _congruence(g: IntegerMatrix, gram: FractionMatrix) -> FractionMatrix:
-    """g^T · gram · g for an integer matrix g."""
-    n = g.rows
-    gt_gram = [
-        [sum(Fraction(g[k, i]) * gram[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return tuple(
-        tuple(sum(gt_gram[i][k] * g[k, j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+def _is_positive_definite(scaled: IntegerMatrix) -> bool:
+    """Whether the gram form with scaled gram L·G is positive definite.
 
-
-def _is_positive_definite(gram: FractionMatrix) -> bool:
-    # Sylvester: all leading principal minors positive; scaling by L > 0 keeps their signs.
-    scaled = _scaled_gram(gram)[0].entries
+    Sylvester: all leading principal minors positive; scaling by L > 0 keeps their signs.
+    """
     return all(
-        IntegerMatrix.from_rows([row[:k] for row in scaled[:k]], cols=k).det() > 0
-        for k in range(1, len(gram) + 1)
+        IntegerMatrix.from_rows([row[:k] for row in scaled.entries[:k]], cols=k).det() > 0
+        for k in range(1, scaled.rows + 1)
     )
+
+
+def _preserves_form(g: IntegerMatrix, scaled: IntegerMatrix) -> bool:
+    """gᵀ·G·g = G, checked as gᵀ·(L·G)·g = L·G in integers for the scaled gram L·G, L > 0."""
+    return g.transpose() * scaled * g == scaled
 
 
 def _validate_datum(d: RootDatum) -> None:
@@ -113,14 +108,15 @@ def _validate_datum(d: RootDatum) -> None:
         for j in range(d.rank):
             if d.gram[i][j] != d.gram[j][i]:
                 raise DatumError("gram matrix is not symmetric")
-    if not _is_positive_definite(d.gram):
+    scaled = _scaled_gram(d.gram)[0]
+    if not _is_positive_definite(scaled):
         raise DatumError("gram matrix is not positive definite")
     for idx, g in enumerate(d.generators, start=1):
         if g.rows != d.rank or g.cols != d.rank:
             raise DatumError(f"generator {idx} is not a rank x rank matrix")
         if not g.is_unimodular():
             raise DatumError(f"generator {idx} is not unimodular")
-        if _congruence(g, d.gram) != d.gram:
+        if not _preserves_form(g, scaled):
             raise DatumError(f"generator {idx} does not preserve the gram form")
 
 

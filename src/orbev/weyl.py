@@ -20,6 +20,9 @@ each class in that order) and reports are reproducible.  The Langlands dual
 Ŵ = {(w⁻¹)ᵀ} is the same abstract group: `dual_group` reads the same keys as
 matrices through w ↦ (w⁻¹)ᵀ and replays the breadth-first search with the dual
 generators' own sorted order, so a key names w in W and (w⁻¹)ᵀ in Ŵ at once.
+Conjugacy in Ŵ is then conjugacy in W read through the same keys, and
+`dual_class_table` reorders W's class table into Ŵ's without a second
+conjugation walk or centralizer scan.
 """
 
 from __future__ import annotations
@@ -310,6 +313,8 @@ def dual_group(group: MatrixGroup) -> MatrixGroup:
 
     The result equals generate_group of the inverse-transposed generators,
     element order included; each key names w in `group` and (w⁻¹)ᵀ here.
+    Its class table is `dual_class_table` of the group's, and the centralizer
+    of a key is the group's centralizer of that key read on this side.
     """
     action = group.action.flipped()
     generators = tuple(action.matrix(k) for k in group.generator_keys)
@@ -367,6 +372,26 @@ def conjugacy_classes(group: MatrixGroup) -> ConjugacyClassTable:
     if sum(sizes) != group.order:
         raise GroupError("conjugacy classes do not partition the group")
     return ConjugacyClassTable(group, tuple(representatives), tuple(sizes), class_index)
+
+
+def dual_class_table(table: ConjugacyClassTable) -> ConjugacyClassTable:
+    """Ŵ's class table read off W's, with no conjugation in Ŵ.
+
+    w ↦ (w⁻¹)ᵀ is an isomorphism W → Ŵ and a key names both elements, so the
+    classes of Ŵ are those of W as key sets.  Only the order differs: each
+    class's Ŵ representative is its first key in `dual_group`'s breadth-first
+    order, and the classes come in the order of those first keys, which is
+    what `conjugacy_classes(dual_group(group))` yields.
+    """
+    group = dual_group(table.group)
+    first: dict[int, Key] = {}
+    for k in group.keys:
+        first.setdefault(table.class_index[k], k)
+        if len(first) == table.count:
+            break
+    renumber = {i: j for j, i in enumerate(first)}
+    class_index = {k: renumber[i] for k, i in table.class_index.items()}
+    return ConjugacyClassTable(group, tuple(first.values()), tuple(table.sizes[i] for i in first), class_index)
 
 
 def centralizer(group: MatrixGroup, w: IntegerMatrix) -> MatrixGroup:

@@ -17,10 +17,15 @@ test can check the package's result against it:
   sln_formula.closed_form_eorb.
 - datum_equivalent: equality of root data up to a change of basis, against
   the explicit dual pairs that root_data builds.
+- _congruence: gᵀ·G·g in Fractions, against root_data's integer check of
+  gᵀ·(L·G)·g on the scaled gram.
 - matrix_group_oracle: group elements, conjugacy classes and centralizers by
   IntegerMatrix products alone, against weyl's permutation keys.
 - per_element_class_oracle: a class term summed element by element, against
   the key histogram of orbifold_engine.class_contribution.
+- dual_group_report: E_orb on (Λ̂, Ŵ) from Ŵ's own class scan, centralizers
+  and key walks, against mirror_check's dual report, whose class table is
+  read off W's and whose terms are read off W's walks.
 - per_element_duality_oracle: a duality_check row rebuilt element by element
   from induced automorphisms, against the engine's per-w π₀ projections.
 
@@ -57,9 +62,10 @@ from orbev.lattice_core import (
     solve_right_integer,
     torsion_of_cokernel,
 )
-from orbev.orbifold_engine import EngineError
-from orbev.root_data import RootDatum, _congruence, classical_datum, custom_datum, sl_quotient_datum
+from orbev.orbifold_engine import EngineError, OrbifoldReport, _report
+from orbev.root_data import FractionMatrix, RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
 from orbev.sln_formula import FormulaError, partitions, tau
+from orbev.weyl import centralizer, conjugacy_classes, dual_group, generate_group
 
 G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 
@@ -234,6 +240,18 @@ def per_partition_closed_form(n: int, m: int, d: int, e_a: BivariatePolynomial) 
         raise FormulaError("division by E(A) is not exact") from exc
 
 
+def _congruence(g: IntegerMatrix, gram: FractionMatrix) -> FractionMatrix:
+    """g^T · gram · g for an integer matrix g, in Fractions."""
+    n = g.rows
+    gt_gram = [
+        [sum(Fraction(g[k, i]) * gram[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return tuple(
+        tuple(sum(gt_gram[i][k] * g[k, j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
 def datum_equivalent(d1: RootDatum, d2: RootDatum, up_to_gram_scale: bool = False) -> bool:
     """Same ambient lattice, same generator set, and matching gram form.
 
@@ -349,6 +367,22 @@ def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> 
     shift = direct_shift_oracle(w)
     weighted = average * BivariatePolynomial.monomial(1, 1) ** shift
     return average, weighted, shift, torsion_of_cokernel(w - eye).divisors
+
+
+def dual_group_data(datum: RootDatum) -> tuple:
+    """(Ŵ, its class table, its centralizers) for Ŵ = dual_group(W), each scanned in Ŵ itself."""
+    group = dual_group(generate_group(datum.generators))
+    table = conjugacy_classes(group)
+    return group, table, tuple(centralizer(group, rep) for rep in table.representatives)
+
+
+def dual_group_report(datum: RootDatum, space: SpaceDescriptor) -> OrbifoldReport:
+    """E_orb of (A ⊗ Λ̂)/Ŵ for Λ̂ = dual_datum(datum), on the group data of dual_group_data.
+
+    Each class term is read at Ŵ's own representative from a walk of Ŵ's own
+    centralizer, with the lattice sides the space uses.
+    """
+    return _report(dual_datum(datum), space, dual_group_data(datum))
 
 
 def per_element_duality_oracle(w: IntegerMatrix, cent) -> tuple:

@@ -18,8 +18,8 @@ from orbev.lattice_core import (
 )
 from orbev.orbifold_engine import (
     _block_fixed_count,
+    _dual_class_table,
     _duality_row,
-    _dual_group_data,
     _fixed_data,
     _group_data,
     _key_histogram,
@@ -39,6 +39,8 @@ from orbev.weyl import DEFAULT_CAP, GroupError, centralizer, conjugacy_classes, 
 from oracles import (
     G2_PATH,
     direct_shift_oracle,
+    dual_group_data,
+    dual_group_report,
     per_element_class_oracle,
     per_element_duality_oracle,
     rank_four_data,
@@ -377,6 +379,7 @@ class TestKeyHistogram:
         group = generate_group(datum.generators)
         assert_report_matches_oracle(report.primal, group, SPACES[space])
         assert_report_matches_oracle(report.dual, dual_group(group), SPACES[space])
+        assert report.dual == dual_group_report(datum, SPACES[space])
 
     def test_rebased_c3_adjoint_on_mixed_matches_oracle(self):
         datum = rebased(classical_datum("C", 3, "adjoint"), seed=7)
@@ -384,6 +387,7 @@ class TestKeyHistogram:
         group = generate_group(datum.generators)
         assert_report_matches_oracle(report.primal, group, SPACES["mixed"])
         assert_report_matches_oracle(report.dual, dual_group(group), SPACES["mixed"])
+        assert report.dual == dual_group_report(datum, SPACES["mixed"])
         assert report.equal and report.term_by_term
 
     @pytest.mark.parametrize("space", ["betti", "mixed"])
@@ -397,33 +401,57 @@ class TestKeyHistogram:
                 assert sum(count for _, _, count in rows) == cent.order
                 assert len({(poly, fixes) for poly, fixes, _ in rows}) == len(rows)
 
-    def test_spaces_walk_each_class_and_side_set_once(self, monkeypatch):
-        """The five spaces of one datum share one walk per (class, lattice side set).
-
-        A walk reads one trace table, and one π₀ table per side: four spaces
-        read Λ alone and `mixed` reads Λ and Λ̂.
-        """
-        traces, pi0 = Counter(), Counter()
+    @staticmethod
+    def count_reads(monkeypatch):
+        """Counters of the trace tables, π₀ tables, class scans and centralizer scans the engine makes."""
+        reads = {"traces": Counter(), "pi0": Counter(), "classes": [], "centralizers": []}
         trace_reader, pi0_reader = orbifold_engine._trace_reader, orbifold_engine._pi0_reader
+        classes, cent_scan = orbifold_engine.conjugacy_classes, orbifold_engine.centralizer
         monkeypatch.setattr(orbifold_engine, "_trace_reader",
-                            lambda cent, key: traces.update([key]) or trace_reader(cent, key))
-        monkeypatch.setattr(orbifold_engine, "_pi0_reader",
-                            lambda cent, key, inverse: pi0.update([(key, inverse)]) or pi0_reader(cent, key, inverse))
+                            lambda cent, key: reads["traces"].update([key]) or trace_reader(cent, key))
+        monkeypatch.setattr(orbifold_engine, "_pi0_reader", lambda cent, key, inverse:
+                            reads["pi0"].update([(key, inverse)]) or pi0_reader(cent, key, inverse))
+        monkeypatch.setattr(orbifold_engine, "conjugacy_classes",
+                            lambda group: reads["classes"].append(group) or classes(group))
+        monkeypatch.setattr(orbifold_engine, "centralizer",
+                            lambda group, w: reads["centralizers"].append(group) or cent_scan(group, w))
+        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table, _key_histogram):
+            cached.cache_clear()
+        return reads
+
+    def test_mirror_check_walks_each_class_once_for_both_reports(self, monkeypatch):
+        """The five spaces of one datum, primal and dual, share one walk per class with both lattice sides.
+
+        A walk reads one trace table, and one π₀ table per side.  Ŵ's class
+        table is read off W's, so only W is scanned for classes and centralizers.
+        """
+        reads = self.count_reads(monkeypatch)
         datum = classical_datum("B", 3, "simply_connected")
-        group_data = _group_data(datum, DEFAULT_CAP)
-        _key_histogram.cache_clear()
         for space in SPACES.values():
-            _report(datum, space, group_data)
-        keys = group_data[1].keys
-        assert traces == Counter({key: 2 for key in keys})
-        assert pi0 == Counter({**{(key, False): 2 for key in keys}, **{(key, True): 1 for key in keys}})
+            assert mirror_check(datum, space).equal
+        group, table, _ = _group_data(datum, DEFAULT_CAP)
+        assert reads["traces"] == Counter({key: 1 for key in table.keys})
+        assert reads["pi0"] == Counter({(key, inverse): 1 for key in table.keys for inverse in (False, True)})
+        assert reads["classes"] == [group]
+        assert reads["centralizers"] == [group] * table.count
+
+    def test_single_side_spaces_read_no_dual_table(self, monkeypatch):
+        """compute of a space on Λ alone walks each class once and reads no Λ̂ π₀ table."""
+        reads = self.count_reads(monkeypatch)
+        datum = classical_datum("B", 3, "simply_connected")
+        for space in SPACES.values():
+            if not space.uses_dual:
+                orbifold_e_polynomial(datum, space)
+        keys = _group_data(datum, DEFAULT_CAP)[1].keys
+        assert reads["traces"] == Counter({key: 1 for key in keys})
+        assert reads["pi0"] == Counter({(key, False): 1 for key in keys})
 
     def test_space_order_does_not_change_reports(self):
         data = [sl_quotient_datum(4, 2), classical_datum("B", 3, "simply_connected"),
                 rebased(classical_datum("C", 3, "adjoint"), seed=7)]
         runs = []
         for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
-            for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_group_data, _fixed_data,
+            for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table, _fixed_data,
                            _key_histogram, _block_fixed_count, _space_character,
                            factor_e_character, char_poly):
                 cached.cache_clear()
@@ -432,11 +460,11 @@ class TestKeyHistogram:
 
     def test_matrix_caches_hold_only_representatives_and_generators(self):
         datum = classical_datum("B", 4, "simply_connected")
-        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_group_data):
+        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table):
             cached.cache_clear()
         mirror_check(datum, SPACES["mixed"])
         group, table, cents = _group_data(datum, DEFAULT_CAP)
-        allowed = set(table.keys) | set(_dual_group_data(datum, DEFAULT_CAP)[1].keys) | set(group.generator_keys)
+        allowed = set(table.keys) | set(_dual_class_table(datum, DEFAULT_CAP).keys) | set(group.generator_keys)
         built = set(group.action.matrices) | set(group.action.flipped().matrices)
         assert built <= allowed
         assert sum(cent.order for cent in cents) > len(allowed)
@@ -487,7 +515,7 @@ class TestKeysAndShifts:
 
     @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
     def test_keys_and_shifts_on_both_lattices(self, datum):
-        for group, table, cents in (_group_data(datum, DEFAULT_CAP), _dual_group_data(datum, DEFAULT_CAP)):
+        for group, table, cents in (_group_data(datum, DEFAULT_CAP), dual_group_data(datum)):
             for key, w, cent in zip(table.keys, table.representatives, cents):
                 assert fermionic_shift(w) == (w - IntegerMatrix.identity(w.rows)).rank()
                 # w was built by the group's action, fresh was not: a lookup and a scan

@@ -9,25 +9,31 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
 from orbev import orbifold_engine
 from orbev.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch):
+@pytest.mark.parametrize("command, cached", [
+    ("compute", orbifold_engine.orbifold_e_polynomial),
+    ("mirror-check", orbifold_engine.mirror_check),
+], ids=["compute", "mirror-check"])
+def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, command, cached):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     from tracing import Tracer, cache_counters
 
     originals = dict(vars(orbifold_engine))
-    orbifold_engine.orbifold_e_polynomial.cache_clear()
+    cached.cache_clear()
     before = cache_counters()
     tracer = Tracer()
     tracer.install()
     try:
         assert orbifold_engine.class_contribution is not originals["class_contribution"]
-        assert main(["compute", "--group", "sl", "3", "3", "--space", "mixed"], out=io.StringIO()) == 0
+        assert main([command, "--group", "sl", "3", "3", "--space", "mixed"], out=io.StringIO()) == 0
     finally:
         tracer.uninstall()
     assert all(vars(orbifold_engine)[name] is value for name, value in originals.items())

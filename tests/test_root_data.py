@@ -12,6 +12,8 @@ from orbev.lattice_core import IntegerMatrix, solve_right_integer
 from orbev.root_data import (
     DatumError,
     DatumFormatError,
+    _preserves_form,
+    _scaled_gram,
     classical_datum,
     custom_datum,
     datum_to_text,
@@ -20,7 +22,7 @@ from orbev.root_data import (
     sl_quotient_datum,
 )
 from orbev.weyl import generate_group
-from oracles import datum_equivalent
+from oracles import _congruence, datum_equivalent
 
 G2_PATH = str(Path(__file__).parent / "data" / "g2.datum")
 
@@ -307,3 +309,46 @@ def test_mutated_datum_text_parses_or_fails_cleanly(text):
     except DatumError:  # DatumFormatError is a DatumError
         return
     datum.validate()
+
+
+@st.composite
+def form_and_unimodular(draw):
+    """(G, g, invariant): a rational symmetric G and a unimodular g, with G made g-invariant when invariant.
+
+    g is T⁻¹·P·T for a signed permutation P and a unimodular T built from
+    row additions, so it has finite order; an invariant G is the sum of
+    (gᵏ)ᵀ·G₀·gᵏ over that order.
+    """
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    p = IntegerMatrix.from_rows([[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)], cols=n)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-2, 2))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    t = IntegerMatrix.from_rows(rows, cols=n)
+    g = t.inverse_unimodular() * p * t
+    ratio = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    upper = {(i, j): draw(ratio) for i in range(n) for j in range(i, n)}
+    gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    invariant = draw(st.booleans())
+    if invariant:
+        total, h, eye = gram, g, IntegerMatrix.identity(n)
+        while h != eye:
+            term = _congruence(h, gram)
+            total = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(total, term))
+            h = h * g
+        gram = total
+    return gram, g, invariant
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_and_unimodular())
+def test_integer_gram_check_agrees_with_fraction_congruence(case):
+    gram, g, invariant = case
+    verdict = _preserves_form(g, _scaled_gram(gram)[0])
+    assert verdict == (_congruence(g, gram) == gram)
+    if invariant:
+        assert verdict

@@ -17,6 +17,7 @@ from orbev.weyl import (
     GroupError,
     centralizer,
     conjugacy_classes,
+    dual_class_table,
     dual_group,
     generate_group,
     schreier_sims_order,
@@ -199,6 +200,13 @@ class TestAgainstMatrixOracle:
         group = dual_group(generate_group(datum.generators))
         assert group.generators == dual.generators
         assert_matches_oracle(group, dual.generators)
+
+    def test_dual_class_table_equals_dual_scan(self, datum):
+        table = dual_class_table(conjugacy_classes(generate_group(datum.generators)))
+        scanned = conjugacy_classes(dual_group(generate_group(datum.generators)))
+        assert table.group.keys == scanned.group.keys
+        assert (table.keys, table.sizes, table.class_index) == (scanned.keys, scanned.sizes, scanned.class_index)
+        assert table.representatives == scanned.representatives
 
 
 class TestKeys:

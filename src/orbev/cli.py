@@ -7,9 +7,18 @@ verification command finds an inequality (a counterexample report is a
 successful run), 1 on usage or validation errors.
 
 JSON output is written by `dumps_canonical`, which reproduces
-`json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"` byte for byte for the
-types the reports are made of (dict, list, str, int, bool, None) and raises
-TypeError for any other.
+`json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"` byte for byte for
+dict, list, str, int, bool and None, and raises TypeError for any other type
+(float and tuple included).  Two report types are values too, written as
+json.dumps writes their plain form:
+
+- a `BivariatePolynomial` as `p.to_json_terms()`: its terms in sorted (p, q)
+  order, each one %-format of a term template built once per indent, with
+  the coefficient as `str(c)` (an int or `a/b`, which needs no escaping);
+- an `IntegerMatrix` as the list of its rows.
+
+Reports put their polynomials and matrices into the document as they are,
+so no term dict or row list is built before the text.
 """
 
 from __future__ import annotations
@@ -138,28 +147,20 @@ def _resolve_datum(selector: list[str]) -> RootDatum:
     raise CliUsageError(f"unknown group selector {kind!r}; use sl, classical, or custom")
 
 
-def _poly_json(p: BivariatePolynomial) -> list[dict]:
-    return p.to_json_terms()
-
-
-def _matrix_json(m: IntegerMatrix) -> list[list[int]]:
-    return [list(row) for row in m.entries]
-
-
 def _class_json(c) -> dict:
     return {
-        "class_rep": _matrix_json(c.representative),
+        "class_rep": c.representative,
         "class_size": c.class_size,
         "centralizer_order": c.centralizer_order,
         "shift": c.shift,
         "pi0_divisors": list(c.pi0_divisors),
-        "average_poly": _poly_json(c.average),
-        "weighted_poly": _poly_json(c.weighted),
+        "average_poly": c.average,
+        "weighted_poly": c.weighted,
     }
 
 
 def _class_text(i: int, c) -> list[str]:
-    rep = json.dumps(_matrix_json(c.representative), separators=(",", ":"))
+    rep = json.dumps(c.representative.entries, separators=(",", ":"))
     return [
         f"class {i}: rep={rep} size={c.class_size} centralizer={c.centralizer_order}"
         f" shift={c.shift} pi0={list(c.pi0_divisors)}",
@@ -169,6 +170,21 @@ def _class_text(i: int, c) -> list[str]:
 
 
 _encode_str = json.encoder.encode_basestring  # json's own string encoder for ensure_ascii=False
+
+
+@lru_cache(maxsize=None)
+def _term_layout(newline: str) -> tuple[str, str, str]:
+    """(opening, one term's %-template, separator) of a term list whose lines start at newline."""
+    inner = newline + "  "
+    field = inner + "  "
+    term = "{" + field + '"p": %d,' + field + '"q": %d,' + field + '"coeff": "%s"' + inner + "}"
+    return "[" + inner, term, "," + inner
+
+
+def _int_list(items, newline: str) -> str:
+    """A nonempty sequence of ints, one per line, inside brackets whose lines start at newline."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + newline + "]"
 
 
 def _encode(obj, newline: str) -> str:
@@ -182,15 +198,24 @@ def _encode(obj, newline: str) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
+    if t is BivariatePolynomial:
+        if not obj.coeffs:
+            return "[]"
+        opening, term, sep = _term_layout(newline)
+        return opening + sep.join([term % (p, q, c) for (p, q), c in sorted(obj.coeffs.items())]) + newline + "]"
+    if t is IntegerMatrix:
+        if not obj.rows:
+            return "[]"
+        inner = newline + "  "
+        rows = [_int_list(row, inner) if row else "[]" for row in obj.entries]
+        return "[" + inner + ("," + inner).join(rows) + newline + "]"
     if t is list:
         if not obj:
             return "[]"
-        inner = newline + "  "
         if all(type(x) is int for x in obj):
-            items = map(int.__repr__, obj)
-        else:
-            items = [_encode(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            return _int_list(obj, newline)
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in obj]) + newline + "]"
     if t is dict:
         if not obj:
             return "{}"
@@ -199,13 +224,16 @@ def _encode(obj, newline: str) -> str:
         for k, v in obj.items():
             if type(k) is not str:
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            items.append(_encode_str(k) + ": " + _encode(v, inner))
+            tv = type(v)
+            value = int.__repr__(v) if tv is int else _encode_str(v) if tv is str else _encode(v, inner)
+            items.append(_encode_str(k) + ": " + value)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def dumps_canonical(obj) -> str:
-    """The one JSON encoding used everywhere: json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"."""
+    """The one JSON encoding used everywhere: json.dumps(obj, indent=2, ensure_ascii=False) + "\\n",
+    with each polynomial and matrix in obj written as its plain form (see the module docstring)."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -214,7 +242,7 @@ def _emit_compute(report: OrbifoldReport, echo: dict, fmt: str, out) -> int:
         doc = {
             "config_echo": echo,
             "classes": [_class_json(c) for c in report.contributions],
-            "total": _poly_json(report.total),
+            "total": report.total,
         }
         out.write(dumps_canonical(doc))
     else:
@@ -233,13 +261,13 @@ def _emit_mirror(report: MirrorReport, echo: dict, fmt: str, out) -> int:
         doc = {
             "config_echo": echo,
             "classes": [_class_json(c) for c in report.primal.contributions],
-            "total": _poly_json(report.primal.total),
+            "total": report.primal.total,
             "verdict": verdict,
             "pair_diffs": [
                 {
                     "primal_class": p.primal_class,
                     "dual_class": p.dual_class,
-                    "difference": _poly_json(p.difference),
+                    "difference": p.difference,
                 }
                 for p in report.pairs
             ],
@@ -266,7 +294,7 @@ def _emit_duality(report: DualityReport, echo: dict, fmt: str, out) -> int:
             "config_echo": echo,
             "classes": [
                 {
-                    "class_rep": _matrix_json(r.representative),
+                    "class_rep": r.representative,
                     "pi0_primal": list(r.pi0_primal),
                     "pi0_dual": list(r.pi0_dual),
                     "orders_agree": r.orders_agree,
@@ -280,7 +308,7 @@ def _emit_duality(report: DualityReport, echo: dict, fmt: str, out) -> int:
     else:
         lines = [f"{k}: {v}" for k, v in echo.items()]
         for i, r in enumerate(report.rows):
-            rep = json.dumps(_matrix_json(r.representative), separators=(",", ":"))
+            rep = json.dumps(r.representative.entries, separators=(",", ":"))
             lines.append(
                 f"class {i}: rep={rep} pi0_primal={list(r.pi0_primal)}"
                 f" pi0_dual={list(r.pi0_dual)} orders_agree={r.orders_agree}"
@@ -306,7 +334,7 @@ def _run_closed_form(args, echo: dict, out) -> int:
             }
         )
     if args.format == "json":
-        doc = {"config_echo": echo, "classes": terms, "total": _poly_json(total)}
+        doc = {"config_echo": echo, "classes": terms, "total": total}
         out.write(dumps_canonical(doc))
     else:
         lines = [f"{k}: {v}" for k, v in echo.items()]
@@ -327,9 +355,9 @@ def _run_cross_validate(args, echo: dict, out) -> int:
     if args.format == "json":
         doc = {
             "config_echo": echo,
-            "total": _poly_json(engine.total),
-            "closed_form_total": _poly_json(closed),
-            "difference": _poly_json(difference),
+            "total": engine.total,
+            "closed_form_total": closed,
+            "difference": difference,
             "verdict": verdict,
         }
         out.write(dumps_canonical(doc))

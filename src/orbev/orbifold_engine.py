@@ -271,7 +271,6 @@ def _space_character(factors: tuple[tuple[str, str], ...], poly: tuple[int, ...]
 
 
 def class_contribution(
-    datum: RootDatum,
     space: SpaceDescriptor,
     w: IntegerMatrix,
     cent: MatrixGroup,
@@ -369,7 +368,7 @@ def _report(datum: RootDatum, space: SpaceDescriptor, group_data, both_sides: bo
     if any(cent.order * size != group.order for size, cent in zip(table.sizes, cents)):
         raise EngineError("orbit-stabilizer mismatch in class table")
     contributions = [
-        class_contribution(datum, space, rep, cent, size, both_sides=both_sides)
+        class_contribution(space, rep, cent, size, both_sides=both_sides)
         for rep, size, cent in zip(table.representatives, table.sizes, cents)
     ]
     return _summed(datum, group.order, contributions)
@@ -407,7 +406,7 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
     dual_terms = []
     for rep, size, key in zip(dual_table.representatives, dual_table.sizes, dual_table.keys):
         i = table.class_index[key]
-        dual_terms.append(class_contribution(dual_d, space, rep, cents[i], size, at=table.keys[i], both_sides=True))
+        dual_terms.append(class_contribution(space, rep, cents[i], size, at=table.keys[i], both_sides=True))
     dual = _summed(dual_d, group.order, dual_terms)
     pairs = []
     seen_dual = set()

@@ -313,12 +313,18 @@ def dual_group(group: MatrixGroup) -> MatrixGroup:
 
     The result equals generate_group of the inverse-transposed generators,
     element order included; each key names w in `group` and (w⁻¹)ᵀ here.
+    When the dual generators sort into the same key order as the group's,
+    the breadth-first search is the same search, so its keys are reused.
     Its class table is `dual_class_table` of the group's, and the centralizer
     of a key is the group's centralizer of that key read on this side.
     """
     action = group.action.flipped()
     generators = tuple(action.matrix(k) for k in group.generator_keys)
-    keys = _breadth_first(_sorted_generators(generators, group.generator_keys), len(action.points))
+    order = _sorted_generators(generators, group.generator_keys)
+    if order == _sorted_generators(group.generators, group.generator_keys):
+        keys = group.keys
+    else:
+        keys = _breadth_first(order, len(action.points))
     return MatrixGroup(action, keys, generators, group.generator_keys)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from orbev.cli import dumps_canonical, main
 from orbev.epoly import BivariatePolynomial
+from orbev.lattice_core import IntegerMatrix
 
 P = BivariatePolynomial
 G2_PATH = str(Path(__file__).parent / "data" / "g2.datum")
@@ -36,6 +37,37 @@ json_values = st.recursive(
     lambda children: st.lists(children, max_size=5) | st.dictionaries(json_strings, children, max_size=5),
     max_leaves=40,
 )
+
+# Report objects the writer takes as values: polynomials with int and Fraction
+# coefficients of either sign (the zero polynomial among them), and integer
+# matrices of any shape, empty rows and columns included.
+coefficients = st.integers(-(2**70), 2**70) | st.fractions(max_denominator=10**6)
+polynomials = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)), coefficients, max_size=8).map(P)
+matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-(2**40), 2**40), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: IntegerMatrix(shape[0], shape[1], rows))
+)
+report_values = st.recursive(
+    st.just(P.zero()) | polynomials | matrices | st.integers() | json_strings | st.none() | st.booleans(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def plain(obj):
+    """obj with each polynomial as its term dicts and each matrix as its rows, for json.dumps."""
+    if isinstance(obj, BivariatePolynomial):
+        return obj.to_json_terms()
+    if isinstance(obj, IntegerMatrix):
+        return [list(row) for row in obj.entries]
+    if isinstance(obj, list):
+        return [plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
 
 
 class TestCompute:
@@ -100,6 +132,11 @@ class TestCanonicalJson:
     @given(json_values)
     def test_writer_matches_json_dumps(self, obj):
         assert dumps_canonical(obj) == json_dumps_reference(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_values)
+    def test_report_objects_written_as_their_plain_form(self, obj):
+        assert dumps_canonical(obj) == json_dumps_reference(plain(obj))
 
     def test_empty_containers_and_int_lists(self):
         obj = {"a": [], "b": {}, "c": [[]], "d": [1, -2, 10**30], "e": [True, 0, None], "": [{}]}

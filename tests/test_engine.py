@@ -143,7 +143,7 @@ class TestClassContribution:
         d = sl_quotient_datum(2, 1)
         group = generate_group(d.generators)
         w = IntegerMatrix.identity(1)
-        contrib = class_contribution(d, SPACES["betti"], w, centralizer(group, w))
+        contrib = class_contribution(SPACES["betti"], w, centralizer(group, w))
         # average of (uv-1)^2 and (uv+1)^2 over W = Z/2
         assert contrib.average == xpoly([1, 0, 1])
         assert contrib.weighted == contrib.average
@@ -152,7 +152,7 @@ class TestClassContribution:
         d = sl_quotient_datum(2, 1)
         group = generate_group(d.generators)
         w = M([[-1]])
-        contrib = class_contribution(d, SPACES["betti"], w, centralizer(group, w))
+        contrib = class_contribution(SPACES["betti"], w, centralizer(group, w))
         # 4 order-2 points of (C^x)^2 survive, each contributing 1, shift 1
         assert contrib.average == P.constant(4)
         assert contrib.weighted == UV.scale(4)
@@ -165,7 +165,7 @@ class TestClassContribution:
         for i, rep in enumerate(table.representatives):
             twins = [x for x in group if table.class_of(x) == i][:2]
             results = [
-                class_contribution(d, SPACES["abelian-surface"], w, centralizer(group, w))
+                class_contribution(SPACES["abelian-surface"], w, centralizer(group, w))
                 for w in twins
             ]
             assert all(r.average == results[0].average for r in results)
@@ -539,10 +539,10 @@ def reflection_in_sl3():
 
 class TestCentralizerGuard:
     def test_class_contribution_rejects_non_commuting_elements(self):
-        datum, group, w = reflection_in_sl3()
+        _, group, w = reflection_in_sl3()
         for space in ("betti", "mixed"):
             with pytest.raises(NonCentralizingError):
-                class_contribution(datum, SPACES[space], w, group)
+                class_contribution(SPACES[space], w, group)
 
     def test_duality_row_rejects_non_commuting_elements(self):
         _, group, w = reflection_in_sl3()

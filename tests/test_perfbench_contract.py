@@ -1,8 +1,9 @@
 """The names that perfbench's tracer patches and reads exist in the package.
 
 A rename that breaks them would otherwise show only in a traced benchmark run
-(`--trace 1`); here it fails the test suite.  No file under perfbench/ is
-changed: the test imports its tracer as the benchmark worker does.
+(`--trace 1`); here it fails the test suite.  The bytes the tracer counts at
+`cli.dumps_canonical` must be every byte a command writes.  No file under
+perfbench/ is changed: the test imports its tracer as the benchmark worker does.
 """
 
 import io
@@ -42,3 +43,26 @@ def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, command, cache
     for cache in ("orbifold_engine.restricted_action", "orbifold_engine.pi0_fixed_count",
                   "epoly.factor_e_character", "epoly.char_poly"):
         assert f"{cache}_cache_hit_ratio" in metrics
+
+
+@pytest.mark.parametrize("argv", [
+    ["mirror-check", "--group", "classical", "B", "2", "ad", "--space", "mixed"],
+    ["closed-form", "--n", "4", "--m", "2", "--surface", "abelian"],
+], ids=["mirror-check", "closed-form"])
+def test_traced_output_bytes_are_every_byte_written(monkeypatch, argv):
+    """Every byte of stdout goes through cli.dumps_canonical, where the tracer counts it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    from tracing import Tracer, cache_counters
+
+    before = cache_counters()
+    out = io.StringIO()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        main(argv, out=out)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(before, cache_counters())
+    assert metrics["cli.output_bytes"] == (len(out.getvalue().encode("utf-8")), "bytes")
+    assert metrics["cli.output_bytes"][0] > 0

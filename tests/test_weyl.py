@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from oracles import matrix_group_oracle, rank_four_data
+from orbev import weyl
 from orbev.lattice_core import IntegerMatrix
 from orbev.root_data import (
     classical_datum,
@@ -199,6 +200,7 @@ class TestAgainstMatrixOracle:
         dual = dual_datum(datum)
         group = dual_group(generate_group(datum.generators))
         assert group.generators == dual.generators
+        assert group.keys == tuple(group.key(m) for m in generate_group(dual.generators).elements)
         assert_matches_oracle(group, dual.generators)
 
     def test_dual_class_table_equals_dual_scan(self, datum):
@@ -219,6 +221,19 @@ class TestKeys:
             # the group and its dual share one pair of actions and their matrix caches
             assert group.dual_matrix(k) is dual.matrix(k)
             assert dual.dual_matrix(k) is group.matrix(k)
+
+    @pytest.mark.parametrize("datum, replays", [
+        (classical_datum("B", 3, "simply_connected"), 0),
+        (sl_quotient_datum(4, 2), 1),
+    ], ids=["B3_sc", "SL4/Z2"])
+    def test_dual_reuses_the_primal_search_when_generators_sort_alike(self, monkeypatch, datum, replays):
+        group = generate_group(datum.generators)
+        calls = []
+        breadth_first = weyl._breadth_first
+        monkeypatch.setattr(weyl, "_breadth_first", lambda *args: calls.append(args) or breadth_first(*args))
+        dual = dual_group(group)
+        assert len(calls) == replays
+        assert (dual.keys is group.keys) == (replays == 0)
 
     def test_dual_of_dual_reads_the_primal_matrices(self):
         group = generate_group(sl_quotient_datum(4, 2).generators)

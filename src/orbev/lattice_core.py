@@ -2,10 +2,12 @@
 
 Smith normal form with unimodular transforms, saturated fixed sublattices,
 torsion of cokernels as finite abelian groups, and induced automorphisms of
-those groups with exact fixed-point counts.  Every exact elimination
-goes through one fraction-free integer kernel, `_bareiss`; Smith normal form
-keeps its own, because it needs the unimodular transforms.  There is no
-floating point in this module.
+those groups with exact fixed-point counts.  Every exact elimination over
+ℤ or ℚ goes through one fraction-free integer kernel, `_bareiss`: rank,
+determinant, solves, and the inverse of a unimodular matrix, read in integers
+off the reduced [M | 1] with no Fraction; Smith normal form keeps its own,
+because it needs the unimodular transforms.  `rank_mod` eliminates over 𝔽_p.
+There is no floating point in this module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 
@@ -109,19 +112,13 @@ class IntegerMatrix:
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix._of(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-        )
+        rows = map(map, itertools.repeat(add), self.entries, other.entries)
+        return IntegerMatrix._of(self.rows, self.cols, tuple(map(tuple, rows)))
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix._of(
-            self.rows,
-            self.cols,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-        )
+        rows = map(map, itertools.repeat(sub), self.entries, other.entries)
+        return IntegerMatrix._of(self.rows, self.cols, tuple(map(tuple, rows)))
 
     def __neg__(self) -> "IntegerMatrix":
         return IntegerMatrix._of(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
@@ -133,7 +130,7 @@ class IntegerMatrix:
         return IntegerMatrix._of(
             self.rows,
             other.cols,
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries),
+            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.entries),
         )
 
     def scale(self, k: int) -> "IntegerMatrix":
@@ -153,7 +150,7 @@ class IntegerMatrix:
     def det(self) -> int:
         if not self.is_square():
             raise LatticeError("determinant requires a square matrix")
-        _, pivots, d, sign = _bareiss(self.entries, self.cols)
+        _, pivots, d, sign = _bareiss(self.entries, self.cols, reduce_above=False)
         return sign * d if len(pivots) == self.rows else 0
 
     def is_unimodular(self) -> bool:
@@ -161,12 +158,37 @@ class IntegerMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals."""
-        return len(_bareiss(self.entries, self.cols)[1])
+        return len(_bareiss(self.entries, self.cols, reduce_above=False)[1])
+
+    def rank_mod(self, p: int) -> int:
+        """Rank over the field 𝔽_p, p prime, by Gaussian elimination mod p."""
+        rows = [[x % p for x in row] for row in self.entries]
+        rank = 0
+        while rows:
+            pivot_row = rows.pop()
+            j = next((j for j, x in enumerate(pivot_row) if x), None)
+            if j is None:
+                continue
+            rank += 1
+            inv = pow(pivot_row[j], -1, p)
+            rows = [
+                [(x - f * y) % p for x, y in zip(row, pivot_row)] if (f := row[j] * inv) else row for row in rows
+            ]
+        return rank
 
     def inverse_unimodular(self) -> "IntegerMatrix":
-        """Exact inverse; requires |det| = 1 so the inverse is integral."""
-        sol = solve_exact(self, IntegerMatrix.identity(self.rows))
-        return _fraction_grid_to_integer(sol, self.rows, "matrix is not unimodular")
+        """Exact inverse; requires |det| = 1 so the inverse is integral.
+
+        `_bareiss` reduces [M | 1] to [d·1 | d·M⁻¹], d the last pivot; with
+        full rank and d = ±1, M⁻¹ is d times the right block.
+        """
+        if not self.is_square():
+            raise LatticeError("inverse_unimodular requires a square matrix")
+        n = self.rows
+        rows, pivots, d, _ = _bareiss([row + e for row, e in zip(self.entries, IntegerMatrix.identity(n).entries)], n)
+        if len(pivots) != n or d not in (1, -1):
+            raise InexactSolveError("matrix is not unimodular")
+        return IntegerMatrix._of(n, n, tuple(tuple(d * x for x in row[n:]) for row in rows))
 
     def inverse_transpose(self) -> "IntegerMatrix":
         return self.inverse_unimodular().transpose()
@@ -184,7 +206,7 @@ class IntegerMatrix:
 
 
 def _bareiss(
-    entries: Sequence[Sequence[int]], ncols: int
+    entries: Sequence[Sequence[int]], ncols: int, reduce_above: bool = True
 ) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
 
@@ -194,7 +216,9 @@ def _bareiss(
     integer minors of the input.  Returns the reduced rows, the (row, col)
     pivots, the last pivot d and the sign of the row swaps.  Every pivot column
     ends up zero except at its own row, where it holds d; with full rank d is
-    the determinant of the row-swapped matrix.
+    the determinant of the row-swapped matrix.  With reduce_above false only
+    the rows below each pivot are reduced, a fraction-free echelon form with
+    the same pivots and d, which is all that rank and det read.
     """
     a = [list(row) for row in entries]
     pivots: list[tuple[int, int]] = []
@@ -208,15 +232,28 @@ def _bareiss(
             a[r], a[pivot] = a[pivot], a[r]
             sign = -sign
         p, pivot_row = a[r][c], a[r]
-        for i, row in enumerate(a):
+        for i in range(0 if reduce_above else r + 1, len(a)):
             if i != r:
-                f = row[c]
+                f, row = a[i][c], a[i]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         pivots.append((r, c))
         prev = p
         if r + 1 == len(a):
             break
     return a, pivots, prev, sign
+
+
+def _solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[list[list[int]], list[tuple[int, int]], int]:
+    """[a | b] reduced by `_bareiss`, its pivots and last pivot d; raises InexactSolveError if inconsistent.
+
+    Row r of a pivot (r, c) then reads d·X[c] in its b columns.
+    """
+    if a.rows != b.rows:
+        raise LatticeError("incompatible shapes in solve_exact")
+    rows, pivots, d, _ = _bareiss([ra + rb for ra, rb in zip(a.entries, b.entries)], a.cols)
+    if any(x != 0 for row in rows[len(pivots) :] for x in row[a.cols :]):
+        raise InexactSolveError("linear system is inconsistent")
+    return rows, pivots, d
 
 
 def solve_exact(a: IntegerMatrix, b: IntegerMatrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -226,27 +263,23 @@ def solve_exact(a: IntegerMatrix, b: IntegerMatrix) -> tuple[tuple[Fraction, ...
     are only tolerated when the corresponding solution entries can be taken 0.
     Returns X as a grid of Fractions with a.cols rows and b.cols columns.
     """
-    if a.rows != b.rows:
-        raise LatticeError("incompatible shapes in solve_exact")
-    cols = a.cols
-    rows, pivots, d, _ = _bareiss([ra + rb for ra, rb in zip(a.entries, b.entries)], cols)
-    if any(x != 0 for row in rows[len(pivots) :] for x in row[cols:]):
-        raise InexactSolveError("linear system is inconsistent")
-    x = [(Fraction(0),) * b.cols] * cols
+    rows, pivots, d = _solve(a, b)
+    x = [(Fraction(0),) * b.cols] * a.cols
     for r_i, c_i in pivots:
-        x[c_i] = tuple(Fraction(v, d) for v in rows[r_i][cols:])
+        x[c_i] = tuple(Fraction(v, d) for v in rows[r_i][a.cols :])
     return tuple(x)
 
 
-def _fraction_grid_to_integer(grid: tuple[tuple[Fraction, ...], ...], cols: int, message: str) -> IntegerMatrix:
-    if any(f.denominator != 1 for row in grid for f in row):
-        raise InexactSolveError(message)
-    return IntegerMatrix.from_rows([[int(f) for f in row] for row in grid], cols=cols)
-
-
 def solve_right_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    """Integer X with a·X = b; raises InexactSolveError if none exists."""
-    return _fraction_grid_to_integer(solve_exact(a, b), b.cols, "solution is not integral")
+    """Integer X with a·X = b, as `solve_exact` with integer division; raises InexactSolveError if none exists."""
+    rows, pivots, d = _solve(a, b)
+    x = [(0,) * b.cols] * a.cols
+    for r_i, c_i in pivots:
+        quotients = [divmod(v, d) for v in rows[r_i][a.cols :]]
+        if any(rem for _, rem in quotients):
+            raise InexactSolveError("solution is not integral")
+        x[c_i] = tuple(q for q, _ in quotients)
+    return IntegerMatrix._of(a.cols, b.cols, tuple(x))
 
 
 @dataclass(frozen=True)
@@ -337,10 +370,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
                     dirty = True
         if dirty:
             continue
-        # Pivot must divide the rest of the submatrix for the divisor chain.
-        stray = next(
-            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t] != 0),
-            None,
+        # Pivot must divide the rest of the submatrix for the divisor chain; a unit pivot does.
+        p = a[t][t]
+        stray = None if p in (1, -1) else next(
+            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p != 0), None
         )
         if stray is not None:
             add_row(stray[0], t, 1)

@@ -25,14 +25,18 @@ W's representative with the π₀ sides swapped.  A space's average is one
 E-character product per distinct polynomial, weighted by the counts and
 fixed counts, divided once by |C(w)|, and (uv)^F(w) is an exponent shift.
 
-Per-w tables.  The power traces tr(c^k | Λ^w) are r lookups each in a table
-built from Σ_j w^j, and Newton's identities give the polynomial over ℤ.  On
-π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U·(w - 1)·V = D the cached
-Smith form, U_T the rows of U and U⁻¹_T the columns of U⁻¹ at the divisors
-dᵢ ≥ 2 and row i reduced mod dᵢ; the block is a sum of r table entries, and
-its fixed count is computed once per distinct block.  Both tables need c to
-commute with w, which the walk checks; a non-commuting element raises
-NonCentralizingError.
+Per-w tables.  Everything the engine reads of w itself comes from one
+cached Smith form U·(w - 1)·V = D: dim Λ^w is the number of zero diagonal
+entries of D, F(w) = r - dim Λ^w, and π₀(T^w) is ⊕ ℤ/dᵢ over the divisors
+dᵢ ≥ 2.  The power traces tr(c^k | Λ^w) are r lookups each in a table built
+from Σ_j w^j, and Newton's identities give the polynomial over ℤ.  On
+π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U_T the rows of U and U⁻¹_T
+the columns of U⁻¹ at the divisors dᵢ ≥ 2 and row i reduced mod dᵢ; U⁻¹ is
+an integer inverse, cached with the Smith form.  The block is a sum of r
+table entries, and its fixed count is computed once per distinct block: over
+𝔽_p by elimination mod p when every dᵢ is one prime p, by a Smith form
+otherwise.  Both tables need c to commute with w, which the walk checks; a
+non-commuting element raises NonCentralizingError.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from operator import getitem, mod, mul
 
 from .epoly import (
@@ -56,13 +61,12 @@ from .lattice_core import (
     LatticeError,
     NonCentralizingError,
     fixed_count,
-    fixed_sublattice,
     smith_normal_form,
     torsion_of_cokernel,
 )
 # No longer called here; imported because perfbench's tracer wraps them in this module.
-from .lattice_core import induced_automorphism, solve_right_integer
-from .root_data import RootDatum, dual_datum
+from .lattice_core import fixed_sublattice, induced_automorphism, solve_right_integer
+from .root_data import RootDatum, _dual_label, dual_datum
 from .weyl import DEFAULT_CAP, Key, MatrixGroup, centralizer, conjugacy_classes, dual_class_table, generate_group
 
 
@@ -131,13 +135,24 @@ def fermionic_shift(w: IntegerMatrix) -> int:
     """
     if not w.is_square():
         raise EngineError("fermionic_shift requires a square matrix")
-    return w.rows - _fixed_data(w)[0].cols
+    return w.rows - _fixed_data(w)[0]
 
 
 @lru_cache(maxsize=None)
-def _fixed_data(w: IntegerMatrix) -> tuple[IntegerMatrix, FiniteAbelianGroup]:
-    """Basis of the fixed sublattice Λ^w and the component group π₀(T^w)."""
-    return fixed_sublattice(w), torsion_of_cokernel(w - IntegerMatrix.identity(w.rows))
+def _fixed_data(w: IntegerMatrix) -> tuple[int, FiniteAbelianGroup]:
+    """dim Λ^w and the component group π₀(T^w), both read off the one Smith form of w - 1.
+
+    With U·(w - 1)·V = D, the columns of V at D's zero diagonal entries are a
+    basis of the saturated sublattice Λ^w (`fixed_sublattice`), so dim Λ^w
+    is their number, and π₀(T^w) = Tor(Λ/(w - 1)Λ) is `torsion_of_cokernel`,
+    whose Smith form is the same cached one.  w must be unimodular.
+    """
+    if not w.is_unimodular():
+        raise LatticeError("the fixed data of w need a unimodular w")
+    w_minus_1 = w - IntegerMatrix.identity(w.rows)
+    pi0 = torsion_of_cokernel(w_minus_1)
+    d = smith_normal_form(w_minus_1).D
+    return sum(1 for i in range(w.rows) if d[i, i] == 0), pi0
 
 
 def _pi0_reader(cent: MatrixGroup, key: Key, inverse: bool):
@@ -175,10 +190,18 @@ def _pi0_reader(cent: MatrixGroup, key: Key, inverse: bool):
 
 @lru_cache(maxsize=None)
 def _block_fixed_count(divisors: tuple[int, ...], block: tuple[int, ...]) -> int:
-    """Fixed points of the automorphism of ⊕ Z/dᵢ with this flattened block, once per distinct block."""
+    """Fixed points of the automorphism of ⊕ Z/dᵢ with this flattened block B, once per distinct block.
+
+    The fixed points are the kernel of B - 1.  When every dᵢ is one prime p
+    the group is the 𝔽_p-vector space 𝔽_p^k, so the count is
+    p^(k - rank_𝔽p(B - 1)); other divisors keep `fixed_count`'s Smith form.
+    """
     k = len(divisors)
-    rows = tuple(block[i * k : i * k + k] for i in range(k))
-    return fixed_count(GroupAutomorphism(FiniteAbelianGroup(divisors), IntegerMatrix._of(k, k, rows)))
+    b = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k)))
+    p = divisors[0]
+    if divisors[-1] == p and all(p % q for q in range(2, isqrt(p) + 1)):
+        return p ** (k - (b - IntegerMatrix.identity(k)).rank_mod(p))
+    return fixed_count(GroupAutomorphism(FiniteAbelianGroup(divisors), b))
 
 
 def _exact(a: int, b: int, message: str) -> int:
@@ -371,16 +394,16 @@ def _report(datum: RootDatum, space: SpaceDescriptor, group_data, both_sides: bo
         class_contribution(space, rep, cent, size, both_sides=both_sides)
         for rep, size, cent in zip(table.representatives, table.sizes, cents)
     ]
-    return _summed(datum, group.order, contributions)
+    return _summed(datum.label, group.order, contributions)
 
 
-def _summed(datum: RootDatum, group_order: int, contributions: list[ClassContribution]) -> OrbifoldReport:
+def _summed(label: str, group_order: int, contributions: list[ClassContribution]) -> OrbifoldReport:
     total = BivariatePolynomial.zero()
     for contribution in contributions:
         total = total + contribution.weighted
     if not total.has_integer_coefficients():
         raise EngineError("orbifold E-polynomial has non-integer coefficients")
-    return OrbifoldReport(datum.label, group_order, tuple(contributions), total)
+    return OrbifoldReport(label, group_order, tuple(contributions), total)
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +415,8 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
     representative's key in it.  Each class is walked once, with both lattice
     sides: the primal term reads the histogram of C(w), and the dual term of
     the class reads the same histogram at W's representative with its sides
-    swapped.  Ŵ needs no class scan, centralizer or walk of its own.
+    swapped.  Ŵ needs no class scan, centralizer or walk of its own, and the
+    dual report's label is read off the primal one, so no dual datum is built.
     """
     if datum.rank == 0:
         primal = orbifold_e_polynomial(datum, space, cap)
@@ -402,12 +426,12 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
     group_data = _group_data(datum, cap)
     group, table, cents = group_data
     primal = _report(datum, space, group_data, both_sides=True)
-    dual_d, dual_table = dual_datum(datum), _dual_class_table(datum, cap)
+    dual_table = _dual_class_table(datum, cap)
     dual_terms = []
     for rep, size, key in zip(dual_table.representatives, dual_table.sizes, dual_table.keys):
         i = table.class_index[key]
         dual_terms.append(class_contribution(space, rep, cents[i], size, at=table.keys[i], both_sides=True))
-    dual = _summed(dual_d, group.order, dual_terms)
+    dual = _summed(_dual_label(datum.label), group.order, dual_terms)
     pairs = []
     seen_dual = set()
     for i, (key, contribution) in enumerate(zip(table.keys, primal.contributions)):

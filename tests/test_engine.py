@@ -4,11 +4,16 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbev import orbifold_engine
 from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
 from orbev.lattice_core import (
+    FiniteAbelianGroup,
+    GroupAutomorphism,
     IntegerMatrix,
+    LatticeError,
     NonCentralizingError,
     fixed_count,
     fixed_sublattice,
@@ -136,6 +141,23 @@ class TestFixedPointData:
         _, _, w = n_cycle_on_sl(3)
         assert pi0_divisors(w) == (3,)
         assert fermionic_shift(w) == 2
+
+    @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
+    def test_fixed_data_on_every_element_of_both_lattices(self, datum):
+        """dim Λ^w and π₀(T^w) read off one Smith form, against the fixed sublattice and the cokernel."""
+        group = generate_group(datum.generators)
+        for key in group.keys:
+            for w in (group.matrix(key), group.dual_matrix(key)):
+                dim, pi0 = _fixed_data(w)
+                assert dim == fixed_sublattice(w).cols
+                assert pi0 == torsion_of_cokernel(w - IntegerMatrix.identity(w.rows))
+                with pytest.raises(LatticeError):
+                    _fixed_data(w.scale(2))
+
+    def test_fixed_data_rejects_non_unimodular_and_non_square(self):
+        for w in (M([[2, 0], [0, 1]]), M([[1, 1], [1, 1]]), M([[1, 0, 0], [0, 1, 0]])):
+            with pytest.raises(LatticeError):
+                _fixed_data(w)
 
 
 class TestClassContribution:
@@ -307,6 +329,17 @@ class TestMirrorCheck:
         report = mirror_check(d, SPACES["betti"])
         direct = orbifold_e_polynomial(dual_datum(d), SPACES["betti"])
         assert report.dual.total == direct.total
+
+    def test_dual_report_is_labelled_without_building_the_dual_datum(self, monkeypatch):
+        """The dual report's label is the dual datum's, read off the primal label alone."""
+        data = rank_four_data()
+        expected = {d.label: dual_datum(d).label for d in data}
+        calls = []
+        monkeypatch.setattr(orbifold_engine, "dual_datum", lambda d: calls.append(d) or dual_datum(d))
+        mirror_check.cache_clear()
+        for d in data:
+            assert mirror_check(d, SPACES["betti"]).dual.datum_label == expected[d.label]
+        assert calls == []
 
     def test_d3_simply_connected_matches_sl4(self):
         # rank-3 coincidence: the D-type double cover agrees with SL(4),
@@ -499,6 +532,26 @@ class TestLatticeProjections:
             assert row.representative == w
             got = (row.pi0_primal, row.pi0_dual, row.orders_agree, row.fixed_counts_agree)
             assert got == per_element_duality_oracle(w, centralizer(group, w).elements)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
+    def test_prime_field_count_matches_fixed_count(self, p, k, data):
+        """On (ℤ/p)^k the count p^(k - rank_𝔽p(B - 1)) agrees with fixed_count's Smith form."""
+        block = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=k * k, max_size=k * k)))
+        matrix = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k)))
+        expected = fixed_count(GroupAutomorphism(FiniteAbelianGroup((p,) * k), matrix))
+        assert _block_fixed_count.__wrapped__((p,) * k, block) == expected
+
+    def test_only_single_prime_blocks_skip_fixed_count(self, monkeypatch):
+        autos = []
+        monkeypatch.setattr(orbifold_engine, "fixed_count", lambda aut: autos.append(aut) or fixed_count(aut))
+        count = _block_fixed_count.__wrapped__
+        assert count((2, 2, 2), (0, 1, 0, 1, 0, 0, 0, 0, 1)) == 4
+        assert count((5,), (4,)) == 1
+        assert autos == []
+        assert count((4,), (3,)) == 2
+        assert count((2, 4), (1, 0, 0, 3)) == 4
+        assert [aut.group.divisors for aut in autos] == [(4,), (2, 4)]
 
     def test_fixed_count_runs_once_per_distinct_block(self, monkeypatch):
         autos = []

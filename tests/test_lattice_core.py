@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith forms, cokernels, fixed sublattices."""
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -66,6 +67,27 @@ class TestIntegerMatrix:
         assert w.inverse_transpose() == w.inverse_unimodular().transpose()
         with pytest.raises(InexactSolveError):
             M([[2, 0], [0, 1]]).inverse_unimodular()
+        assert IntegerMatrix.identity(0).inverse_unimodular() == IntegerMatrix.identity(0)
+
+    def test_inverse_unimodular_rejects_non_square_singular_and_det_two(self):
+        for m in (M([[1, 0, 0], [0, 1, 0]]), M([[1, 0], [0, 1], [0, 0]])):
+            with pytest.raises(LatticeError) as info:
+                m.inverse_unimodular()
+            assert not isinstance(info.value, InexactSolveError)
+        for m in (M([[1, 2], [2, 4]]), M([[1, 1], [1, -1]]), M([[0, 2, 0], [1, 0, 0], [0, 0, 1]]), M([[0]])):
+            with pytest.raises(InexactSolveError):
+                m.inverse_unimodular()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), max_size=4))
+    def test_rank_mod_p_is_the_rank_of_the_reduced_matrix(self, p, rows):
+        """rank_𝔽p(M) = 4 - log_p |ker(M mod p)|, the kernel counted by brute force over 𝔽_p^4."""
+        m = M(rows) if rows else IntegerMatrix.zero(0, 4)
+        kernel = sum(
+            1 for x in itertools.product(range(p), repeat=4)
+            if all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in m.entries)
+        )
+        assert p ** (4 - m.rank_mod(p)) == kernel
 
     def test_hashable_and_ordered_entries(self):
         a = M([[1, 2], [3, 4]])

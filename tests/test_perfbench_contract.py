@@ -18,28 +18,34 @@ from orbev.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("command, cached", [
-    ("compute", orbifold_engine.orbifold_e_polynomial),
-    ("mirror-check", orbifold_engine.mirror_check),
-], ids=["compute", "mirror-check"])
-def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, command, cached):
+@pytest.mark.parametrize("argv, cached, metric", [
+    (["compute", "--group", "sl", "3", "3", "--space", "mixed"], (orbifold_engine.orbifold_e_polynomial,),
+     "orbifold_engine.classes"),
+    (["mirror-check", "--group", "sl", "3", "3", "--space", "mixed"], (orbifold_engine.mirror_check,),
+     "orbifold_engine.classes"),
+    (["duality-check", "--group", "classical", "B", "3", "sc"],
+     (orbifold_engine.duality_check, orbifold_engine._fixed_data), "lattice_core.fixed_data_s"),
+], ids=["compute", "mirror-check", "duality-check"])
+def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, metric):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     from tracing import Tracer, cache_counters
 
     originals = dict(vars(orbifold_engine))
-    cached.cache_clear()
+    for cache in cached:
+        cache.cache_clear()
     before = cache_counters()
     tracer = Tracer()
     tracer.install()
     try:
         assert orbifold_engine.class_contribution is not originals["class_contribution"]
-        assert main([command, "--group", "sl", "3", "3", "--space", "mixed"], out=io.StringIO()) == 0
+        assert orbifold_engine.torsion_of_cokernel is not originals["torsion_of_cokernel"]
+        assert main(argv, out=io.StringIO()) == 0
     finally:
         tracer.uninstall()
     assert all(vars(orbifold_engine)[name] is value for name, value in originals.items())
     metrics = tracer.layer_metrics(before, cache_counters())
-    assert metrics["orbifold_engine.classes"][0] > 0
+    assert metrics[metric][0] > 0
     for cache in ("orbifold_engine.restricted_action", "orbifold_engine.pi0_fixed_count",
                   "epoly.factor_e_character", "epoly.char_poly"):
         assert f"{cache}_cache_hit_ratio" in metrics

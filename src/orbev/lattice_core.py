@@ -150,8 +150,7 @@ class IntegerMatrix:
     def det(self) -> int:
         if not self.is_square():
             raise LatticeError("determinant requires a square matrix")
-        _, pivots, d, sign = _bareiss(self.entries, self.cols, reduce_above=False)
-        return sign * d if len(pivots) == self.rows else 0
+        return _det(self.entries)
 
     def is_unimodular(self) -> bool:
         return self.is_square() and abs(self.det()) == 1
@@ -241,6 +240,17 @@ def _bareiss(
         if r + 1 == len(a):
             break
     return a, pivots, prev, sign
+
+
+@lru_cache(maxsize=None)
+def _det(entries: tuple[tuple[int, ...], ...]) -> int:
+    """The determinant of the square matrix with these rows, once per distinct matrix.
+
+    A datum's generators are checked for unimodularity when the datum is
+    validated and again by `generate_group`; the second check is a lookup.
+    """
+    _, pivots, d, sign = _bareiss(entries, len(entries), reduce_above=False)
+    return sign * d if len(pivots) == len(entries) else 0
 
 
 def _solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[list[list[int]], list[tuple[int, int]], int]:

@@ -16,14 +16,16 @@ characteristic polynomial of c on Λ^w, which is the same on the dual side,
 so the average needs only a histogram of keys: that polynomial and the π₀
 fixed count per lattice side read, with the number of elements of C(w) that
 have the key.  C(w) is walked once per class and side set, on its
-permutation keys with no matrix per element, and the histogram serves every
-later space of the datum in the process.  `compute` reads Λ alone for a
-space on Λ and both sides for `mixed`.  The mirror check reads both sides for
-every space, and one walk per class serves both of its reports: Ŵ's class
-table is W's reordered, and a dual class term, a class function, is read at
-W's representative with the π₀ sides swapped.  A space's average is one
-E-character product per distinct polynomial, weighted by the counts and
-fixed counts, divided once by |C(w)|, and (uv)^F(w) is an exponent shift.
+permutation keys with no matrix per element (`weyl` holds a key as bytes for
+an orbit of at most 256 points and as an int tuple beyond; indexing gives an
+int either way), and the histogram serves every later space of the datum in
+the process.  `compute` reads Λ alone for a space on Λ and both sides for
+`mixed`.  The mirror check reads both sides for every space, and one walk
+per class serves both of its reports: Ŵ's class table is W's reordered, and
+a dual class term, a class function, is read at W's representative with the
+π₀ sides swapped.  A space's average is one E-character product per distinct
+polynomial, weighted by the counts and fixed counts, divided once by |C(w)|,
+and (uv)^F(w) is an exponent shift.
 
 Per-w tables.  Everything the engine reads of w itself comes from one
 cached Smith form U·(w - 1)·V = D: dim Λ^w is the number of zero diagonal
@@ -67,7 +69,16 @@ from .lattice_core import (
 # No longer called here; imported because perfbench's tracer wraps them in this module.
 from .lattice_core import fixed_sublattice, induced_automorphism, solve_right_integer
 from .root_data import RootDatum, _dual_label, dual_datum
-from .weyl import DEFAULT_CAP, Key, MatrixGroup, centralizer, conjugacy_classes, dual_class_table, generate_group
+from .weyl import (
+    DEFAULT_CAP,
+    Key,
+    MatrixGroup,
+    centralizer,
+    commutes_with,
+    conjugacy_classes,
+    dual_class_table,
+    generate_group,
+)
 
 
 class EngineError(LatticeError):
@@ -262,16 +273,14 @@ def _key_histogram(cent: MatrixGroup, key: Key, inverses: tuple[bool, ...], poly
     polys) and its π₀ fixed count on each lattice side in `inverses`, which
     read keys as `_pi0_reader` says.  Returns one (characteristic polynomial,
     fixed counts, count) row per distinct key.  Every element must commute
-    with w, which the per-w tables need: c·w = w·c is compared on the first
-    r points, which are the columns.
+    with w, which the per-w tables need (`commutes_with`).
     """
-    r = cent.action.rank
-    head = key[:r]
+    commutes = commutes_with(cent.action, key)
     readers = [_pi0_reader(cent, key, inverse) for inverse in inverses]
     order, traces = _trace_reader(cent, key) if polys else (1, None)
     counts: dict[tuple, int] = {}
     for c in cent.keys:
-        if tuple(map(c.__getitem__, head)) != tuple(map(key.__getitem__, c[:r])):
+        if not commutes(c):
             raise NonCentralizingError("centralizer element does not commute with w")
         fixes = tuple(_block_fixed_count(divisors, block(c)) if divisors else 1 for divisors, block in readers)
         item = (traces(c) if polys else None, fixes)

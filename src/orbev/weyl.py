@@ -2,11 +2,20 @@
 
 A group W of unimodular r x r integer matrices permutes the finite W-orbit O of
 the standard basis vectors e_0, ..., e_{r-1}.  The orbit is enumerated first,
-with e_j as point j, and every element w is stored as its key, the tuple p with
-w·O[i] = O[p[i]].  The key is faithful: column j of w is O[p[j]], so a matrix
-is rebuilt by reading r points, and only for the elements whose matrices are
-asked for (class representatives and the centralizer elements the engine
-reads).  The product x·g has the key i ↦ x[g[i]].
+with e_j as point j, and every element w is stored as its key, the permutation
+p with w·O[i] = O[p[i]].  The key is faithful: column j of w is O[p[j]], so a
+matrix is rebuilt by reading r points, and only for the elements whose
+matrices are asked for (class representatives and the centralizer elements the
+engine reads).  The product x·g has the key i ↦ x[g[i]].
+
+Key kinds.  When |O| ≤ BYTES_KEY_DEGREE (256), a key is the byte string p:
+x·g is then `g.translate(x.ljust(256))`, one C-level pass, and g·x·g⁻¹ two;
+bytes also cache their hash, which the element and class dicts read often.  A
+larger orbit keeps keys as int tuples.  The kind is chosen once per orbit
+(`_key_kind`), and every algorithm below is written once over its primitives
+(product, inverse and identity), so the two kinds give the same element
+order, classes and centralizers.
+Indexing either kind gives ints, so readers of single points need not know it.
 
 Order bound.  |O| ≤ r·|W|, so an orbit of more than r·cap points proves
 |W| > cap.  Otherwise |W| is computed by the deterministic Schreier–Sims
@@ -27,13 +36,20 @@ conjugation walk or centralizer scan.
 
 from __future__ import annotations
 
+from itertools import islice, product
 from math import prod
+from operator import attrgetter, methodcaller, mul
+from typing import Callable, NamedTuple
 
 from .lattice_core import IntegerMatrix, LatticeError
 
 DEFAULT_CAP = 10_000_000
 
-Key = tuple[int, ...]
+# Orbits of at most this many points hold their keys as bytes, larger ones as tuples.
+BYTES_KEY_DEGREE = 256
+
+# The key of an element: its permutation of the orbit, as bytes or as an int tuple.
+Key = bytes | tuple[int, ...]
 
 
 class GroupError(LatticeError):
@@ -49,12 +65,41 @@ class CapExceededError(GroupError):
         self.partial_count = partial_count
 
 
-def _compose(a: Key, b: Key) -> Key:
-    """The key of the matrix product a·b: i ↦ a[b[i]]."""
-    return tuple(map(a.__getitem__, b))
+class _KeyKind(NamedTuple):
+    """How the keys of permutations of range(degree) are held, and the primitives on them.
+
+    `table(a)` prepares a as the left factor of products: `apply(b, table(a))`
+    is the key i ↦ a[b[i]] of a·b, so g·x·g⁻¹ is apply(apply(g⁻¹, table(x)),
+    table(g)).  `of` is the key type, and builds a key from a sequence of ints.
+    """
+
+    of: type
+    identity: Key
+    table: Callable
+    apply: Callable
+    inverse: Callable
 
 
-def _inverse(a: Key) -> Key:
+def _key_kind(degree: int) -> _KeyKind:
+    """Bytes keys up to BYTES_KEY_DEGREE points, tuple keys beyond."""
+    if degree <= BYTES_KEY_DEGREE:
+        identity = bytes(range(degree))
+        # maketrans(a, identity) maps a[i] to i: its first `degree` bytes are a⁻¹.
+        return _KeyKind(
+            bytes,
+            identity,
+            methodcaller("ljust", 256),
+            bytes.translate,
+            lambda a: bytes.maketrans(a, identity)[:degree],
+        )
+    return _KeyKind(tuple, tuple(range(degree)), attrgetter("__getitem__"), _apply_tuple, _inverse_tuple)
+
+
+def _apply_tuple(b: tuple[int, ...], a_getitem) -> tuple[int, ...]:
+    return tuple(map(a_getitem, b))
+
+
+def _inverse_tuple(a: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(a)
     for i, j in enumerate(a):
         inv[j] = i
@@ -69,15 +114,17 @@ class _Action:
     and a group and its dual share the pair of actions `flipped` links.  The
     key of a matrix the action built is looked up by identity (the cache keeps
     every such matrix alive, so no id is reused); any other matrix is scanned.
+    A key of the other kind is refused, so it cannot miss a dict of keys unseen.
     """
 
-    __slots__ = ("points", "point_index", "rank", "dual", "matrices", "matrix_keys", "_flipped")
+    __slots__ = ("points", "point_index", "rank", "dual", "kind", "matrices", "matrix_keys", "_flipped")
 
-    def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, dual: bool):
+    def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, dual: bool, kind: _KeyKind):
         self.points = points
         self.point_index = point_index
         self.rank = rank
         self.dual = dual
+        self.kind = kind
         self.matrices: dict[Key, IntegerMatrix] = {}
         self.matrix_keys: dict[int, Key] = {}
         self._flipped: _Action | None = None
@@ -85,16 +132,18 @@ class _Action:
     def flipped(self) -> "_Action":
         """The same keys read the other way, as (w⁻¹)ᵀ for w; built once, flipping back to self."""
         if self._flipped is None:
-            self._flipped = _Action(self.points, self.point_index, self.rank, not self.dual)
+            self._flipped = _Action(self.points, self.point_index, self.rank, not self.dual, self.kind)
             self._flipped._flipped = self
         return self._flipped
 
     def matrix(self, key: Key) -> IntegerMatrix:
         m = self.matrices.get(key)
         if m is None:
+            if type(key) is not self.kind.of:
+                raise GroupError(f"a {type(key).__name__} key on a group of {self.kind.of.__name__} keys")
             r, points = self.rank, self.points
             if self.dual:
-                inv = _inverse(key)
+                inv = self.kind.inverse(key)
                 m = IntegerMatrix._of(r, r, tuple(points[inv[j]] for j in range(r)))
             else:
                 m = IntegerMatrix._of(r, r, tuple(zip(*(points[key[j]] for j in range(r)))))
@@ -111,14 +160,14 @@ class _Action:
             raise GroupError("matrix is not an element of the group")
         rows = m.transpose().entries if self.dual else m.entries
         try:
-            key = tuple(self.point_index[_apply(rows, v)] for v in self.points)
+            key = self.kind.of([self.point_index[_apply(rows, v)] for v in self.points])
         except KeyError:
             raise GroupError("matrix is not an element of the group") from None
-        return _inverse(key) if self.dual else key
+        return self.kind.inverse(key) if self.dual else key
 
 
 def _apply(rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 class MatrixGroup:
@@ -172,8 +221,8 @@ class MatrixGroup:
         return iter(self.elements)
 
 
-def _orbit(generators: tuple[IntegerMatrix, ...], rank: int, cap: int) -> tuple[list, dict, list[Key]]:
-    """Points of the orbit of e_0..e_{r-1}, their index, and each generator's key."""
+def _orbit(generators: tuple[IntegerMatrix, ...], rank: int, cap: int) -> tuple[list, dict, list[list[int]]]:
+    """Points of the orbit of e_0..e_{r-1}, their index, and each generator's images of the points."""
     points = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     point_index = {v: j for j, v in enumerate(points)}
     images: list[list[int]] = [[] for _ in generators]
@@ -189,11 +238,13 @@ def _orbit(generators: tuple[IntegerMatrix, ...], rank: int, cap: int) -> tuple[
                 j = point_index[w] = len(points)
                 points.append(w)
             image.append(j)
-    return points, point_index, [tuple(image) for image in images]
+    return points, point_index, images
 
 
 def schreier_sims_order(generator_keys: list[Key] | tuple[Key, ...], degree: int) -> int:
     """|⟨generators⟩| for permutations of range(degree), by deterministic Schreier–Sims.
+
+    The generators may be keys of either kind; they are read as `_key_kind(degree)`'s.
 
     Builds a base b_0, b_1, ... and strong generators S_i fixing b_0..b_{i-1},
     with a transversal of the orbit of b_i under S_i at each level, and checks
@@ -203,27 +254,29 @@ def schreier_sims_order(generator_keys: list[Key] | tuple[Key, ...], degree: int
     and the check restarts at the lowest of them.  The order is the product of
     the orbit lengths.
     """
-    identity = tuple(range(degree))
-    gens = [g for g in dict.fromkeys(generator_keys) if g != identity]
+    kind = _key_kind(degree)
+    identity, table, apply, inverse = kind.identity, kind.table, kind.apply, kind.inverse
+    gens = [g for g in dict.fromkeys(map(kind.of, generator_keys)) if g != identity]
     base: list[int] = []
     for g in gens:
         if all(g[b] == b for b in base):
             base.append(next(i for i in range(degree) if g[i] != i))
-    strong = [[g for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))]
+    # Strong generators as (s, table(s)).
+    strong = [[(g, table(g)) for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))]
 
-    def transversal(i: int) -> dict[int, tuple[Key, Key]]:
-        """Point -> (u, u⁻¹) with u in ⟨S_i⟩ taking b_i to the point."""
-        table = {base[i]: (identity, identity)}
+    def transversal(i: int) -> dict:
+        """Point -> (u, table(u⁻¹)) with u in ⟨S_i⟩ taking b_i to the point."""
+        out = {base[i]: (identity, table(identity))}
         queue = [base[i]]
         for p in queue:
-            u = table[p][0]
-            for s in strong[i]:
+            u = out[p][0]
+            for s, s_table in strong[i]:
                 q = s[p]
-                if q not in table:
-                    su = _compose(s, u)
-                    table[q] = (su, _inverse(su))
+                if q not in out:
+                    su = apply(u, s_table)
+                    out[q] = (su, table(inverse(su)))
                     queue.append(q)
-        return table
+        return out
 
     trans = [transversal(i) for i in range(len(base))]
 
@@ -232,36 +285,34 @@ def schreier_sims_order(generator_keys: list[Key] | tuple[Key, ...], degree: int
             entry = trans[i].get(g[base[i]])
             if entry is None:
                 return g, i
-            g = _compose(entry[1], g)
+            g = apply(g, entry[1])
         return g, len(base)
 
-    # checked[i]: (point, generator) pairs whose Schreier generator lies in
-    # ⟨S_{i+1}⟩; that stays true while level i is unchanged, as ⟨S_{i+1}⟩ only grows.
-    checked: list[set[tuple[int, int]]] = [set() for _ in base]
+    # done[i]: the first done[i] pairs (p, s) of level i, ordered by point and
+    # then generator, have Schreier generators in ⟨S_{i+1}⟩; that stays true
+    # while level i is unchanged, as ⟨S_{i+1}⟩ only grows.
+    done = [0] * len(base)
     i = len(base) - 1
     while i >= 0:
         restart = None
-        for p, (u, _) in list(trans[i].items()):
-            for n_s, s in enumerate(strong[i]):
-                if (p, n_s) in checked[i]:
-                    continue
-                h, j = sift(_compose(trans[i][s[p]][1], _compose(s, u)), i + 1)
-                if h == identity:
-                    checked[i].add((p, n_s))
-                    continue
-                if j == len(base):
-                    base.append(next(x for x in range(degree) if h[x] != x))
-                    strong.append([])
-                    trans.append({})
-                    checked.append(set())
-                for level in range(i + 1, j + 1):
-                    strong[level].append(h)
-                    trans[level] = transversal(level)
-                    checked[level].clear()
-                restart = j
-                break
-            if restart is not None:
-                break
+        pairs = product([(p, u) for p, (u, _) in trans[i].items()], strong[i])
+        for n, ((p, u), (s, s_table)) in enumerate(islice(pairs, done[i], None), done[i]):
+            su, (v, v_inverse) = apply(u, s_table), trans[i][s[p]]
+            # s·u is v on the edges of the transversal's tree: the Schreier generator is 1.
+            h, j = (identity, 0) if su == v else sift(apply(su, v_inverse), i + 1)
+            if h == identity:
+                continue
+            if j == len(base):
+                base.append(next(x for x in range(degree) if h[x] != x))
+                strong.append([])
+                trans.append({})
+                done.append(0)
+            for level in range(i + 1, j + 1):
+                strong[level].append((h, table(h)))
+                trans[level] = transversal(level)
+                done[level] = 0
+            done[i], restart = n, j
+            break
         i = i - 1 if restart is None else restart
     return prod(len(t) for t in trans)
 
@@ -272,13 +323,14 @@ def _sorted_generators(generators, keys) -> tuple[Key, ...]:
     return tuple(pairs[g] for g in sorted(pairs, key=lambda g: g.entries))
 
 
-def _breadth_first(generator_keys: tuple[Key, ...], degree: int) -> tuple[Key, ...]:
-    identity = tuple(range(degree))
-    keys = [identity]
-    seen = {identity}
+def _breadth_first(generator_keys: tuple[Key, ...], kind: _KeyKind) -> tuple[Key, ...]:
+    table, apply = kind.table, kind.apply
+    keys = [kind.identity]
+    seen = {kind.identity}
     for x in keys:  # grows while it is read
+        x_table = table(x)
         for g in generator_keys:
-            y = _compose(x, g)
+            y = apply(g, x_table)
             if y not in seen:
                 seen.add(y)
                 keys.append(y)
@@ -298,14 +350,16 @@ def generate_group(generators: tuple[IntegerMatrix, ...] | list[IntegerMatrix], 
             raise GroupError("generators must be square matrices of equal size")
         if not g.is_unimodular():
             raise GroupError("generators must be unimodular")
-    points, point_index, keys = _orbit(generators, n, cap)
+    points, point_index, images = _orbit(generators, n, cap)
+    kind = _key_kind(len(points))
+    keys = tuple(map(kind.of, images))
     order = schreier_sims_order(keys, len(points))
     if order > cap:
         raise CapExceededError(cap, order)
-    elements = _breadth_first(_sorted_generators(generators, keys), len(points))
+    elements = _breadth_first(_sorted_generators(generators, keys), kind)
     if len(elements) != order:
         raise GroupError(f"enumeration found {len(elements)} elements, Schreier–Sims {order}")
-    return MatrixGroup(_Action(points, point_index, n, False), elements, generators, tuple(keys))
+    return MatrixGroup(_Action(points, point_index, n, False, kind), elements, generators, keys)
 
 
 def dual_group(group: MatrixGroup) -> MatrixGroup:
@@ -324,7 +378,7 @@ def dual_group(group: MatrixGroup) -> MatrixGroup:
     if order == _sorted_generators(group.generators, group.generator_keys):
         keys = group.keys
     else:
-        keys = _breadth_first(order, len(action.points))
+        keys = _breadth_first(order, action.kind)
     return MatrixGroup(action, keys, generators, group.generator_keys)
 
 
@@ -357,7 +411,9 @@ def conjugacy_classes(group: MatrixGroup) -> ConjugacyClassTable:
     """Orbit refinement under conjugation; representative = least element
     in the group's deterministic element order."""
     conjugators = group.generator_keys or group.keys
-    pairs = [(g, _inverse(g)) for g in dict.fromkeys(conjugators)]
+    kind = group.action.kind
+    table, apply = kind.table, kind.apply
+    pairs = [(table(g), kind.inverse(g)) for g in dict.fromkeys(conjugators)]
     class_index: dict[Key, int] = {}
     representatives: list[Key] = []
     sizes: list[int] = []
@@ -368,8 +424,9 @@ def conjugacy_classes(group: MatrixGroup) -> ConjugacyClassTable:
         orbit = [seed]
         class_index[seed] = cls
         for x in orbit:  # grows while it is read
-            for g, ginv in pairs:
-                y = tuple([g[x[j]] for j in ginv])  # g·x·g⁻¹
+            x_table = table(x)
+            for g_table, ginv in pairs:
+                y = apply(apply(ginv, x_table), g_table)  # g·x·g⁻¹
                 if y not in class_index:
                     class_index[y] = cls
                     orbit.append(y)
@@ -401,17 +458,34 @@ def dual_class_table(table: ConjugacyClassTable) -> ConjugacyClassTable:
 
 
 def centralizer(group: MatrixGroup, w: IntegerMatrix) -> MatrixGroup:
-    """Subgroup of all elements commuting with w (w must lie in the group)."""
+    """Subgroup of all elements commuting with w (w must lie in the group).
+
+    The scan is `commutes_with`'s test, written inline, as a call per element
+    would make it half again as slow.
+    """
     k = group.key(w)
-    # Keys that agree on the first r points are equal: those points are the
-    # columns.  c·w and w·c are compared on column 0 first, which rejects most c.
     r = group.action.rank
     if r == 0:
         return MatrixGroup(group.action, group.keys, (), ())
-    head = k[:r]
-    fixed = tuple(
-        c
-        for c in group.keys
-        if c[head[0]] == k[c[0]] and tuple(map(c.__getitem__, head)) == tuple(map(k.__getitem__, c[:r]))
-    )
+    kind = group.action.kind
+    table, apply = kind.table, kind.apply
+    head, k_table, first = k[:r], table(k), k[0]
+    fixed = tuple(c for c in group.keys if c[first] == k[c[0]] and apply(head, table(c)) == apply(c[:r], k_table))
     return MatrixGroup(group.action, fixed, (), ())
+
+
+def commutes_with(action: _Action, k: Key) -> Callable[[Key], bool]:
+    """The test c·k = k·c on keys c of the action, for a key k of rank ≥ 1.
+
+    Keys that agree on the first r points are equal: those points are the
+    columns.  c·k and k·c are compared on point 0 first, which rejects most c,
+    then on all r points, as the keys i ↦ c[k[i]] and i ↦ k[c[i]] for i < r.
+    """
+    kind, r = action.kind, action.rank
+    table, apply = kind.table, kind.apply
+    head, k_table, first = k[:r], table(k), k[0]
+
+    def commutes(c: Key) -> bool:
+        return c[first] == k[c[0]] and apply(head, table(c)) == apply(c[:r], k_table)
+
+    return commutes

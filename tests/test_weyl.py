@@ -5,11 +5,13 @@ from math import factorial
 import pytest
 
 from oracles import matrix_group_oracle, rank_four_data
-from orbev import weyl
+from orbev import lattice_core, weyl
 from orbev.lattice_core import IntegerMatrix
 from orbev.root_data import (
     classical_datum,
+    datum_to_text,
     dual_datum,
+    parse_datum_text,
     sl_quotient_datum,
 )
 from orbev.sln_formula import partitions
@@ -64,6 +66,21 @@ class TestGenerateGroup:
     def test_trivial_group(self):
         g = generate_group((IntegerMatrix.identity(2),))
         assert g.order == 1
+
+    def test_non_unimodular_generator_refused_before_the_orbit(self, monkeypatch):
+        # 2·I has an unbounded orbit, so it must be refused before the orbit is walked
+        monkeypatch.setattr(weyl, "_orbit", lambda *args: pytest.fail("the orbit was walked"))
+        with pytest.raises(GroupError, match="generators must be unimodular"):
+            generate_group((IntegerMatrix.identity(2), IntegerMatrix.identity(2).scale(2)))
+
+    def test_each_generator_determinant_is_computed_once(self):
+        """A parsed datum's generators are checked by validation and by generate_group with one det each."""
+        text = datum_to_text(classical_datum("C", 3, "adjoint")).replace("label C3_ad", "label fresh")
+        lattice_core._det.cache_clear()
+        datum = parse_datum_text(text)
+        misses = lattice_core._det.cache_info().misses
+        generate_group(datum.generators)
+        assert lattice_core._det.cache_info().misses == misses
 
 
 class TestConjugacyClasses:

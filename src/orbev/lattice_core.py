@@ -142,11 +142,6 @@ class IntegerMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_identity(self) -> bool:
-        return self.is_square() and all(
-            self.entries[i][j] == (1 if i == j else 0) for i in range(self.rows) for j in range(self.cols)
-        )
-
     def det(self) -> int:
         if not self.is_square():
             raise LatticeError("determinant requires a square matrix")

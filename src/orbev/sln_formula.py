@@ -10,16 +10,37 @@ and only through g(α), so the sum is taken in the grouped form
     E_orb = (1/E(A)) · Σ_g τ_{l,m}^{g,d} · S_g(n),
     S_g(n) = Σ_{α : g(α) = g} (uv)^{n-|α|} · Π_i E(Sym^{α_i} A),
 
-with each S_g(n) built once per (n, E(A)) and shared by every m | n.  This
+with each S_g(n) built once per (n, E(A), d) and shared by every m | n.  This
 module is the independent oracle for the general conjugacy-class engine on
 type A.
+
+Every polynomial of the sum is held as one int, its Kronecker image: the value
+at u = X, v = X^D with X = 2^K.  P ↦ P(X, X^D) is a ring map, so sums,
+products and monomial shifts on the images are exact whatever their size; a
+polynomial with u-degree below D and every coefficient in [-2^(K-1), 2^(K-1))
+is read back from its image as signed K-bit digits, the digit at p + D·q being
+the coefficient of u^p v^q.  The layout is fixed per (n, E(A), d):
+
+- D = n·max(1, deg_u E(A)) + 1, above the u-degree of every term of the sum;
+- K = 2 + the bit length of M = Σ_α g(α)^{2d} · Π_i C(N + α_i - 1, α_i) with
+  N = ‖E(A)‖₁.  The t^a coefficient of Π (1 - x·t)^{∓e} is majorised by that of
+  (1 - t)^{-N}, and τ ≤ g^{2d}, so M bounds the τ-weighted total's L1 norm.
+
+The series step s_k ± x·s_{k-1} is then a shift and an add, a partition
+product one `*`, (uv)^s a shift, Σ_g τ·S_g integer arithmetic and the division
+by E(A) one divmod.  Its decoded quotient Q' is returned only when the
+remainder is 0, max|Q'|·‖E(A)‖₁ < 2^(K-1) and deg_u Q' + deg_u E(A) < D: then
+Q'·E(A) and the total are both read back from the same image, so they are
+equal and Q' is the quotient exact_divide returns.  Otherwise the total is
+decoded and divided by exact_divide, which raises when the division is not
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, prod
 
 from .epoly import BivariatePolynomial, InexactDivisionError, PolynomialError, exact_divide
 
@@ -103,53 +124,105 @@ def tau(l: int, m: int, g: int, d: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def sym_e_polynomial(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
-    """E(Sym^a A) as the t^a coefficient of Π_{p,q} (1 - u^p v^q t)^{-e^{p,q}(A)}.
+def _deg_u(poly: BivariatePolynomial) -> int:
+    return max((p for p, _ in poly.coeffs), default=0)
 
-    The series s_0 + s_1·t + ... + s_a·t^a starts at 1 and takes, for each term
-    e·x of E(A) with x = u^p v^q, the factor (1 - x·t)^{-1} e times when e > 0
-    (s_k += x·s_{k-1} for ascending k) or (1 - x·t) |e| times when e < 0, as
-    for the odd-weight classes (s_k -= x·s_{k-1} for descending k).  Each step
-    is a monomial shift and an add, in place.
+
+def _layout(n: int, e_a: BivariatePolynomial, d: int) -> tuple[int, int]:
+    """(D, K) of the closed form's sum for n on (E(A), d); see the module docstring."""
+    if not e_a.has_integer_coefficients():
+        raise FormulaError("E-polynomial exponents e^{p,q} must be integers")
+    if d < 0:
+        raise FormulaError("the number d of U(1) factors must be >= 0")
+    norm = sum(abs(c) for c in e_a.coeffs.values())
+    majorant = sum(
+        alpha.g ** (2 * d) * prod(comb(norm + k - 1, k) for k in alpha.multiplicities().values())
+        for alpha in partitions(n)
+    )
+    return n * max(1, _deg_u(e_a)) + 1, 2 + majorant.bit_length()
+
+
+def _pack(poly: BivariatePolynomial, width_u: int, bits: int) -> int:
+    """poly(X, X^D) with X = 2^K, D = width_u and K = bits."""
+    return sum(c << bits * (p + width_u * q) for (p, q), c in poly.coeffs.items())
+
+
+def _unpack(packed: int, width_u: int, bits: int) -> BivariatePolynomial:
+    """The polynomial whose coefficients are packed's signed K-bit digits, in [-2^(K-1), 2^(K-1)).
+
+    Adding 2^(K-1) to every digit makes them all nonnegative, so they are the
+    K-character slices of one binary string; a slice equal to 2^(K-1) is a zero.
     """
-    if a < 0:
-        raise FormulaError("symmetric power requires a >= 0")
-    series: list[BivariatePolynomial] = [BivariatePolynomial.one()] + [
-        BivariatePolynomial.zero() for _ in range(a)
-    ]
-    for (p, q), e in sorted(e_a.coeffs.items()):
-        if type(e) is not int:
-            raise FormulaError("E-polynomial exponents e^{p,q} must be integers")
+    half = 1 << (bits - 1)
+    count = packed.bit_length() // bits + 2
+    bias = half * (((1 << bits * count) - 1) // ((1 << bits) - 1))
+    text = format(packed + bias, "b").zfill(bits * count)
+    zero = format(half, "b")
+    coeffs: dict[tuple[int, int], int] = {}
+    end = len(text)
+    for i in range(count):
+        chunk = text[end - bits : end]
+        end -= bits
+        if chunk != zero:
+            q, p = divmod(i, width_u)
+            coeffs[(p, q)] = int(chunk, 2) - half
+    return BivariatePolynomial._of(coeffs)
+
+
+def _packed_series(e_a: BivariatePolynomial, a: int, width_u: int, bits: int) -> list[int]:
+    """s_0, ..., s_a of Π_{p,q} (1 - u^p v^q t)^{-e^{p,q}(A)}, each packed.
+
+    The series starts at 1 and takes, for each term e·x of E(A) with
+    x = u^p v^q, the factor (1 - x·t)^{-1} e times when e > 0 (s_k += x·s_{k-1}
+    for ascending k) or (1 - x·t) |e| times when e < 0, as for the odd-weight
+    classes (s_k -= x·s_{k-1} for descending k).  Each step is a shift and an add.
+    """
+    series = [1] + [0] * a
+    for (p, q), e in e_a.coeffs.items():
+        shift = bits * (p + width_u * q)
         for _ in range(abs(e)):
             if e > 0:
                 for k in range(1, a + 1):
-                    series[k] = series[k] + series[k - 1].times_monomial(p, q)
+                    series[k] += series[k - 1] << shift
             else:
                 for k in range(a, 0, -1):
-                    series[k] = series[k] - series[k - 1].times_monomial(p, q)
-    return series[a]
+                    series[k] -= series[k - 1] << shift
+    return series
+
+
+def sym_e_polynomial(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
+    """E(Sym^a A) as the t^a coefficient of Π_{p,q} (1 - u^p v^q t)^{-e^{p,q}(A)}.
+
+    s_a is read off the packed series in the layout of the closed form for
+    n = a and d = 0, whose sum has s_a as the term of α = (1^a).
+    """
+    if a < 0:
+        raise FormulaError("symmetric power requires a >= 0")
+    width_u, bits = _layout(max(a, 1), e_a, 0)
+    return _unpack(_packed_series(e_a, a, width_u, bits)[a], width_u, bits)
 
 
 @lru_cache(maxsize=None)
-def _grouped_partition_sums(n: int, e_a: BivariatePolynomial) -> tuple[tuple[int, BivariatePolynomial], ...]:
-    """(g, S_g(n)) for each gcd g of part lengths that occurs, in ascending g.
+def _grouped_partition_sums(n: int, e_a: BivariatePolynomial, d: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(D, K, ((g, S_g(n) packed), ...)) with the g that occur in ascending order.
 
+    One run of the packed series up to a = n gives every E(Sym^a A).
     Π_i E(Sym^{α_i} A) depends only on the multiplicities α_i, so it is built
     once per prefix of their sorted tuple and shared between partitions; that
     dict of products is dropped when the call returns.
     """
-    products = {(): BivariatePolynomial.one()}
-    sums: dict[int, BivariatePolynomial] = {}
+    width_u, bits = _layout(n, e_a, d)
+    series = _packed_series(e_a, n, width_u, bits)
+    products = {(): 1}
+    sums: dict[int, int] = {}
     for alpha in partitions(n):
         mults = tuple(sorted(alpha.multiplicities().values()))
         for k in range(1, len(mults) + 1):
             if mults[:k] not in products:
-                products[mults[:k]] = products[mults[: k - 1]] * sym_e_polynomial(e_a, mults[k - 1])
+                products[mults[:k]] = products[mults[: k - 1]] * series[mults[k - 1]]
         shift = n - alpha.size
-        term = products[mults].times_monomial(shift, shift)
-        sums[alpha.g] = sums.get(alpha.g, BivariatePolynomial.zero()) + term
-    return tuple(sorted(sums.items()))
+        sums[alpha.g] = sums.get(alpha.g, 0) + (products[mults] << bits * shift * (1 + width_u))
+    return width_u, bits, tuple(sorted(sums.items()))
 
 
 def closed_form_eorb(n: int, m: int, d: int, e_a: BivariatePolynomial) -> BivariatePolynomial:
@@ -159,11 +232,22 @@ def closed_form_eorb(n: int, m: int, d: int, e_a: BivariatePolynomial) -> Bivari
     if m < 1 or n % m != 0:
         raise FormulaError(f"m = {m} does not divide n = {n}")
     l = n // m
-    total = BivariatePolynomial.zero()
-    for g, s_g in _grouped_partition_sums(n, e_a):
-        total = total + s_g.scale(tau(l, m, g, d))
+    width_u, bits, sums = _grouped_partition_sums(n, e_a, d)
+    total = sum(tau(l, m, g, d) * s_g for g, s_g in sums)
+    packed_e = _pack(e_a, width_u, bits)
+    if packed_e:
+        packed_q, rem = divmod(total, packed_e)
+        if not rem:
+            quotient = _unpack(packed_q, width_u, bits)
+            # Then Q'·E(A) fits the layout, as the total does, and has its image: it is the total.
+            norm = sum(abs(c) for c in e_a.coeffs.values())
+            if (
+                max(map(abs, quotient.coeffs.values()), default=0) * norm < 1 << (bits - 1)
+                and _deg_u(quotient) + _deg_u(e_a) < width_u
+            ):
+                return quotient
     try:
-        return exact_divide(total, e_a)
+        return exact_divide(_unpack(total, width_u, bits), e_a)
     except InexactDivisionError as exc:
         raise FormulaError(
             "division by E(A) is not exact; the (E_A, d) pair is inconsistent"

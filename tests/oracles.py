@@ -8,13 +8,13 @@ test can check the package's result against it:
 - direct_sym_oracle: E(Sym^a A) by averaging over all of S_a, against the
   generating function of sln_formula.sym_e_polynomial.
 - binomial_sym_series: E(Sym^a A) by convolving the whole binomial series of
-  each factor (1 - u^p v^q t)^{-e}, against the in-place recurrence of
+  each factor (1 - u^p v^q t)^{-e}, against the packed-integer recurrence of
   sln_formula.sym_e_polynomial.
 - scan_exact_divide: long division that finds the leading remainder term by
   a scan of the whole remainder, against the heap of epoly.exact_divide.
 - per_partition_closed_form: the closed form summed one partition at a time,
-  each with its own product of symmetric powers, against the grouped sums of
-  sln_formula.closed_form_eorb.
+  each with its own product of symmetric powers, against the packed-integer
+  grouped sums and divmod of sln_formula.closed_form_eorb.
 - datum_equivalent: equality of root data up to a change of basis, against
   the explicit dual pairs that root_data builds.
 - _congruence: gᵀ·G·g in Fractions, against root_data's integer check of

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orbev import orbifold_engine
+from orbev import orbifold_engine, sln_formula
 from orbev.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -25,7 +25,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
      "orbifold_engine.classes"),
     (["duality-check", "--group", "classical", "B", "3", "sc"],
      (orbifold_engine.duality_check, orbifold_engine._fixed_data), "lattice_core.fixed_data_s"),
-], ids=["compute", "mirror-check", "duality-check"])
+    (["closed-form", "--n", "6", "--m", "2", "--surface", "abelian"],
+     (sln_formula._grouped_partition_sums, sln_formula.partitions, sln_formula.tau), "sln_formula.closed_form_self_s"),
+], ids=["compute", "mirror-check", "duality-check", "closed-form"])
 def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, metric):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)

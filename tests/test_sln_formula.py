@@ -5,6 +5,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbev import sln_formula
 from orbev.cli import SURFACES
@@ -35,6 +37,9 @@ E_ABELIAN = ((ONE - U) * (ONE - V)) ** 2
 FIVE_GROUPS = [E_POINT, E_CSTAR, E_TORUS2, E_ELLIPTIC, E_ABELIAN]
 # (E(A), d): d is the number of U(1) factors of A.
 PAIRS = list(dict.fromkeys([(e_a, d) for e_a, d, _ in SURFACES.values()] + list(zip(FIVE_GROUPS, [0, 1, 2, 2, 4]))))
+# Nonzero integer E(A) of u- and v-degree <= 2 with coefficients in -3..3: most are
+# no E-polynomial, and many have a lex-leading coefficient of ±2 or ±3.
+RANDOM_E_A = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), min_size=1).map(P).filter(bool)
 
 
 class TestPartitions:
@@ -196,6 +201,8 @@ class TestClosedForm:
             closed_form_eorb(3, 2, 2, E_TORUS2)
         with pytest.raises(FormulaError):
             closed_form_eorb(0, 1, 2, E_TORUS2)
+        with pytest.raises(FormulaError):
+            closed_form_eorb(2, 1, -1, E_TORUS2)
 
     def test_inexact_division_signalled(self):
         # uv + 1 is not the E-polynomial of any torus; the division by E(A)
@@ -213,21 +220,67 @@ class TestClosedForm:
                     assert closed_form_eorb(n, m, d, e_a) == per_partition_closed_form(n, m, d, e_a)
 
     def test_grouped_sums_built_once_per_n_and_surface(self, monkeypatch):
-        calls = []
-        original = sln_formula.sym_e_polynomial
+        runs = []
+        original = sln_formula._packed_series
 
-        def counting(e_a, a):
-            calls.append((e_a, a))
-            return original(e_a, a)
+        def counting(e_a, a, width_u, bits):
+            runs.append((e_a, a))
+            return original(e_a, a, width_u, bits)
 
-        monkeypatch.setattr(sln_formula, "sym_e_polynomial", counting)
+        monkeypatch.setattr(sln_formula, "_packed_series", counting)
         sln_formula._grouped_partition_sums.cache_clear()
         for e_a, d in [(E_TORUS2, 2), (E_ABELIAN, 4)]:
-            before = len(calls)
-            closed_form_eorb(6, 1, d, e_a)
-            built = len(calls)
-            assert built > before
-            for m in (2, 3, 6):
+            for m in (1, 2, 3, 6):
                 closed_form_eorb(6, m, d, e_a)
-            assert len(calls) == built
+        # One run of the series up to a = n per surface, and nothing rebuilt for later m.
+        assert runs == [(E_TORUS2, 6), (E_ABELIAN, 6)]
         assert sln_formula._grouped_partition_sums.cache_info().misses == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(RANDOM_E_A, st.integers(1, 5), st.integers(0, 4))
+    # Not exact, but the image divides with digits that fit: only the u-degree check refuses
+    # the quotient, whose u^(D-1) term times u wraps onto v.
+    @example((ONE + U).scale(-3), 4, 0)
+    def test_packed_path_matches_per_partition_oracle(self, e_a, n, d):
+        for m in range(1, n + 1):
+            if n % m == 0:
+                try:
+                    expected = per_partition_closed_form(n, m, d, e_a)
+                except FormulaError:
+                    with pytest.raises(FormulaError):
+                        closed_form_eorb(n, m, d, e_a)
+                else:
+                    assert closed_form_eorb(n, m, d, e_a) == expected
+
+    def test_exact_divide_runs_only_when_the_proof_check_fails(self, monkeypatch):
+        calls = []
+        original = sln_formula.exact_divide
+
+        def counting(p, q):
+            calls.append((p, q))
+            return original(p, q)
+
+        monkeypatch.setattr(sln_formula, "exact_divide", counting)
+        sln_formula._grouped_partition_sums.cache_clear()
+        for e_a, d, _ in SURFACES.values():
+            for n in range(1, 11):
+                for m in range(1, n + 1):
+                    if n % m == 0:
+                        closed_form_eorb(n, m, d, e_a)
+        assert calls == []
+
+        # The fewest digit bits that still hold the total: the quotient fails the check.
+        n, m, d, e_a = 6, 2, 4, E_ABELIAN
+        expected = per_partition_closed_form(n, m, d, e_a)
+        total = expected * e_a
+        bits = 1 + max(abs(c) for c in total.coeffs.values()).bit_length()
+        norm = sum(abs(c) for c in e_a.coeffs.values())
+        assert max(abs(c) for c in expected.coeffs.values()) * norm >= 1 << (bits - 1)
+        layout = sln_formula._layout
+        monkeypatch.setattr(sln_formula, "_layout", lambda n, e_a, d: (layout(n, e_a, d)[0], bits))
+        sln_formula._grouped_partition_sums.cache_clear()
+        try:
+            assert closed_form_eorb(n, m, d, e_a) == expected
+        finally:
+            sln_formula._grouped_partition_sums.cache_clear()
+        assert calls == [(total, e_a)]

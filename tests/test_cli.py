@@ -341,6 +341,63 @@ class TestErrors:
     def test_no_command(self):
         assert run_cli([])[0] == 1
 
+    @pytest.mark.parametrize("argv, err", [
+        (["compute", "--group", "--space", "betti"],
+         "argument --group: expected at least one argument"),
+        (["compute", "--group", "sl", "2", "--space", "betti"],
+         "group selector 'sl' needs N and M, got ['2']"),
+        (["compute", "--group", "classical", "B", "2", "--space", "betti"],
+         "group selector 'classical' needs FAMILY N FORM, got ['B', '2']"),
+        (["compute", "--group", "custom", "a", "b", "--space", "betti"],
+         "group selector 'custom' needs a file path"),
+        (["compute", "--group", "sl", "x", "y", "--space", "betti"],
+         "non-integer sl parameters: ['x', 'y']"),
+        (["compute", "--group", "classical", "B", "two", "sc", "--space", "betti"],
+         "non-integer rank: two"),
+        (["compute", "--group", "classical", "B", "2", "weird", "--space", "betti"],
+         "unknown form 'weird'; use sc or adjoint"),
+        (["compute", "--group", "su", "2", "--space", "betti"],
+         "unknown group selector 'su'; use sl, classical, or custom"),
+        (["compute", "--group", "sl", "2", "1", "--space", "klein-bottle"],
+         "argument --space: invalid choice: 'klein-bottle' (choose from 'abelian-surface', 'betti',"
+         " 'derham', 'dolbeault', 'mixed')"),
+    ], ids=["empty", "sl-arity", "classical-arity", "custom-arity", "sl-non-integer",
+            "rank-non-integer", "unknown-form", "unknown-kind", "choices"])
+    def test_usage_error_message(self, capsys, argv, err):
+        # argparse refuses an empty selector (nargs="+") before _resolve_datum sees it
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == f"orbev: error: {err}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["duality-check", "--group", "sl", "2", "1", "--space", "betti"],
+        ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--cap", "5"],
+        ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--group", "sl", "2", "1"],
+        ["compute", "--group", "sl", "2", "1", "--space", "betti", "--n", "2"],
+        ["mirror-check", "--group", "sl", "2", "1", "--space", "betti", "--surface", "betti"],
+    ], ids=["duality-check-space", "closed-form-cap", "closed-form-group", "compute-n", "mirror-check-surface"])
+    def test_options_of_other_commands_refused(self, capsys, argv):
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err.startswith("orbev: error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "sl", "2", "1", "--space", "betti"],
+    ["mirror-check", "--group", "sl", "2", "1", "--space", "mixed"],
+    ["duality-check", "--group", "classical", "B", "2", "sc"],
+    ["closed-form", "--n", "4", "--m", "2", "--surface", "abelian"],
+    ["cross-validate", "--n", "2", "--m", "1", "--surface", "betti"],
+], ids=lambda argv: argv[0])
+def test_json_run_renders_no_text(monkeypatch, argv):
+    """Text lines are built only for --format text: a JSON run never calls to_text."""
+    unpatched = run_cli(argv + ["--format", "json"])
+    assert unpatched[0] in (0, 2)
+
+    def refuse(self):
+        raise AssertionError("to_text called on a JSON run")
+
+    monkeypatch.setattr(BivariatePolynomial, "to_text", refuse)
+    assert run_cli(argv + ["--format", "json"]) == unpatched
+
 
 class TestSubprocess:
     def test_module_entry_point(self):

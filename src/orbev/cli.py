@@ -6,6 +6,14 @@ the same data.  Exit codes: 0 on success and on verified equalities, 2 when a
 verification command finds an inequality (a counterexample report is a
 successful run), 1 on usage or validation errors.
 
+Each command is one `_COMMANDS` entry: its function, its help and its
+`config_echo` fields in output order, parsed as their `_OPTIONS` except `d`
+and `space`, which `--surface` gives.  A command function is a generator of
+its body (what follows `config_echo`) with its exit code, then of its text
+lines, so a JSON run renders no text.  `main` writes through `dumps_canonical`
+or `"\\n".join`.  Command functions look the engine's entry points up as
+module globals when they run, so perfbench's tracer can replace them.
+
 JSON output is written by `dumps_canonical`, which reproduces
 `json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"` byte for byte for
 dict, list, str, int, bool and None, and raises TypeError for any other type
@@ -26,18 +34,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .epoly import BivariatePolynomial, SPACES
 from .lattice_core import IntegerMatrix, LatticeError
-from .orbifold_engine import (
-    DualityReport,
-    MirrorReport,
-    OrbifoldReport,
-    duality_check,
-    mirror_check,
-    orbifold_e_polynomial,
-)
+from .orbifold_engine import duality_check, mirror_check, orbifold_e_polynomial
 from .root_data import RootDatum, classical_datum, custom_datum, sl_quotient_datum
 from .sln_formula import closed_form_eorb, partitions, tau
 from .weyl import DEFAULT_CAP
@@ -68,48 +70,6 @@ class CliUsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         raise CliUsageError(message)
-
-
-@lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged.
-
-    This saves work only for a process that calls `main` more than once;
-    a single `python -m orbev` run builds it once either way.
-    """
-    parser = _Parser(prog="orbev", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_space=True):
-        p.add_argument(
-            "--group",
-            nargs="+",
-            required=True,
-            metavar="SELECTOR",
-            help="sl N M | classical FAMILY N FORM | custom PATH",
-        )
-        if with_space:
-            p.add_argument("--space", choices=sorted(SPACES), required=True)
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    add_common(sub.add_parser("compute", help="orbifold E-polynomial of one quotient"))
-    add_common(sub.add_parser("mirror-check", help="compare a datum with its Langlands dual"))
-    add_common(sub.add_parser("duality-check", help="component-group duality per class"), with_space=False)
-
-    cf = sub.add_parser("closed-form", help="type-A closed form via partitions and tau counts")
-    cf.add_argument("--n", type=int, required=True)
-    cf.add_argument("--m", type=int, required=True)
-    cf.add_argument("--surface", choices=sorted(SURFACES), required=True)
-    cf.add_argument("--format", choices=["json", "text"], default="json")
-
-    cv = sub.add_parser("cross-validate", help="closed form against the general engine")
-    cv.add_argument("--n", type=int, required=True)
-    cv.add_argument("--m", type=int, required=True)
-    cv.add_argument("--surface", choices=sorted(SURFACES), required=True)
-    cv.add_argument("--format", choices=["json", "text"], default="json")
-    cv.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    return parser
 
 
 def _resolve_datum(selector: list[str]) -> RootDatum:
@@ -159,14 +119,19 @@ def _class_json(c) -> dict:
     }
 
 
-def _class_text(i: int, c) -> list[str]:
-    rep = json.dumps(c.representative.entries, separators=(",", ":"))
-    return [
-        f"class {i}: rep={rep} size={c.class_size} centralizer={c.centralizer_order}"
-        f" shift={c.shift} pi0={list(c.pi0_divisors)}",
-        f"  average: {c.average.to_text()}",
-        f"  weighted: {c.weighted.to_text()}",
-    ]
+def _classes_text(report) -> Iterator[str]:
+    for i, c in enumerate(report.contributions):
+        rep = json.dumps(c.representative.entries, separators=(",", ":"))
+        yield (
+            f"class {i}: rep={rep} size={c.class_size}"
+            f" centralizer={c.centralizer_order} shift={c.shift} pi0={list(c.pi0_divisors)}"
+        )
+        yield f"  average: {c.average.to_text()}"
+        yield f"  weighted: {c.weighted.to_text()}"
+
+
+def _verdict_text(verdict: bool) -> str:
+    return f"verdict: {'equal' if verdict else 'NOT EQUAL'}"
 
 
 _encode_str = json.encoder.encode_basestring  # json's own string encoder for ensure_ascii=False
@@ -237,205 +202,158 @@ def dumps_canonical(obj) -> str:
     return _encode(obj, "\n") + "\n"
 
 
-def _emit_compute(report: OrbifoldReport, echo: dict, fmt: str, out) -> int:
-    if fmt == "json":
-        doc = {
-            "config_echo": echo,
-            "classes": [_class_json(c) for c in report.contributions],
-            "total": report.total,
-        }
-        out.write(dumps_canonical(doc))
-    else:
-        lines = [f"{k}: {v}" for k, v in echo.items()]
-        lines.append(f"group order: {report.group_order}")
-        for i, c in enumerate(report.contributions):
-            lines.extend(_class_text(i, c))
-        lines.append(f"total: {report.total.to_text()}")
-        out.write("\n".join(lines) + "\n")
-    return 0
+def _compute(args) -> Iterator:
+    report = orbifold_e_polynomial(_resolve_datum(args.group), SPACES[args.space], args.cap)
+    yield {
+        "classes": [_class_json(c) for c in report.contributions],
+        "total": report.total,
+    }, 0
+    yield f"group order: {report.group_order}"
+    yield from _classes_text(report)
+    yield f"total: {report.total.to_text()}"
 
 
-def _emit_mirror(report: MirrorReport, echo: dict, fmt: str, out) -> int:
+def _mirror_check(args) -> Iterator:
+    report = mirror_check(_resolve_datum(args.group), SPACES[args.space], args.cap)
     verdict = report.equal and report.term_by_term
-    if fmt == "json":
-        doc = {
-            "config_echo": echo,
-            "classes": [_class_json(c) for c in report.primal.contributions],
-            "total": report.primal.total,
-            "verdict": verdict,
-            "pair_diffs": [
-                {
-                    "primal_class": p.primal_class,
-                    "dual_class": p.dual_class,
-                    "difference": p.difference,
-                }
-                for p in report.pairs
-            ],
-        }
-        out.write(dumps_canonical(doc))
-    else:
-        lines = [f"{k}: {v}" for k, v in echo.items()]
-        for i, c in enumerate(report.primal.contributions):
-            lines.extend(_class_text(i, c))
-        lines.append(f"total: {report.primal.total.to_text()}")
-        lines.append(f"dual total: {report.dual.total.to_text()}")
-        for p in report.pairs:
-            lines.append(
-                f"pair {p.primal_class} -> {p.dual_class}: difference: {p.difference.to_text()}"
-            )
-        lines.append(f"verdict: {'equal' if verdict else 'NOT EQUAL'}")
-        out.write("\n".join(lines) + "\n")
-    return 0 if verdict else 2
-
-
-def _emit_duality(report: DualityReport, echo: dict, fmt: str, out) -> int:
-    if fmt == "json":
-        doc = {
-            "config_echo": echo,
-            "classes": [
-                {
-                    "class_rep": r.representative,
-                    "pi0_primal": list(r.pi0_primal),
-                    "pi0_dual": list(r.pi0_dual),
-                    "orders_agree": r.orders_agree,
-                    "fixed_counts_agree": r.fixed_counts_agree,
-                }
-                for r in report.rows
-            ],
-            "verdict": report.equal,
-        }
-        out.write(dumps_canonical(doc))
-    else:
-        lines = [f"{k}: {v}" for k, v in echo.items()]
-        for i, r in enumerate(report.rows):
-            rep = json.dumps(r.representative.entries, separators=(",", ":"))
-            lines.append(
-                f"class {i}: rep={rep} pi0_primal={list(r.pi0_primal)}"
-                f" pi0_dual={list(r.pi0_dual)} orders_agree={r.orders_agree}"
-                f" fixed_counts_agree={r.fixed_counts_agree}"
-            )
-        lines.append(f"verdict: {'equal' if report.equal else 'NOT EQUAL'}")
-        out.write("\n".join(lines) + "\n")
-    return 0 if report.equal else 2
-
-
-def _run_closed_form(args, echo: dict, out) -> int:
-    e_a, d_surface, _ = SURFACES[args.surface]
-    total = closed_form_eorb(args.n, args.m, d_surface, e_a)
-    l = args.n // args.m
-    terms = []
-    for alpha in partitions(args.n):
-        t = tau(l, args.m, alpha.g, d_surface)
-        terms.append(
+    yield {
+        "classes": [_class_json(c) for c in report.primal.contributions],
+        "total": report.primal.total,
+        "verdict": verdict,
+        "pair_diffs": [
             {
-                "partition": list(alpha.parts),
-                "tau": t,
-                "shift": alpha.n - alpha.size,
+                "primal_class": p.primal_class,
+                "dual_class": p.dual_class,
+                "difference": p.difference,
             }
+            for p in report.pairs
+        ],
+    }, 0 if verdict else 2
+    yield from _classes_text(report.primal)
+    yield f"total: {report.primal.total.to_text()}"
+    yield f"dual total: {report.dual.total.to_text()}"
+    for p in report.pairs:
+        yield f"pair {p.primal_class} -> {p.dual_class}: difference: {p.difference.to_text()}"
+    yield f"verdict: {'equal' if verdict else 'NOT EQUAL'}"
+
+
+def _duality_check(args) -> Iterator:
+    report = duality_check(_resolve_datum(args.group), args.cap)
+    yield {
+        "classes": [
+            {
+                "class_rep": r.representative,
+                "pi0_primal": list(r.pi0_primal),
+                "pi0_dual": list(r.pi0_dual),
+                "orders_agree": r.orders_agree,
+                "fixed_counts_agree": r.fixed_counts_agree,
+            }
+            for r in report.rows
+        ],
+        "verdict": report.equal,
+    }, 0 if report.equal else 2
+    for i, r in enumerate(report.rows):
+        rep = json.dumps(r.representative.entries, separators=(",", ":"))
+        yield (
+            f"class {i}: rep={rep} pi0_primal={list(r.pi0_primal)}"
+            f" pi0_dual={list(r.pi0_dual)} orders_agree={r.orders_agree}"
+            f" fixed_counts_agree={r.fixed_counts_agree}"
         )
-    if args.format == "json":
-        doc = {"config_echo": echo, "classes": terms, "total": total}
-        out.write(dumps_canonical(doc))
-    else:
-        lines = [f"{k}: {v}" for k, v in echo.items()]
-        for t in terms:
-            lines.append(f"partition {t['partition']}: tau={t['tau']} shift={t['shift']}")
-        lines.append(f"total: {total.to_text()}")
-        out.write("\n".join(lines) + "\n")
-    return 0
+    yield f"verdict: {'equal' if report.equal else 'NOT EQUAL'}"
 
 
-def _run_cross_validate(args, echo: dict, out) -> int:
-    e_a, d_surface, space = SURFACES[args.surface]
-    closed = closed_form_eorb(args.n, args.m, d_surface, e_a)
-    datum = sl_quotient_datum(args.n, args.m)
-    engine = orbifold_e_polynomial(datum, SPACES[space], args.cap)
-    difference = engine.total - closed
-    verdict = difference.is_zero()
-    if args.format == "json":
-        doc = {
-            "config_echo": echo,
-            "total": engine.total,
-            "closed_form_total": closed,
-            "difference": difference,
-            "verdict": verdict,
+def _closed_form(args) -> Iterator:
+    total = closed_form_eorb(args.n, args.m, args.d, SURFACES[args.surface][0])
+    terms = [
+        {
+            "partition": list(alpha.parts),
+            "tau": tau(args.n // args.m, args.m, alpha.g, args.d),
+            "shift": alpha.n - alpha.size,
         }
-        out.write(dumps_canonical(doc))
-    else:
-        lines = [f"{k}: {v}" for k, v in echo.items()]
-        lines.append(f"engine total: {engine.total.to_text()}")
-        lines.append(f"closed form total: {closed.to_text()}")
-        lines.append(f"difference: {difference.to_text()}")
-        lines.append(f"verdict: {'equal' if verdict else 'NOT EQUAL'}")
-        out.write("\n".join(lines) + "\n")
-    return 0 if verdict else 2
+        for alpha in partitions(args.n)
+    ]
+    yield {"classes": terms, "total": total}, 0
+    for t in terms:
+        yield f"partition {t['partition']}: tau={t['tau']} shift={t['shift']}"
+    yield f"total: {total.to_text()}"
+
+
+def _cross_validate(args) -> Iterator:
+    closed = closed_form_eorb(args.n, args.m, args.d, SURFACES[args.surface][0])
+    engine = orbifold_e_polynomial(sl_quotient_datum(args.n, args.m), SPACES[args.space], args.cap).total
+    difference = engine - closed
+    verdict = difference.is_zero()
+    yield {
+        "total": engine,
+        "closed_form_total": closed,
+        "difference": difference,
+        "verdict": verdict,
+    }, 0 if verdict else 2
+    yield f"engine total: {engine.to_text()}"
+    yield f"closed form total: {closed.to_text()}"
+    yield f"difference: {difference.to_text()}"
+    yield f"verdict: {'equal' if verdict else 'NOT EQUAL'}"
+
+
+# Each command's function, help, and config_echo fields after "command", in output order.
+_COMMANDS = {
+    "compute": (_compute, "orbifold E-polynomial of one quotient", ("group", "space", "format", "cap")),
+    "mirror-check": (_mirror_check, "compare a datum with its Langlands dual", ("group", "space", "format", "cap")),
+    "duality-check": (_duality_check, "component-group duality per class", ("group", "format", "cap")),
+    "closed-form": (_closed_form, "type-A closed form via partitions and tau counts", ("n", "m", "d", "surface", "format")),
+    "cross-validate": (_cross_validate, "closed form against the general engine", ("n", "m", "surface", "space", "format", "cap")),
+}
+
+# The option behind each parsed config_echo field.
+_OPTIONS = {
+    "group": dict(nargs="+", required=True, metavar="SELECTOR", help="sl N M | classical FAMILY N FORM | custom PATH"),
+    "space": dict(choices=sorted(SPACES), required=True),
+    "n": dict(type=int, required=True),
+    "m": dict(type=int, required=True),
+    "surface": dict(choices=sorted(SURFACES), required=True),
+    "format": dict(choices=["json", "text"], default="json"),
+    "cap": dict(type=int, default=DEFAULT_CAP),
+}
+
+# The config_echo fields that `main` reads off SURFACES for a command with --surface.
+_SURFACE_FIELDS = ("d", "space")
+
+
+@lru_cache(maxsize=None)
+def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged.
+
+    This saves work only for a process that calls `main` more than once;
+    a single `python -m orbev` run builds it once either way.
+    """
+    parser = _Parser(prog="orbev", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, fields) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for field in fields:
+            if not ("surface" in fields and field in _SURFACE_FIELDS):
+                p.add_argument("--" + field, **_OPTIONS[field])
+    return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "compute":
-            datum = _resolve_datum(args.group)
-            echo = {
-                "command": args.command,
-                "group": args.group,
-                "space": args.space,
-                "format": args.format,
-                "cap": args.cap,
-            }
-            report = orbifold_e_polynomial(datum, SPACES[args.space], args.cap)
-            return _emit_compute(report, echo, args.format, out)
-        if args.command == "mirror-check":
-            datum = _resolve_datum(args.group)
-            echo = {
-                "command": args.command,
-                "group": args.group,
-                "space": args.space,
-                "format": args.format,
-                "cap": args.cap,
-            }
-            report = mirror_check(datum, SPACES[args.space], args.cap)
-            return _emit_mirror(report, echo, args.format, out)
-        if args.command == "duality-check":
-            datum = _resolve_datum(args.group)
-            echo = {
-                "command": args.command,
-                "group": args.group,
-                "format": args.format,
-                "cap": args.cap,
-            }
-            report = duality_check(datum, args.cap)
-            return _emit_duality(report, echo, args.format, out)
-        if args.command == "closed-form":
-            echo = {
-                "command": args.command,
-                "n": args.n,
-                "m": args.m,
-                "d": SURFACES[args.surface][1],
-                "surface": args.surface,
-                "format": args.format,
-            }
-            return _run_closed_form(args, echo, out)
-        if args.command == "cross-validate":
-            echo = {
-                "command": args.command,
-                "n": args.n,
-                "m": args.m,
-                "surface": args.surface,
-                "space": SURFACES[args.surface][2],
-                "format": args.format,
-                "cap": args.cap,
-            }
-            return _run_cross_validate(args, echo, out)
-        raise CliUsageError(f"unknown command {args.command!r}")
-    except CliUsageError as exc:
+        args = _build_parser().parse_args(argv)
+        if hasattr(args, "surface"):
+            _, args.d, args.space = SURFACES[args.surface]
+        run, _, fields = _COMMANDS[args.command]
+        lines = run(args)
+        body, code = next(lines)
+    except (CliUsageError, LatticeError) as exc:
         print(f"orbev: error: {exc}", file=sys.stderr)
         return 1
-    except LatticeError as exc:
-        print(f"orbev: error: {exc}", file=sys.stderr)
-        return 1
+    echo = {"command": args.command, **{field: getattr(args, field) for field in fields}}
+    if args.format == "json":
+        out.write(dumps_canonical({"config_echo": echo, **body}))
+    else:
+        out.write("\n".join([*(f"{k}: {v}" for k, v in echo.items()), *lines]) + "\n")
+    return code
 
 
 def console_main() -> None:

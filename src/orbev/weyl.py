@@ -210,13 +210,6 @@ class MatrixGroup:
             raise GroupError("matrix is not an element of the group")
         return key
 
-    def __contains__(self, m: IntegerMatrix) -> bool:
-        try:
-            self.key(m)
-        except GroupError:
-            return False
-        return True
-
     def __iter__(self):
         return iter(self.elements)
 

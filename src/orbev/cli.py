@@ -20,9 +20,10 @@ dict, list, str, int, bool and None, and raises TypeError for any other type
 (float and tuple included).  Two report types are values too, written as
 json.dumps writes their plain form:
 
-- a `BivariatePolynomial` as `p.to_json_terms()`: its terms in sorted (p, q)
-  order, each one %-format of a term template built once per indent, with
-  the coefficient as `str(c)` (an int or `a/b`, which needs no escaping);
+- a `BivariatePolynomial` as the list of its terms `{"p": p, "q": q,
+  "coeff": str(c)}` in sorted (p, q) order, each one %-format of a term
+  template built once per indent, with the coefficient an int or `a/b`,
+  which needs no escaping;
 - an `IntegerMatrix` as the list of its rows.
 
 Reports put their polynomials and matrices into the document as they are,
@@ -234,7 +235,7 @@ def _mirror_check(args) -> Iterator:
     yield f"dual total: {report.dual.total.to_text()}"
     for p in report.pairs:
         yield f"pair {p.primal_class} -> {p.dual_class}: difference: {p.difference.to_text()}"
-    yield f"verdict: {'equal' if verdict else 'NOT EQUAL'}"
+    yield _verdict_text(verdict)
 
 
 def _duality_check(args) -> Iterator:
@@ -259,7 +260,7 @@ def _duality_check(args) -> Iterator:
             f" pi0_dual={list(r.pi0_dual)} orders_agree={r.orders_agree}"
             f" fixed_counts_agree={r.fixed_counts_agree}"
         )
-    yield f"verdict: {'equal' if report.equal else 'NOT EQUAL'}"
+    yield _verdict_text(report.equal)
 
 
 def _closed_form(args) -> Iterator:
@@ -292,7 +293,7 @@ def _cross_validate(args) -> Iterator:
     yield f"engine total: {engine.to_text()}"
     yield f"closed form total: {closed.to_text()}"
     yield f"difference: {difference.to_text()}"
-    yield f"verdict: {'equal' if verdict else 'NOT EQUAL'}"
+    yield _verdict_text(verdict)
 
 
 # Each command's function, help, and config_echo fields after "command", in output order.

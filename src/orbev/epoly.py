@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .lattice_core import IntegerMatrix, LatticeError
 
@@ -149,50 +149,16 @@ class BivariatePolynomial:
         object.__setattr__(out, "coeffs", {(a + p, b + q): c for (a, b), c in self.coeffs.items()})
         return out
 
-    def substitute_powers(self, i: int, j: int) -> "BivariatePolynomial":
-        """u -> u^i, v -> v^j."""
-        if i < 0 or j < 0:
-            raise PolynomialError("substitution powers must be nonnegative")
-        out: dict[tuple[int, int], int | Fraction] = {}
-        for (p, q), c in self.coeffs.items():
-            key = (p * i, q * j)
-            out[key] = out.get(key, 0) + c
-        return BivariatePolynomial._of(out)
-
-    def evaluate(self, u: Fraction | int, v: Fraction | int) -> Fraction:
-        u, v = Fraction(u), Fraction(v)
-        return sum((c * u**p * v**q for (p, q), c in self.coeffs.items()), Fraction(0))
-
     def has_integer_coefficients(self) -> bool:
         return all(type(c) is int for c in self.coeffs.values())
 
     def sorted_terms(self) -> list[tuple[int, int, int | Fraction]]:
         return [(p, q, self.coeffs[(p, q)]) for p, q in sorted(self.coeffs)]
 
-    def to_json_terms(self) -> list[dict]:
-        return [{"p": p, "q": q, "coeff": str(c)} for p, q, c in self.sorted_terms()]
-
-    @staticmethod
-    def from_json_terms(terms: Iterable[Mapping]) -> "BivariatePolynomial":
-        return BivariatePolynomial({(int(t["p"]), int(t["q"])): Fraction(t["coeff"]) for t in terms})
-
     def to_text(self) -> str:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*u^{p}*v^{q}" for p, q, c in self.sorted_terms())
-
-    @staticmethod
-    def from_text(text: str) -> "BivariatePolynomial":
-        text = text.strip()
-        if text == "0":
-            return BivariatePolynomial.zero()
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for term in text.split(" + "):
-            c, up, vq = term.split("*")
-            p = int(up.removeprefix("u^"))
-            q = int(vq.removeprefix("v^"))
-            coeffs[(p, q)] = coeffs.get((p, q), 0) + Fraction(c)
-        return BivariatePolynomial(coeffs)
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.to_text()})"

@@ -1,8 +1,10 @@
 """Exact integer-matrix and lattice algebra.
 
 Smith normal form with unimodular transforms, saturated fixed sublattices,
-torsion of cokernels as finite abelian groups, and induced automorphisms of
-those groups with exact fixed-point counts.  Every exact elimination over
+and the component-group data the engine compares: the torsion of a cokernel
+as its divisors d₁ | d₂ | ..., an induced automorphism of ⊕ ℤ/dᵢ as a
+flattened block, and its fixed-point count, over 𝔽_p when every dᵢ is one
+prime p and by a Smith form otherwise.  Every exact elimination over
 ℤ or ℚ goes through one fraction-free integer kernel, `_bareiss`: rank,
 determinant, solves, and the inverse of a unimodular matrix, read in integers
 off the reduced [M | 1] with no Fraction; Smith normal form keeps its own,
@@ -16,8 +18,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import isqrt, prod
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class LatticeError(Exception):
@@ -394,37 +397,11 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(um, d, vm)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Direct sum of Z/d_i with 2 <= d_1 | d_2 | ...; trivial when empty."""
-
-    divisors: tuple[int, ...]
-
-    def __post_init__(self):
-        for d in self.divisors:
-            if d < 2:
-                raise LatticeError("elementary divisors must be at least 2")
-        for d1, d2 in zip(self.divisors, self.divisors[1:]):
-            if d2 % d1 != 0:
-                raise LatticeError("elementary divisors must form a divisibility chain")
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.divisors:
-            n *= d
-        return n
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(d) for d in self.divisors))
-
-
-def torsion_of_cokernel(m: IntegerMatrix) -> FiniteAbelianGroup:
-    """Torsion subgroup of Z^r / im(m) as sum of Z/d over SNF divisors d >= 2."""
+def torsion_of_cokernel(m: IntegerMatrix) -> tuple[int, ...]:
+    """The divisors d >= 2 of m's Smith form: Tor(Z^r / im(m)) is the sum of the Z/d."""
     if not m.is_square():
         raise LatticeError("torsion_of_cokernel expects a square matrix")
-    divisors = tuple(d for d in smith_normal_form(m).divisors if d >= 2)
-    return FiniteAbelianGroup(divisors)
+    return tuple(d for d in smith_normal_form(m).divisors if d >= 2)
 
 
 def fixed_sublattice(w: IntegerMatrix) -> IntegerMatrix:
@@ -451,33 +428,13 @@ def column_span_basis(m: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_columns(cols, rows=m.rows)
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    """Automorphism of a FiniteAbelianGroup given in elementary-divisor coordinates."""
+def induced_automorphism(c: IntegerMatrix, m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The action of c on Tor(Z^r / im(m)), as (divisors, block) in elementary-divisor coordinates.
 
-    group: FiniteAbelianGroup
-    matrix: IntegerMatrix
-
-    def __post_init__(self):
-        k = len(self.group.divisors)
-        if self.matrix.rows != k or self.matrix.cols != k:
-            raise LatticeError("automorphism matrix has wrong shape")
-        for i, di in enumerate(self.group.divisors):
-            for j, dj in enumerate(self.group.divisors):
-                if (self.matrix[i, j] * dj) % di != 0:
-                    raise LatticeError("matrix does not define an endomorphism of the group")
-
-    def apply(self, element: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            sum(self.matrix[i, j] * x for j, x in enumerate(element)) % d
-            for i, d in enumerate(self.group.divisors)
-        )
-
-
-def induced_automorphism(c: IntegerMatrix, m: IntegerMatrix) -> GroupAutomorphism:
-    """Action of c on Tor(Z^r / im(m)) in elementary-divisor coordinates.
-
-    Requires c·im(m) ⊆ im(m); violations signal a non-centralizing element.
+    With U·m·V = D, the divisors are D's entries dᵢ >= 2, and the block is
+    U·c·U⁻¹ at their rows and columns, flattened by rows with row i reduced
+    mod dᵢ.  Requires c·im(m) ⊆ im(m); a violation signals a non-centralizing
+    element.
     """
     if not m.is_square() or c.rows != c.cols or c.rows != m.rows:
         raise LatticeError("induced_automorphism expects square matrices of equal size")
@@ -495,31 +452,27 @@ def induced_automorphism(c: IntegerMatrix, m: IntegerMatrix) -> GroupAutomorphis
             if not ok:
                 raise NonCentralizingError("matrix does not preserve the image lattice")
     torsion = [i for i in range(n) if diag[i] >= 2]
-    group = FiniteAbelianGroup(tuple(diag[i] for i in torsion))
-    block = IntegerMatrix.from_rows(
-        [[a[i, j] % diag[i] for j in torsion] for i in torsion], cols=len(torsion)
-    )
-    return GroupAutomorphism(group, block)
+    return tuple(diag[i] for i in torsion), tuple(a[i, j] % diag[i] for i in torsion for j in torsion)
 
 
-def fixed_count(aut: GroupAutomorphism) -> int:
-    """Number of elements fixed by aut.
+@lru_cache(maxsize=None)
+def fixed_count(divisors: tuple[int, ...], block: tuple[int, ...]) -> int:
+    """Fixed points of the automorphism of ⊕ Z/dᵢ with this flattened block B, once per distinct block.
 
-    Fixed points of x -> Ax on ⊕ Z/d_i are the kernel of A - 1, whose order
-    equals the index [Z^k : (A-1)Z^k + D Z^k], read off the Smith divisors of
-    the block matrix [A-1 | D].
+    The fixed points are the kernel of B - 1.  When every dᵢ is one prime p
+    the group is the 𝔽_p-vector space 𝔽_p^k, so the count is
+    p^(k - rank_𝔽p(B - 1)).  Otherwise the kernel's order is the index
+    [Z^k : (B-1)Z^k + D Z^k], read off the Smith divisors of [B-1 | D].
     """
-    k = len(aut.group.divisors)
+    k = len(divisors)
     if k == 0:
         return 1
-    d = IntegerMatrix._of(
-        k, k, tuple(tuple(aut.group.divisors[i] if i == j else 0 for j in range(k)) for i in range(k))
-    )
-    stacked = (aut.matrix - IntegerMatrix.identity(k)).hstack(d)
-    divisors = smith_normal_form(stacked).divisors
-    if len(divisors) != k:
-        raise LatticeError("lattice (A-1)Z^k + DZ^k must have full rank")
-    count = 1
-    for x in divisors:
-        count *= x
-    return count
+    b_minus_1 = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k))) - IntegerMatrix.identity(k)
+    p = divisors[0]
+    if divisors[-1] == p and all(p % q for q in range(2, isqrt(p) + 1)):
+        return p ** (k - b_minus_1.rank_mod(p))
+    d = IntegerMatrix._of(k, k, tuple(tuple(divisors[i] if i == j else 0 for j in range(k)) for i in range(k)))
+    smith = smith_normal_form(b_minus_1.hstack(d)).divisors
+    if len(smith) != k:
+        raise LatticeError("lattice (B-1)Z^k + DZ^k must have full rank")
+    return prod(smith)

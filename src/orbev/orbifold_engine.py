@@ -30,15 +30,15 @@ and (uv)^F(w) is an exponent shift.
 Per-w tables.  Everything the engine reads of w itself comes from one
 cached Smith form U·(w - 1)·V = D: dim Λ^w is the number of zero diagonal
 entries of D, F(w) = r - dim Λ^w, and π₀(T^w) is ⊕ ℤ/dᵢ over the divisors
-dᵢ ≥ 2.  The power traces tr(c^k | Λ^w) are r lookups each in a table built
-from Σ_j w^j, and Newton's identities give the polynomial over ℤ.  On
-π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U_T the rows of U and U⁻¹_T
-the columns of U⁻¹ at the divisors dᵢ ≥ 2 and row i reduced mod dᵢ; U⁻¹ is
-an integer inverse, cached with the Smith form.  The block is a sum of r
-table entries, and its fixed count is computed once per distinct block: over
-𝔽_p by elimination mod p when every dᵢ is one prime p, by a Smith form
-otherwise.  Both tables need c to commute with w, which the walk checks; a
-non-commuting element raises NonCentralizingError.
+dᵢ ≥ 2, held as the tuple of the dᵢ.  The power traces tr(c^k | Λ^w) are r
+lookups each in a table built from Σ_j w^j, and Newton's identities give the
+polynomial over ℤ.  On π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U_T
+the rows of U and U⁻¹_T the columns of U⁻¹ at the divisors dᵢ ≥ 2 and row i
+reduced mod dᵢ; U⁻¹ is an integer inverse, cached with the Smith form.  The
+block is a sum of r table entries, flattened by rows as
+`induced_automorphism` gives it, and `lattice_core.fixed_count` counts its
+fixed points once per distinct block.  Both tables need c to commute with w,
+which the walk checks; a non-commuting element raises NonCentralizingError.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import prod
 from operator import getitem, mod, mul
 
 from .epoly import (
@@ -57,8 +57,6 @@ from .epoly import (
     factor_e_character,
 )
 from .lattice_core import (
-    FiniteAbelianGroup,
-    GroupAutomorphism,
     IntegerMatrix,
     LatticeError,
     NonCentralizingError,
@@ -150,13 +148,14 @@ def fermionic_shift(w: IntegerMatrix) -> int:
 
 
 @lru_cache(maxsize=None)
-def _fixed_data(w: IntegerMatrix) -> tuple[int, FiniteAbelianGroup]:
-    """dim Λ^w and the component group π₀(T^w), both read off the one Smith form of w - 1.
+def _fixed_data(w: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
+    """dim Λ^w and the divisors of π₀(T^w), both read off the one Smith form of w - 1.
 
     With U·(w - 1)·V = D, the columns of V at D's zero diagonal entries are a
     basis of the saturated sublattice Λ^w (`fixed_sublattice`), so dim Λ^w
-    is their number, and π₀(T^w) = Tor(Λ/(w - 1)Λ) is `torsion_of_cokernel`,
-    whose Smith form is the same cached one.  w must be unimodular.
+    is their number, and π₀(T^w) = Tor(Λ/(w - 1)Λ) = ⊕ ℤ/dᵢ over the divisors
+    dᵢ >= 2 that `torsion_of_cokernel` reads off the same cached Smith form.
+    w must be unimodular.
     """
     if not w.is_unimodular():
         raise LatticeError("the fixed data of w need a unimodular w")
@@ -178,7 +177,7 @@ def _pi0_reader(cent: MatrixGroup, key: Key, inverse: bool):
     """
     action = cent.action if cent.action.dual == inverse else cent.action.flipped()
     w, r, points = action.matrix(key), action.rank, action.points
-    divisors = _fixed_data(w)[1].divisors
+    divisors = _fixed_data(w)[1]
     if not divisors:
         return divisors, None
     snf = smith_normal_form(w - IntegerMatrix.identity(r))
@@ -197,22 +196,6 @@ def _pi0_reader(cent: MatrixGroup, key: Key, inverse: bool):
         return tuple(map(mod, map(sum, zip(*map(getitem, table, heads))), mods))
 
     return divisors, block
-
-
-@lru_cache(maxsize=None)
-def _block_fixed_count(divisors: tuple[int, ...], block: tuple[int, ...]) -> int:
-    """Fixed points of the automorphism of ⊕ Z/dᵢ with this flattened block B, once per distinct block.
-
-    The fixed points are the kernel of B - 1.  When every dᵢ is one prime p
-    the group is the 𝔽_p-vector space 𝔽_p^k, so the count is
-    p^(k - rank_𝔽p(B - 1)); other divisors keep `fixed_count`'s Smith form.
-    """
-    k = len(divisors)
-    b = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k)))
-    p = divisors[0]
-    if divisors[-1] == p and all(p % q for q in range(2, isqrt(p) + 1)):
-        return p ** (k - (b - IntegerMatrix.identity(k)).rank_mod(p))
-    return fixed_count(GroupAutomorphism(FiniteAbelianGroup(divisors), b))
 
 
 def _exact(a: int, b: int, message: str) -> int:
@@ -282,15 +265,15 @@ def _key_histogram(cent: MatrixGroup, key: Key, inverses: tuple[bool, ...], poly
     for c in cent.keys:
         if not commutes(c):
             raise NonCentralizingError("centralizer element does not commute with w")
-        fixes = tuple(_block_fixed_count(divisors, block(c)) if divisors else 1 for divisors, block in readers)
+        fixes = tuple(fixed_count(divisors, block(c)) if divisors else 1 for divisors, block in readers)
         item = (traces(c) if polys else None, fixes)
         counts[item] = counts.get(item, 0) + 1
     return tuple((_newton(t, order) if polys else None, fixes, n) for (t, fixes), n in counts.items())
 
 
 # perfbench's cache_counters reads cache_info() under these names: the restricted actions
-# and per-element π₀ counts they named are now the class histograms and the block memo.
-_restricted_action, _pi0_fixed_count = _key_histogram, _block_fixed_count
+# and per-element π₀ counts they named are now the class histograms and fixed_count's memo.
+_restricted_action, _pi0_fixed_count = _key_histogram, fixed_count
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +335,7 @@ def class_contribution(
         class_size=class_size,
         centralizer_order=order,
         shift=shift,
-        pi0_divisors=_fixed_data(w)[1].divisors,
+        pi0_divisors=_fixed_data(w)[1],
         average=average,
         weighted=average.times_monomial(shift, shift),
     )
@@ -473,4 +456,4 @@ def _duality_row(cent: MatrixGroup, key: Key) -> DualityRow:
     pi0_dual = _fixed_data(dual_rep)[1]
     rows = _key_histogram(cent, key, (cent.action.dual, not cent.action.dual), False)
     counts_agree = all(primal == dual for _, (primal, dual), _ in rows)
-    return DualityRow(rep, pi0_primal.divisors, pi0_dual.divisors, pi0_primal.order == pi0_dual.order, counts_agree)
+    return DualityRow(rep, pi0_primal, pi0_dual, prod(pi0_primal) == prod(pi0_dual), counts_agree)

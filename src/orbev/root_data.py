@@ -454,19 +454,3 @@ def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
     )
     d.validate()
     return d
-
-
-def datum_to_text(d: RootDatum) -> str:
-    lines = [f"rank {d.rank}", f"denominator {d.denominator}", f"label {d.label}", "basis"]
-    bt = d.basis.transpose()
-    for row in bt.entries:
-        lines.append(" ".join(str(x) for x in row))
-    lines.append("gram")
-    for row in d.gram:
-        lines.append(" ".join(str(x) for x in row))
-    lines.append("generators")
-    for g in d.generators:
-        for row in g.entries:
-            lines.append(" ".join(str(x) for x in row))
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"

@@ -192,11 +192,6 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.keys)
 
-    @property
-    def elements(self) -> tuple[IntegerMatrix, ...]:
-        matrix = self.action.matrix
-        return tuple(matrix(k) for k in self.keys)
-
     def matrix(self, key: Key) -> IntegerMatrix:
         return self.action.matrix(key)
 
@@ -209,9 +204,6 @@ class MatrixGroup:
         if key not in self.index:
             raise GroupError("matrix is not an element of the group")
         return key
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 def _orbit(generators: tuple[IntegerMatrix, ...], rank: int, cap: int) -> tuple[list, dict, list[list[int]]]:
@@ -395,9 +387,6 @@ class ConjugacyClassTable:
     @property
     def representatives(self) -> tuple[IntegerMatrix, ...]:
         return tuple(self.group.matrix(k) for k in self.keys)
-
-    def class_of(self, m: IntegerMatrix) -> int:
-        return self.class_index[self.group.key(m)]
 
 
 def conjugacy_classes(group: MatrixGroup) -> ConjugacyClassTable:

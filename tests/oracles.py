@@ -30,7 +30,10 @@ test can check the package's result against it:
   from induced automorphisms, against the engine's per-w π₀ projections.
 
 `rebased` and `rank_four_data` are test data, not oracles: a datum in a
-seeded new basis, and the built-ins of rank <= 4 with two more data.
+seeded new basis, and the built-ins of rank <= 4 with two more data.  The
+functions after them are tools that tests read and the package never needs:
+a group's matrices, an element's class, polynomial substitution, evaluation
+and parsing, and a datum written back as a datum file.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from pathlib import Path
 
 from orbev.epoly import (
@@ -148,7 +151,7 @@ def direct_sym_oracle(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
                 seen[j] = True
                 j = perm[j]
                 length += 1
-            term = term * e_a.substitute_powers(length, length)
+            term = term * substitute_powers(e_a, length, length)
         total = total + term
     return total.scale(Fraction(1, factorial(a)))
 
@@ -350,9 +353,11 @@ def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> 
     every piece computed afresh: a dual-side matrix by Bareiss inversion, the
     restricted action by a solve on the fixed basis, the fixed count from the
     induced automorphism.  The shift comes from eigenvalue angles and (uv)^F is
-    a power of uv.  No engine cache, key read or histogram is used.
+    a power of uv.  No engine cache, key read or histogram is used; the engine
+    shares only fixed_count's memo, which test_lattice_core checks against
+    enumeration.
     """
-    cent = tuple(cent)
+    cent = elements(cent)
     eye = IntegerMatrix.identity(w.rows)
     total = BivariatePolynomial.zero()
     for c in cent:
@@ -361,12 +366,12 @@ def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> 
             ws, cs = (w.inverse_transpose(), c.inverse_transpose()) if side == DUAL else (w, c)
             basis = fixed_sublattice(ws)
             term = term * factor_e_character(kind, char_poly(solve_right_integer(basis, cs * basis)))
-            term = term.scale(fixed_count(induced_automorphism(cs, ws - eye)) ** factor_dimension(kind))
+            term = term.scale(fixed_count(*induced_automorphism(cs, ws - eye)) ** factor_dimension(kind))
         total = total + term
     average = total.scale(Fraction(1, len(cent)))
     shift = direct_shift_oracle(w)
     weighted = average * BivariatePolynomial.monomial(1, 1) ** shift
-    return average, weighted, shift, torsion_of_cokernel(w - eye).divisors
+    return average, weighted, shift, torsion_of_cokernel(w - eye)
 
 
 def dual_group_data(datum: RootDatum) -> tuple:
@@ -389,17 +394,18 @@ def per_element_duality_oracle(w: IntegerMatrix, cent) -> tuple:
     """(pi0_primal, pi0_dual, orders_agree, fixed_counts_agree) of w's duality row.
 
     Every count is fixed_count of a fresh induced automorphism, and the dual
-    side is w and each c inverted and transposed by Bareiss.
+    side is w and each c of the centralizer cent inverted and transposed by
+    Bareiss.
     """
     eye = IntegerMatrix.identity(w.rows)
     dual_w = w.inverse_transpose()
     primal, dual = torsion_of_cokernel(w - eye), torsion_of_cokernel(dual_w - eye)
     counts_agree = all(
-        fixed_count(induced_automorphism(c, w - eye))
-        == fixed_count(induced_automorphism(c.inverse_transpose(), dual_w - eye))
-        for c in cent
+        fixed_count(*induced_automorphism(c, w - eye))
+        == fixed_count(*induced_automorphism(c.inverse_transpose(), dual_w - eye))
+        for c in elements(cent)
     )
-    return primal.divisors, dual.divisors, primal.order == dual.order, counts_agree
+    return primal, dual, prod(primal) == prod(dual), counts_agree
 
 
 def rank_four_data() -> list[RootDatum]:
@@ -434,3 +440,61 @@ def rebased(d: RootDatum, seed: int) -> RootDatum:
     )
     out.validate()
     return out
+
+
+def elements(group) -> tuple[IntegerMatrix, ...]:
+    """The matrices of a MatrixGroup, in the order of its keys."""
+    return tuple(map(group.matrix, group.keys))
+
+
+def class_of(table, m: IntegerMatrix) -> int:
+    """The index in a ConjugacyClassTable of the class of the group element m."""
+    return table.class_index[table.group.key(m)]
+
+
+def substitute_powers(p: BivariatePolynomial, i: int, j: int) -> BivariatePolynomial:
+    """p(u^i, v^j)."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (a, b), c in p.coeffs.items():
+        out[(a * i, b * j)] = out.get((a * i, b * j), 0) + c
+    return BivariatePolynomial(out)
+
+
+def evaluate(p: BivariatePolynomial, u: Fraction | int, v: Fraction | int) -> Fraction:
+    """p(u, v), exactly."""
+    u, v = Fraction(u), Fraction(v)
+    return sum((c * u**a * v**b for (a, b), c in p.coeffs.items()), Fraction(0))
+
+
+def json_terms(p: BivariatePolynomial) -> list[dict]:
+    """The plain JSON form of p that the CLI writes: its terms in sorted (p, q) order."""
+    return [{"p": a, "q": b, "coeff": str(c)} for a, b, c in p.sorted_terms()]
+
+
+def from_json_terms(terms) -> BivariatePolynomial:
+    """The polynomial whose plain JSON form is terms."""
+    return BivariatePolynomial({(int(t["p"]), int(t["q"])): Fraction(t["coeff"]) for t in terms})
+
+
+def from_text(text: str) -> BivariatePolynomial:
+    """The polynomial that BivariatePolynomial.to_text wrote as text."""
+    text = text.strip()
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for term in text.split(" + ") if text != "0" else ():
+        c, up, vq = term.split("*")
+        key = (int(up.removeprefix("u^")), int(vq.removeprefix("v^")))
+        coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+    return BivariatePolynomial(coeffs)
+
+
+def datum_to_text(d: RootDatum) -> str:
+    """d as a datum file that root_data.parse_datum_text reads back."""
+    lines = [f"rank {d.rank}", f"denominator {d.denominator}", f"label {d.label}", "basis"]
+    lines += [" ".join(map(str, row)) for row in d.basis.transpose().entries]
+    lines.append("gram")
+    lines += [" ".join(map(str, row)) for row in d.gram]
+    lines.append("generators")
+    for g in d.generators:
+        lines += [" ".join(map(str, row)) for row in g.entries]
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"

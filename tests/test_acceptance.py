@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from orbev.cli import SURFACES
 from orbev.epoly import SPACES, BivariatePolynomial
 from orbev.lattice_core import IntegerMatrix
 from orbev.orbifold_engine import (
@@ -26,7 +27,7 @@ from orbev.sln_formula import (
     tau,
 )
 from orbev.weyl import generate_group
-from oracles import direct_shift_oracle, direct_sym_oracle
+from oracles import direct_shift_oracle, direct_sym_oracle, elements, evaluate
 
 P = BivariatePolynomial
 ONE = P.one()
@@ -34,8 +35,7 @@ U = P.monomial(1, 0)
 V = P.monomial(0, 1)
 UV = P.monomial(1, 1)
 
-E_TORUS2 = (UV - ONE) ** 2
-E_ABELIAN = ((ONE - U) * (ONE - V)) ** 2
+E_TORUS2, E_ABELIAN = SURFACES["betti"][0], SURFACES["abelian"][0]
 
 SL_PAIRS = [(n, m) for n in range(2, 7) for m in range(1, n + 1) if n % m == 0]
 
@@ -129,7 +129,7 @@ def cycle_type_element(n, parts):
 def test_criterion_5_fermionic_shifts():
     """Shift = oracle exhaustively; = n - |alpha| for S_n; equal across duality."""
     for datum in BUILTINS_RANK_LE_4:
-        for w in generate_group(datum.generators):
+        for w in elements(generate_group(datum.generators)):
             shift = fermionic_shift(w)
             assert shift == direct_shift_oracle(w)
             assert shift == fermionic_shift(w.inverse_transpose())
@@ -188,5 +188,5 @@ def test_criterion_9_integrality_and_invariance():
                 )
     for datum in [sl_quotient_datum(4, 2), classical_datum("C", 3, "adjoint")]:
         for space_name in ("betti", "abelian-surface"):
-            value = orbifold_e_polynomial(datum, SPACES[space_name]).total.evaluate(1, 1)
+            value = evaluate(orbifold_e_polynomial(datum, SPACES[space_name]).total, 1, 1)
             assert value.denominator == 1 and value > 0

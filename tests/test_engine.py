@@ -4,14 +4,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orbev import orbifold_engine
 from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
 from orbev.lattice_core import (
-    FiniteAbelianGroup,
-    GroupAutomorphism,
     IntegerMatrix,
     LatticeError,
     NonCentralizingError,
@@ -22,7 +18,6 @@ from orbev.lattice_core import (
     torsion_of_cokernel,
 )
 from orbev.orbifold_engine import (
-    _block_fixed_count,
     _dual_class_table,
     _duality_row,
     _fixed_data,
@@ -30,7 +25,6 @@ from orbev.orbifold_engine import (
     _key_histogram,
     _newton,
     _pi0_reader,
-    _report,
     _space_character,
     _trace_reader,
     class_contribution,
@@ -43,9 +37,12 @@ from orbev.root_data import RootDatum, classical_datum, custom_datum, dual_datum
 from orbev.weyl import DEFAULT_CAP, GroupError, centralizer, conjugacy_classes, dual_group, generate_group
 from oracles import (
     G2_PATH,
+    class_of,
     direct_shift_oracle,
     dual_group_data,
     dual_group_report,
+    elements,
+    evaluate,
     per_element_class_oracle,
     per_element_duality_oracle,
     rank_four_data,
@@ -74,7 +71,7 @@ def n_cycle_on_sl(n):
     datum = sl_quotient_datum(n, 1)
     group = generate_group(datum.generators)
     eye = IntegerMatrix.identity(n - 1)
-    for w in group:
+    for w in elements(group):
         # an n-cycle has no nonzero fixed vector on the sum-zero lattice
         if (w - eye).rank() == n - 1 and _order(w) == n:
             return datum, group, w
@@ -106,7 +103,7 @@ class TestFermionicShift:
     def test_equals_oracle_on_w_b3(self):
         group = generate_group(classical_datum("B", 3, "adjoint").generators)
         assert group.order == 48
-        for w in group:
+        for w in elements(group):
             assert fermionic_shift(w) == direct_shift_oracle(w)
 
     def test_oracle_examples(self):
@@ -116,12 +113,12 @@ class TestFermionicShift:
 
     def test_shift_duality(self):
         for datum in [sl_quotient_datum(4, 1), classical_datum("C", 2, "simply_connected")]:
-            for w in generate_group(datum.generators):
+            for w in elements(generate_group(datum.generators)):
                 assert fermionic_shift(w) == fermionic_shift(w.inverse_transpose())
 
 
 def pi0_divisors(w):
-    return torsion_of_cokernel(w - IntegerMatrix.identity(w.rows)).divisors
+    return torsion_of_cokernel(w - IntegerMatrix.identity(w.rows))
 
 
 class TestFixedPointData:
@@ -185,7 +182,7 @@ class TestClassContribution:
         group = generate_group(d.generators)
         table = conjugacy_classes(group)
         for i, rep in enumerate(table.representatives):
-            twins = [x for x in group if table.class_of(x) == i][:2]
+            twins = [x for x in elements(group) if class_of(table, x) == i][:2]
             results = [
                 class_contribution(SPACES["abelian-surface"], w, centralizer(group, w))
                 for w in twins
@@ -294,7 +291,7 @@ class TestOrbifoldEPolynomial:
     def test_euler_specialization_positive(self):
         for datum in [sl_quotient_datum(3, 1), classical_datum("B", 2, "simply_connected")]:
             for space in ("betti", "abelian-surface"):
-                value = orbifold_e_polynomial(datum, SPACES[space]).total.evaluate(1, 1)
+                value = evaluate(orbifold_e_polynomial(datum, SPACES[space]).total, 1, 1)
                 assert value.denominator == 1
                 assert value > 0
 
@@ -485,7 +482,7 @@ class TestKeyHistogram:
         runs = []
         for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
             for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table, _fixed_data,
-                           _key_histogram, _block_fixed_count, _space_character,
+                           _key_histogram, fixed_count, _space_character,
                            factor_e_character, char_poly):
                 cached.cache_clear()
             runs.append({(d.label, s.name): mirror_check(d, s) for d in data for s in spaces})
@@ -514,53 +511,30 @@ class TestLatticeProjections:
         for key, w in zip(table.keys, table.representatives):
             cent = centralizer(group, w)
             order, traces = _trace_reader(cent, key)
-            sides = [(False, w, cent.elements), (True, cent.dual_matrix(key), tuple(map(cent.dual_matrix, cent.keys)))]
-            for inverse, ws, elements in sides:
+            sides = [(False, w, elements(cent)), (True, cent.dual_matrix(key), tuple(map(cent.dual_matrix, cent.keys)))]
+            for inverse, ws, matrices in sides:
                 eye = IntegerMatrix.identity(ws.rows)
                 basis = fixed_sublattice(ws)
                 divisors, block = _pi0_reader(cent, key, inverse)
-                for c, cs in zip(cent.keys, elements):
+                for c, cs in zip(cent.keys, matrices):
                     assert _newton(traces(c), order) == char_poly(solve_right_integer(basis, cs * basis))
-                    aut = induced_automorphism(cs, ws - eye)
-                    assert divisors == aut.group.divisors
-                    if divisors:
-                        assert block(c) == sum(aut.matrix.entries, ())
-                        assert _block_fixed_count(divisors, block(c)) == fixed_count(aut)
+                    assert (divisors, block(c) if divisors else ()) == induced_automorphism(cs, ws - eye)
         report = duality_check(datum)
         assert len(report.rows) == table.count
         for row, w in zip(report.rows, table.representatives):
             assert row.representative == w
             got = (row.pi0_primal, row.pi0_dual, row.orders_agree, row.fixed_counts_agree)
-            assert got == per_element_duality_oracle(w, centralizer(group, w).elements)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
-    def test_prime_field_count_matches_fixed_count(self, p, k, data):
-        """On (ℤ/p)^k the count p^(k - rank_𝔽p(B - 1)) agrees with fixed_count's Smith form."""
-        block = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=k * k, max_size=k * k)))
-        matrix = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k)))
-        expected = fixed_count(GroupAutomorphism(FiniteAbelianGroup((p,) * k), matrix))
-        assert _block_fixed_count.__wrapped__((p,) * k, block) == expected
-
-    def test_only_single_prime_blocks_skip_fixed_count(self, monkeypatch):
-        autos = []
-        monkeypatch.setattr(orbifold_engine, "fixed_count", lambda aut: autos.append(aut) or fixed_count(aut))
-        count = _block_fixed_count.__wrapped__
-        assert count((2, 2, 2), (0, 1, 0, 1, 0, 0, 0, 0, 1)) == 4
-        assert count((5,), (4,)) == 1
-        assert autos == []
-        assert count((4,), (3,)) == 2
-        assert count((2, 4), (1, 0, 0, 3)) == 4
-        assert [aut.group.divisors for aut in autos] == [(4,), (2, 4)]
+            assert got == per_element_duality_oracle(w, centralizer(group, w))
 
     def test_fixed_count_runs_once_per_distinct_block(self, monkeypatch):
-        autos = []
-        monkeypatch.setattr(orbifold_engine, "fixed_count", lambda aut: autos.append(aut) or fixed_count(aut))
-        for cached in (duality_check, _key_histogram, _block_fixed_count):
+        """The engine reaches π₀ counts only through its `fixed_count` name, whose memo computes each block once."""
+        blocks = []
+        monkeypatch.setattr(orbifold_engine, "fixed_count", lambda d, b: blocks.append((d, b)) or fixed_count(d, b))
+        for cached in (duality_check, _key_histogram, fixed_count):
             cached.cache_clear()
         duality_check(sl_quotient_datum(4, 4))
-        blocks = [(aut.group.divisors, aut.matrix) for aut in autos]
-        assert 0 < len(set(blocks)) == len(blocks)
+        info = fixed_count.cache_info()
+        assert 0 < info.misses == len(set(blocks)) < info.hits + info.misses == len(blocks)
 
 
 class TestKeysAndShifts:

@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from oracles import rank_four_data
+from oracles import datum_to_text, rank_four_data
 from orbev import weyl
 from orbev.cli import main
 from orbev.epoly import SPACES
@@ -25,7 +25,7 @@ from orbev.orbifold_engine import (
     mirror_check,
     orbifold_e_polynomial,
 )
-from orbev.root_data import datum_to_text, sl_quotient_datum
+from orbev.root_data import sl_quotient_datum
 from orbev.weyl import (
     GroupError,
     centralizer,

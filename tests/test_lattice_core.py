@@ -2,15 +2,14 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbev import lattice_core
 from orbev.lattice_core import (
-    FiniteAbelianGroup,
-    GroupAutomorphism,
     InexactSolveError,
     IntegerMatrix,
     LatticeError,
@@ -196,11 +195,12 @@ def brute_force_order_multiset(m):
     return {k: c // multiplicity for k, c in counts.items()}
 
 
-def group_order_multiset(group):
+def group_order_multiset(divisors):
+    """Element orders of the sum of the Z/d over divisors, each element counted once."""
     counts: dict[int, int] = {}
-    for el in group.elements():
+    for el in itertools.product(*map(range, divisors)):
         k = 1
-        for x, d in zip(el, group.divisors):
+        for x, d in zip(el, divisors):
             if x:
                 k = lcm(k, d // gcd(d, x))
         counts[k] = counts.get(k, 0) + 1
@@ -209,19 +209,19 @@ def group_order_multiset(group):
 
 class TestTorsionOfCokernel:
     def test_inversion_on_z(self):
-        assert torsion_of_cokernel(M([[-2]])).divisors == (2,)
+        assert torsion_of_cokernel(M([[-2]])) == (2,)
 
     def test_identity_action(self):
-        assert torsion_of_cokernel(IntegerMatrix.zero(2, 2)).divisors == ()
+        assert torsion_of_cokernel(IntegerMatrix.zero(2, 2)) == ()
 
     def test_swap_on_z2(self):
         # fixed set of the coordinate swap on U(1)^2 is the connected diagonal
-        assert torsion_of_cokernel(M([[-1, 1], [1, -1]])).divisors == ()
+        assert torsion_of_cokernel(M([[-1, 1], [1, -1]])) == ()
 
     def test_rank_deficient_hand_values(self):
-        assert torsion_of_cokernel(M([[2, 0], [0, 0]])).divisors == (2,)
-        assert torsion_of_cokernel(M([[2, 2], [2, 2]])).divisors == (2,)
-        assert torsion_of_cokernel(M([[1, 1], [1, 1]])).divisors == ()
+        assert torsion_of_cokernel(M([[2, 0], [0, 0]])) == (2,)
+        assert torsion_of_cokernel(M([[2, 2], [2, 2]])) == (2,)
+        assert torsion_of_cokernel(M([[1, 1], [1, 1]])) == ()
 
     @settings(max_examples=120, deadline=None)
     @given(square_matrices)
@@ -230,11 +230,11 @@ class TestTorsionOfCokernel:
         if det == 0 or abs(det) > 30:
             return
         # full quotient is finite, so its torsion part is the whole cokernel
-        grp = torsion_of_cokernel(m)
+        divisors = torsion_of_cokernel(m)
         free_rank = m.rows - m.rank()
         assert free_rank == 0
-        assert grp.order == abs(det)
-        assert group_order_multiset(grp) == brute_force_order_multiset(m)
+        assert prod(divisors) == abs(det)
+        assert group_order_multiset(divisors) == brute_force_order_multiset(m)
 
 
 class TestFixedSublattice:
@@ -302,28 +302,26 @@ class TestColumnSpanBasis:
 
 class TestInducedAutomorphism:
     def test_identity_on_z2(self):
-        aut = induced_automorphism(IntegerMatrix.identity(1), M([[2]]))
-        assert aut.group.divisors == (2,)
-        assert fixed_count(aut) == 2
+        assert induced_automorphism(IntegerMatrix.identity(1), M([[2]])) == ((2,), (1,))
 
     def test_negation_mod_2_is_identity(self):
         aut = induced_automorphism(M([[-1]]), M([[2]]))
-        assert fixed_count(aut) == 2
+        assert aut == ((2,), (1,))
+        assert fixed_count(*aut) == 2
 
     def test_negation_on_z3(self):
         aut = induced_automorphism(M([[-1]]), M([[3]]))
-        assert aut.group.divisors == (3,)
-        assert aut.apply((1,)) == (2,)
-        assert fixed_count(aut) == 1
+        assert aut == ((3,), (2,))
+        assert fixed_count(*aut) == 1
 
     def test_negation_on_z4(self):
         aut = induced_automorphism(M([[-1]]), M([[4]]))
-        assert fixed_count(aut) == 2
+        assert fixed_count(*aut) == 2
 
     def test_identity_always_fixes_everything(self):
-        m = M([[2, 0], [0, 6]])
-        aut = induced_automorphism(IntegerMatrix.identity(2), m)
-        assert fixed_count(aut) == aut.group.order == 12
+        divisors, block = induced_automorphism(IntegerMatrix.identity(2), M([[2, 0], [0, 6]]))
+        assert divisors == (2, 6)
+        assert fixed_count(divisors, block) == prod(divisors) == 12
 
     def test_u_inverse_computed_once_per_decomposition(self, monkeypatch):
         inverse = IntegerMatrix.inverse_unimodular
@@ -346,40 +344,53 @@ class TestInducedAutomorphism:
             induced_automorphism(c, m)
 
 
-def brute_force_fixed_count(aut):
-    return sum(1 for el in aut.group.elements() if aut.apply(el) == el)
+def brute_force_fixed_count(divisors, block):
+    """Elements x of the sum of the Z/dᵢ with B·x = x, by enumerating them all."""
+    k = len(divisors)
+    rows = [block[i * k : i * k + k] for i in range(k)]
+    return sum(
+        1 for x in itertools.product(*map(range, divisors))
+        if all(sum(map(lambda a, b: a * b, row, x)) % d == xi for row, d, xi in zip(rows, divisors, x))
+    )
+
+
+def endomorphism_blocks(divisors):
+    """Flattened blocks of the endomorphisms of the sum of the Z/dᵢ.
+
+    Entry (i, j) maps Z/dⱼ to Z/dᵢ, so it is a multiple of dᵢ / gcd(dᵢ, dⱼ), taken mod dᵢ.
+    """
+    steps = [di // gcd(di, dj) for di in divisors for dj in divisors]
+    mods = [di for di in divisors for _ in divisors]
+    return st.tuples(*(st.integers(0, m // s - 1).map(lambda x, s=s: x * s) for s, m in zip(steps, mods)))
 
 
 class TestFixedCount:
-    def test_identity_on_klein(self):
-        grp = FiniteAbelianGroup((2, 2))
-        aut = GroupAutomorphism(grp, IntegerMatrix.identity(2))
-        assert fixed_count(aut) == 4
+    @pytest.mark.parametrize("divisors", [
+        (2,), (2, 2), (2, 2, 2), (3,), (3, 3), (5,), (5, 5), (4,), (2, 4), (3, 9), (6,),
+    ], ids=str)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_enumeration(self, divisors, data):
+        block = data.draw(endomorphism_blocks(divisors))
+        assert fixed_count(divisors, block) == brute_force_fixed_count(divisors, block)
 
-    def test_swap_on_z2_squared(self):
-        grp = FiniteAbelianGroup((2, 2))
-        aut = GroupAutomorphism(grp, M([[0, 1], [1, 0]]))
-        assert fixed_count(aut) == 2
-        assert brute_force_fixed_count(aut) == 2
+    def test_single_prime_chains_use_the_rank_and_other_chains_the_smith_form(self, monkeypatch):
+        routes = []
+        rank_mod, smith = IntegerMatrix.rank_mod, lattice_core.smith_normal_form
+        monkeypatch.setattr(IntegerMatrix, "rank_mod", lambda m, p: routes.append("rank") or rank_mod(m, p))
+        monkeypatch.setattr(lattice_core, "smith_normal_form", lambda m: routes.append("smith") or smith(m))
+        cases = [
+            ((2, 2, 2), (0, 1, 0, 1, 0, 0, 0, 0, 1), 4, "rank"),
+            ((5,), (4,), 1, "rank"),
+            ((4,), (3,), 2, "smith"),
+            ((2, 4), (1, 0, 0, 3), 4, "smith"),
+        ]
+        for divisors, block, count, route in cases:
+            routes.clear()
+            assert fixed_count.__wrapped__(divisors, block) == count
+            assert routes == [route]
 
-    @settings(max_examples=120, deadline=None)
-    @given(
-        st.lists(st.sampled_from([2, 4, 8, 3, 9, 5]), min_size=1, max_size=3),
-        st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=3),
-    )
-    def test_formula_matches_enumeration(self, raw_divisors, raw_matrix):
-        # keep the chain valid: each divisor divides the next
-        chain = []
-        for d in sorted(raw_divisors):
-            if not chain or d % chain[-1] == 0:
-                chain.append(d)
-        grp = FiniteAbelianGroup(tuple(chain))
-        if grp.order > 1000:
-            return
-        r = len(chain)
-        mat = IntegerMatrix.from_rows([row[:r] for row in raw_matrix[:r]], cols=r)
-        try:
-            aut = GroupAutomorphism(grp, mat)
-        except LatticeError:
-            return
-        assert fixed_count(aut) == brute_force_fixed_count(aut)
+    def test_trivial_group_and_rank_deficient_lattice(self):
+        assert fixed_count((), ()) == 1
+        with pytest.raises(LatticeError):
+            fixed_count((2, 0), (1, 0, 0, 1))

@@ -18,17 +18,19 @@ from orbev.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("argv, cached, metric", [
+@pytest.mark.parametrize("argv, cached, nonzero", [
     (["compute", "--group", "sl", "3", "3", "--space", "mixed"], (orbifold_engine.orbifold_e_polynomial,),
-     "orbifold_engine.classes"),
+     ("orbifold_engine.classes",)),
     (["mirror-check", "--group", "sl", "3", "3", "--space", "mixed"], (orbifold_engine.mirror_check,),
-     "orbifold_engine.classes"),
+     ("orbifold_engine.classes",)),
     (["duality-check", "--group", "classical", "B", "3", "sc"],
-     (orbifold_engine.duality_check, orbifold_engine._fixed_data), "lattice_core.fixed_data_s"),
+     (orbifold_engine.duality_check, orbifold_engine._fixed_data, orbifold_engine._key_histogram),
+     ("lattice_core.fixed_data_s", "lattice_core.pi0_count_calls")),
     (["closed-form", "--n", "6", "--m", "2", "--surface", "abelian"],
-     (sln_formula._grouped_partition_sums, sln_formula.partitions, sln_formula.tau), "sln_formula.closed_form_self_s"),
+     (sln_formula._grouped_partition_sums, sln_formula.partitions, sln_formula.tau),
+     ("sln_formula.closed_form_self_s",)),
 ], ids=["compute", "mirror-check", "duality-check", "closed-form"])
-def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, metric):
+def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, nonzero):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     from tracing import Tracer, cache_counters
@@ -47,7 +49,9 @@ def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, 
         tracer.uninstall()
     assert all(vars(orbifold_engine)[name] is value for name, value in originals.items())
     metrics = tracer.layer_metrics(before, cache_counters())
-    assert metrics[metric][0] > 0
+    assert all(metrics[metric][0] > 0 for metric in nonzero)
+    # Every π₀ lookup, a memo hit or a miss, goes through the name the tracer wraps.
+    assert metrics["lattice_core.pi0_count_calls"][0] == metrics["orbifold_engine.pi0_fixed_count_cache_calls"][0]
     for cache in ("orbifold_engine.restricted_action", "orbifold_engine.pi0_fixed_count",
                   "epoly.factor_e_character", "epoly.char_poly"):
         assert f"{cache}_cache_hit_ratio" in metrics

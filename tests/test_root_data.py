@@ -16,13 +16,12 @@ from orbev.root_data import (
     _scaled_gram,
     classical_datum,
     custom_datum,
-    datum_to_text,
     dual_datum,
     parse_datum_text,
     sl_quotient_datum,
 )
 from orbev.weyl import generate_group
-from oracles import _congruence, datum_equivalent
+from oracles import _congruence, datum_equivalent, datum_to_text, elements
 
 G2_PATH = str(Path(__file__).parent / "data" / "g2.datum")
 
@@ -160,7 +159,7 @@ class TestDualDatum:
         for d in ALL_BUILTINS[:8]:
             group = generate_group(d.generators)
             eye = IntegerMatrix.identity(d.rank)
-            for w in group:
+            for w in elements(group):
                 w_hat = w.inverse_transpose()
                 assert (w - eye).rank() == (w_hat - eye).rank()
 

@@ -350,7 +350,7 @@ def brute_force_fixed_count(divisors, block):
     rows = [block[i * k : i * k + k] for i in range(k)]
     return sum(
         1 for x in itertools.product(*map(range, divisors))
-        if all(sum(map(lambda a, b: a * b, row, x)) % d == xi for row, d, xi in zip(rows, divisors, x))
+        if all(sum(a * b for a, b in zip(row, x)) % d == xi for row, d, xi in zip(rows, divisors, x))
     )
 
 

@@ -8,7 +8,11 @@ successful run), 1 on usage or validation errors.
 
 Each command is one `_COMMANDS` entry: its function, its help and its
 `config_echo` fields in output order, parsed as their `_OPTIONS` except `d`
-and `space`, which `--surface` gives.  A command function is a generator of
+and `space`, which `--surface` gives.  `main` parses an argv that starts with
+a command name with that command's own parser alone, which prints the same
+help and usage errors as the whole tree's subparser; anything else (--help,
+no command, an unknown command) goes to the whole tree.  Each parser is built
+once per process.  A command function is a generator of
 its body (what follows `config_echo`) with its exit code, then of its text
 lines, so a JSON run renders no text.  `main` writes through `dumps_canonical`
 or `"\\n".join`.  Command functions look the engine's entry points up as
@@ -320,27 +324,47 @@ _OPTIONS = {
 _SURFACE_FIELDS = ("d", "space")
 
 
+def _add_options(parser: _Parser, fields: tuple[str, ...]) -> _Parser:
+    """parser with an option from `_OPTIONS` for each parsed config_echo field of a command."""
+    for field in fields:
+        if not ("surface" in fields and field in _SURFACE_FIELDS):
+            parser.add_argument("--" + field, **_OPTIONS[field])
+    return parser
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged.
+    """The whole argument tree, built once per process: parsing leaves it unchanged.
 
-    This saves work only for a process that calls `main` more than once;
-    a single `python -m orbev` run builds it once either way.
+    `main` reads it only when argv does not start with a command name: for
+    --help, no command or an unknown command.
     """
     parser = _Parser(prog="orbev", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, fields) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for field in fields:
-            if not ("surface" in fields and field in _SURFACE_FIELDS):
-                p.add_argument("--" + field, **_OPTIONS[field])
+        _add_options(sub.add_parser(name, help=help_text), fields)
     return parser
+
+
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> _Parser:
+    """One command's parser, the same as the whole tree's subparser for it, built once per process."""
+    return _add_options(_Parser(prog=f"orbev {name}"), _COMMANDS[name][2])
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's own parser when it starts with a command name, else by the whole tree."""
+    if argv and argv[0] in _COMMANDS:
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if hasattr(args, "surface"):
             _, args.d, args.space = SURFACES[args.surface]
         run, _, fields = _COMMANDS[args.command]

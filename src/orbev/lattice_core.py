@@ -8,7 +8,8 @@ prime p and by a Smith form otherwise.  Every exact elimination over
 ℤ or ℚ goes through one fraction-free integer kernel, `_bareiss`: rank,
 determinant, solves, and the inverse of a unimodular matrix, read in integers
 off the reduced [M | 1] with no Fraction; Smith normal form keeps its own,
-because it needs the unimodular transforms.  `rank_mod` eliminates over 𝔽_p.
+because it needs the unimodular transforms, and builds U⁻¹ in the same steps,
+so the readers of U⁻¹ invert nothing.  `rank_mod` eliminates over 𝔽_p.
 There is no floating point in this module.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt, prod
 from operator import add, mul, sub
 from typing import Sequence
@@ -292,7 +293,7 @@ def solve_right_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U·M·V = D with U, V unimodular and D diagonal.
+    """U·M·V = D with U, V unimodular and D diagonal, and U⁻¹, built by the same elimination.
 
     Nonzero diagonal entries come first, are positive, and each divides the
     next; the remaining diagonal entries are zero.
@@ -301,11 +302,7 @@ class SmithDecomposition:
     U: IntegerMatrix
     D: IntegerMatrix
     V: IntegerMatrix
-
-    @cached_property
-    def U_inverse(self) -> IntegerMatrix:
-        """U⁻¹, computed on first use and kept with the cached decomposition."""
-        return self.U.inverse_unimodular()
+    U_inverse: IntegerMatrix
 
     @property
     def divisors(self) -> tuple[int, ...]:
@@ -316,14 +313,23 @@ class SmithDecomposition:
 
 @lru_cache(maxsize=None)
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
+    """The Smith decomposition of m, once per distinct matrix.
+
+    Each row operation on U is the inverse column operation on U⁻¹: a swap
+    swaps the same two columns, row dst += k·row src is column src -= k·column
+    dst, and a negated row negates the same column.  U⁻¹ is held by columns,
+    as the rows of u_inv_t, so that each of these is one list operation.
+    """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [list(row) for row in IntegerMatrix.identity(rows).entries]
+    u_inv_t = [list(row) for row in IntegerMatrix.identity(rows).entries]
     v = [list(row) for row in IntegerMatrix.identity(cols).entries]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -335,6 +341,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
         # row dst += k * row src
         a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        u_inv_t[src] = [x - k * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
 
     def add_col(src, dst, k):
         for row in a:
@@ -345,6 +352,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        u_inv_t[i] = [-x for x in u_inv_t[i]]
 
     t = 0
     while t < min(rows, cols):
@@ -394,7 +402,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     d = IntegerMatrix._of(rows, cols, tuple(map(tuple, a)))
     um = IntegerMatrix._of(rows, rows, tuple(map(tuple, u)))
     vm = IntegerMatrix._of(cols, cols, tuple(map(tuple, v)))
-    return SmithDecomposition(um, d, vm)
+    um_inv = IntegerMatrix._of(rows, rows, tuple(map(tuple, u_inv_t))).transpose()
+    return SmithDecomposition(um, d, vm, um_inv)
 
 
 def torsion_of_cokernel(m: IntegerMatrix) -> tuple[int, ...]:

@@ -11,6 +11,14 @@ component group of (A ⊗ Λ)^w is π₀(T^w)^d(kind) with π₀(T^w) = Tor(Λ/(
 and components fixed by c contribute the identity-component character because
 translations act trivially on cohomology.
 
+Group data.  W, its class table, one centralizer per class and Ŵ's class
+table depend on a datum's generators and nothing else, so they are cached
+per generator set; of the datum itself the engine reads only its rank and
+label.  Data with equal generators share these objects and, through the
+shared centralizers, every key histogram and π₀ table.  Among the built-ins,
+B_n adjoint and C_n simply connected share them (ℤⁿ with signed
+permutations), and so do SL(2) and SL(2)/Z2 (both act by -1).
+
 Key histogram.  A factor's E-character of c depends only on the
 characteristic polynomial of c on Λ^w, which is the same on the dual side,
 so the average needs only a histogram of keys: that polynomial and the π₀
@@ -34,7 +42,7 @@ dᵢ ≥ 2, held as the tuple of the dᵢ.  The power traces tr(c^k | Λ^w) are 
 lookups each in a table built from Σ_j w^j, and Newton's identities give the
 polynomial over ℤ.  On π₀(T^w), c acts by the block U_T·c·U⁻¹_T, with U_T
 the rows of U and U⁻¹_T the columns of U⁻¹ at the divisors dᵢ ≥ 2 and row i
-reduced mod dᵢ; U⁻¹ is an integer inverse, cached with the Smith form.  The
+reduced mod dᵢ; U⁻¹ is built by the Smith elimination alongside U.  The
 block is a sum of r table entries, flattened by rows as
 `induced_automorphism` gives it, and `lattice_core.fixed_count` counts its
 fixed points once per distinct block.  Both tables need c to commute with w,
@@ -342,16 +350,22 @@ def class_contribution(
 
 
 @lru_cache(maxsize=None)
-def _group_data(datum: RootDatum, cap: int):
-    group = generate_group(datum.generators, cap)
+def _group_data(generators: tuple[IntegerMatrix, ...], cap: int):
+    """W, its class table and one centralizer per class, once per generator set.
+
+    Pass a datum's generators: data with equal generators, such as B_n
+    adjoint and C_n simply connected, then share one group, one class table
+    and one set of centralizers (see the module docstring).
+    """
+    group = generate_group(generators, cap)
     table = conjugacy_classes(group)
     return group, table, tuple(centralizer(group, rep) for rep in table.representatives)
 
 
 @lru_cache(maxsize=None)
-def _dual_class_table(datum: RootDatum, cap: int):
-    """The class table of dual_datum(datum)'s group, read off the primal one's."""
-    return dual_class_table(_group_data(datum, cap)[1])
+def _dual_class_table(generators: tuple[IntegerMatrix, ...], cap: int):
+    """The class table of Ŵ = {(w⁻¹)ᵀ} for W generated by generators, read off W's."""
+    return dual_class_table(_group_data(generators, cap)[1])
 
 
 def _rank_zero_report(datum: RootDatum) -> OrbifoldReport:
@@ -375,7 +389,7 @@ def orbifold_e_polynomial(
     """Sum of weighted class contributions; total must have integer coefficients."""
     if datum.rank == 0:
         return _rank_zero_report(datum)
-    return _report(datum, space, _group_data(datum, cap))
+    return _report(datum, space, _group_data(datum.generators, cap))
 
 
 def _report(datum: RootDatum, space: SpaceDescriptor, group_data, both_sides: bool = False) -> OrbifoldReport:
@@ -415,10 +429,10 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
         dual = orbifold_e_polynomial(dual_datum(datum), space, cap)
         pair = MirrorPair(0, 0, BivariatePolynomial.zero())
         return MirrorReport(primal, dual, (pair,), True, True)
-    group_data = _group_data(datum, cap)
+    group_data = _group_data(datum.generators, cap)
     group, table, cents = group_data
     primal = _report(datum, space, group_data, both_sides=True)
-    dual_table = _dual_class_table(datum, cap)
+    dual_table = _dual_class_table(datum.generators, cap)
     dual_terms = []
     for rep, size, key in zip(dual_table.representatives, dual_table.sizes, dual_table.keys):
         i = table.class_index[key]
@@ -443,7 +457,7 @@ def duality_check(datum: RootDatum, cap: int = DEFAULT_CAP) -> DualityReport:
     """π₀ duality: torsion orders and centralizer fixed counts agree on Λ and Λ̂."""
     if datum.rank == 0:
         return DualityReport(datum.label, (), True)
-    _, table, cents = _group_data(datum, cap)
+    _, table, cents = _group_data(datum.generators, cap)
     rows = tuple(_duality_row(cent, key) for key, cent in zip(table.keys, cents))
     equal = all(r.orders_agree and r.fixed_counts_agree for r in rows)
     return DualityReport(datum.label, rows, equal)

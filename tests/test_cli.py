@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbev.cli import dumps_canonical, main
+from orbev.cli import _COMMANDS, CliUsageError, _build_parser, _command_parser, _parse, dumps_canonical, main
 from orbev.epoly import BivariatePolynomial
 from orbev.lattice_core import IntegerMatrix
 from oracles import from_json_terms, from_text, json_terms
@@ -260,6 +261,41 @@ class TestCrossValidate:
             assert "unrecognized arguments: --space" in capsys.readouterr().err
 
 
+USAGE_ERRORS = [
+    (["compute", "--group", "--space", "betti"],
+     "argument --group: expected at least one argument"),
+    (["compute", "--group", "sl", "2", "--space", "betti"],
+     "group selector 'sl' needs N and M, got ['2']"),
+    (["compute", "--group", "classical", "B", "2", "--space", "betti"],
+     "group selector 'classical' needs FAMILY N FORM, got ['B', '2']"),
+    (["compute", "--group", "custom", "a", "b", "--space", "betti"],
+     "group selector 'custom' needs a file path"),
+    (["compute", "--group", "sl", "x", "y", "--space", "betti"],
+     "non-integer sl parameters: ['x', 'y']"),
+    (["compute", "--group", "classical", "B", "two", "sc", "--space", "betti"],
+     "non-integer rank: two"),
+    (["compute", "--group", "classical", "B", "2", "weird", "--space", "betti"],
+     "unknown form 'weird'; use sc or adjoint"),
+    (["compute", "--group", "su", "2", "--space", "betti"],
+     "unknown group selector 'su'; use sl, classical, or custom"),
+    (["compute", "--group", "sl", "2", "1", "--space", "klein-bottle"],
+     "argument --space: invalid choice: 'klein-bottle' (choose from 'abelian-surface', 'betti',"
+     " 'derham', 'dolbeault', 'mixed')"),
+]
+USAGE_ERROR_IDS = ["empty", "sl-arity", "classical-arity", "custom-arity", "sl-non-integer",
+                   "rank-non-integer", "unknown-form", "unknown-kind", "choices"]
+
+OTHER_COMMAND_OPTIONS = [
+    ["duality-check", "--group", "sl", "2", "1", "--space", "betti"],
+    ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--cap", "5"],
+    ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--group", "sl", "2", "1"],
+    ["compute", "--group", "sl", "2", "1", "--space", "betti", "--n", "2"],
+    ["mirror-check", "--group", "sl", "2", "1", "--space", "betti", "--surface", "betti"],
+]
+OTHER_COMMAND_OPTION_IDS = ["duality-check-space", "closed-form-cap", "closed-form-group", "compute-n",
+                            "mirror-check-surface"]
+
+
 class TestErrors:
     def test_unknown_space_is_usage_error(self):
         code, _ = run_cli(["compute", "--group", "sl", "2", "1", "--space", "klein-bottle"])
@@ -340,43 +376,45 @@ class TestErrors:
     def test_no_command(self):
         assert run_cli([])[0] == 1
 
-    @pytest.mark.parametrize("argv, err", [
-        (["compute", "--group", "--space", "betti"],
-         "argument --group: expected at least one argument"),
-        (["compute", "--group", "sl", "2", "--space", "betti"],
-         "group selector 'sl' needs N and M, got ['2']"),
-        (["compute", "--group", "classical", "B", "2", "--space", "betti"],
-         "group selector 'classical' needs FAMILY N FORM, got ['B', '2']"),
-        (["compute", "--group", "custom", "a", "b", "--space", "betti"],
-         "group selector 'custom' needs a file path"),
-        (["compute", "--group", "sl", "x", "y", "--space", "betti"],
-         "non-integer sl parameters: ['x', 'y']"),
-        (["compute", "--group", "classical", "B", "two", "sc", "--space", "betti"],
-         "non-integer rank: two"),
-        (["compute", "--group", "classical", "B", "2", "weird", "--space", "betti"],
-         "unknown form 'weird'; use sc or adjoint"),
-        (["compute", "--group", "su", "2", "--space", "betti"],
-         "unknown group selector 'su'; use sl, classical, or custom"),
-        (["compute", "--group", "sl", "2", "1", "--space", "klein-bottle"],
-         "argument --space: invalid choice: 'klein-bottle' (choose from 'abelian-surface', 'betti',"
-         " 'derham', 'dolbeault', 'mixed')"),
-    ], ids=["empty", "sl-arity", "classical-arity", "custom-arity", "sl-non-integer",
-            "rank-non-integer", "unknown-form", "unknown-kind", "choices"])
+    @pytest.mark.parametrize("argv, err", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
     def test_usage_error_message(self, capsys, argv, err):
         # argparse refuses an empty selector (nargs="+") before _resolve_datum sees it
         assert run_cli(argv) == (1, "")
         assert capsys.readouterr().err == f"orbev: error: {err}\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["duality-check", "--group", "sl", "2", "1", "--space", "betti"],
-        ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--cap", "5"],
-        ["closed-form", "--n", "2", "--m", "1", "--surface", "betti", "--group", "sl", "2", "1"],
-        ["compute", "--group", "sl", "2", "1", "--space", "betti", "--n", "2"],
-        ["mirror-check", "--group", "sl", "2", "1", "--space", "betti", "--surface", "betti"],
-    ], ids=["duality-check-space", "closed-form-cap", "closed-form-group", "compute-n", "mirror-check-surface"])
+    @pytest.mark.parametrize("argv", OTHER_COMMAND_OPTIONS, ids=OTHER_COMMAND_OPTION_IDS)
     def test_options_of_other_commands_refused(self, capsys, argv):
         assert run_cli(argv) == (1, "")
         assert capsys.readouterr().err.startswith("orbev: error: unrecognized arguments: ")
+
+
+class TestParserDispatch:
+    """main parses an argv that starts with a command name with that command's parser alone."""
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_command_parser_prints_the_subparser_help(self, name):
+        tree = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert _command_parser(name).format_help() == tree.choices[name].format_help()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in USAGE_ERRORS] + OTHER_COMMAND_OPTIONS + [["closed-form", "--n=4", "--m", "2", "--surf", "betti"]],
+        ids=USAGE_ERROR_IDS + OTHER_COMMAND_OPTION_IDS + ["inline-value-and-abbreviation"],
+    )
+    def test_main_reports_what_the_whole_tree_parses(self, capsys, argv):
+        """A usage error of the whole tree is main's message; an argv it accepts parses to the same fields."""
+        try:
+            parsed = vars(_build_parser().parse_args(argv))
+        except CliUsageError as exc:
+            assert run_cli(argv) == (1, "")
+            assert capsys.readouterr().err == f"orbev: error: {exc}\n"
+        else:
+            assert vars(_parse(argv)) == parsed
+
+    def test_one_command_process_builds_one_parser(self):
+        proc = subprocess.run([sys.executable, "-c", ONE_PARSER_SCRIPT], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, ["orbev closed-form"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -417,26 +455,29 @@ class TestSubprocess:
             ["compute", "--group", "sl", "2", "1", "--space", "klein-bottle"],
             ["--help"],
             ["compute", "--group", "sl", "2", "1", "--space", "betti"],
+            ["closed-form", "--n", "2", "--m", "1", "--surface", "betti"],
         ]
         separate = []
         for argv in argvs:
             proc = subprocess.run([sys.executable, "-m", "orbev", *argv], capture_output=True, text=True)
             separate.append([proc.returncode, proc.stdout, proc.stderr])
-        assert [code for code, _, _ in separate] == [1, 0, 0]
+        assert [code for code, _, _ in separate] == [1, 0, 0, 0]
         proc = subprocess.run(
             [sys.executable, "-c", ONE_PROCESS_SCRIPT, json.dumps(argvs)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        *together, parsers_built = json.loads(proc.stdout)
+        *together, trees_built, command_parsers_built = json.loads(proc.stdout)
         assert together == separate
-        assert parsers_built == 1
+        assert trees_built == 1
+        # one per distinct command: compute and closed-form
+        assert command_parsers_built == 2
 
 
 ONE_PROCESS_SCRIPT = """
 import contextlib, io, json, sys
-from orbev.cli import _build_parser, main
+from orbev.cli import _build_parser, _command_parser, main
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -446,5 +487,15 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(results + [_build_parser.cache_info().misses]))
+print(json.dumps(results + [_build_parser.cache_info().misses, _command_parser.cache_info().misses]))
+"""
+
+ONE_PARSER_SCRIPT = """
+import io, json
+from orbev import cli
+built = []
+init = cli._Parser.__init__
+cli._Parser.__init__ = lambda self, *args, **kwargs: built.append(kwargs.get("prog")) or init(self, *args, **kwargs)
+code = cli.main(["closed-form", "--n", "4", "--m", "2", "--surface", "betti"], out=io.StringIO())
+print(json.dumps([code, built]))
 """

@@ -1,11 +1,15 @@
 """Orbifold E-polynomial assembly: shifts, class terms, totals, mirror and duality."""
 
+import io
+import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from orbev import orbifold_engine
+from orbev.cli import main
 from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
 from orbev.lattice_core import (
     IntegerMatrix,
@@ -459,7 +463,7 @@ class TestKeyHistogram:
         datum = classical_datum("B", 3, "simply_connected")
         for space in SPACES.values():
             assert mirror_check(datum, space).equal
-        group, table, _ = _group_data(datum, DEFAULT_CAP)
+        group, table, _ = _group_data(datum.generators, DEFAULT_CAP)
         assert reads["traces"] == Counter({key: 1 for key in table.keys})
         assert reads["pi0"] == Counter({(key, inverse): 1 for key in table.keys for inverse in (False, True)})
         assert reads["classes"] == [group]
@@ -472,7 +476,7 @@ class TestKeyHistogram:
         for space in SPACES.values():
             if not space.uses_dual:
                 orbifold_e_polynomial(datum, space)
-        keys = _group_data(datum, DEFAULT_CAP)[1].keys
+        keys = _group_data(datum.generators, DEFAULT_CAP)[1].keys
         assert reads["traces"] == Counter({key: 1 for key in keys})
         assert reads["pi0"] == Counter({(key, False): 1 for key in keys})
 
@@ -493,11 +497,40 @@ class TestKeyHistogram:
         for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table):
             cached.cache_clear()
         mirror_check(datum, SPACES["mixed"])
-        group, table, cents = _group_data(datum, DEFAULT_CAP)
-        allowed = set(table.keys) | set(_dual_class_table(datum, DEFAULT_CAP).keys) | set(group.generator_keys)
+        group, table, cents = _group_data(datum.generators, DEFAULT_CAP)
+        allowed = set(table.keys) | set(_dual_class_table(datum.generators, DEFAULT_CAP).keys) | set(group.generator_keys)
         built = set(group.action.matrices) | set(group.action.flipped().matrices)
         assert built <= allowed
         assert sum(cent.order for cent in cents) > len(allowed)
+
+
+class TestSharedGroupData:
+    """Data with equal generators share one group, class table, centralizers and key histograms."""
+
+    def test_c3_simply_connected_reuses_b3_adjoint_work(self, monkeypatch):
+        for cached in (duality_check, _group_data, _dual_class_table, _key_histogram):
+            cached.cache_clear()
+        b3 = duality_check(classical_datum("B", 3, "adjoint"))
+        calls = []
+        monkeypatch.setattr(orbifold_engine, "generate_group",
+                            lambda generators, cap: calls.append(generators) or generate_group(generators, cap))
+        misses = _key_histogram.cache_info().misses
+        c3 = duality_check(classical_datum("C", 3, "simply_connected"))
+        assert calls == []
+        assert _key_histogram.cache_info().misses == misses
+        assert (b3.datum_label, c3.datum_label) == ("B3_ad", "C3_sc")
+        assert c3.rows == b3.rows
+        assert replace(c3, datum_label=b3.datum_label) == b3
+
+    def test_b2_adjoint_and_c2_simply_connected_print_one_mirror_body(self):
+        bodies = []
+        for selector in (["B", "2", "ad"], ["C", "2", "sc"]):
+            out = io.StringIO()
+            assert main(["mirror-check", "--group", "classical", *selector, "--space", "mixed"], out=out) == 0
+            doc = json.loads(out.getvalue())
+            assert doc.pop("config_echo")["group"] == ["classical", *selector]
+            bodies.append(doc)
+        assert bodies[0] == bodies[1]
 
 
 class TestLatticeProjections:
@@ -542,7 +575,7 @@ class TestKeysAndShifts:
 
     @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
     def test_keys_and_shifts_on_both_lattices(self, datum):
-        for group, table, cents in (_group_data(datum, DEFAULT_CAP), dual_group_data(datum)):
+        for group, table, cents in (_group_data(datum.generators, DEFAULT_CAP), dual_group_data(datum)):
             for key, w, cent in zip(table.keys, table.representatives, cents):
                 assert fermionic_shift(w) == (w - IntegerMatrix.identity(w.rows)).rank()
                 # w was built by the group's action, fresh was not: a lookup and a scan

@@ -1,6 +1,6 @@
 """Exact orbifold E-polynomials of torus quotients by Weyl groups.
 
-The package computes, in exact rational arithmetic, orbifold E-polynomials of
+The package computes, in exact integer arithmetic, orbifold E-polynomials of
 quotients (A ⊗ Λ)/W where A is a one-dimensional abelian algebraic group
 factor (elliptic curve, C^×, or affine line), Λ is a coweight lattice of a
 reductive group, and W is its Weyl group.  It verifies mechanically that

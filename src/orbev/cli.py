@@ -26,7 +26,7 @@ json.dumps writes their plain form:
 
 - a `BivariatePolynomial` as the list of its terms `{"p": p, "q": q,
   "coeff": str(c)}` in sorted (p, q) order, each one %-format of a term
-  template built once per indent, with the coefficient an int or `a/b`,
+  template built once per indent, with the int coefficient written by `%d`,
   which needs no escaping;
 - an `IntegerMatrix` as the list of its rows.
 
@@ -147,7 +147,7 @@ def _term_layout(newline: str) -> tuple[str, str, str]:
     """(opening, one term's %-template, separator) of a term list whose lines start at newline."""
     inner = newline + "  "
     field = inner + "  "
-    term = "{" + field + '"p": %d,' + field + '"q": %d,' + field + '"coeff": "%s"' + inner + "}"
+    term = "{" + field + '"p": %d,' + field + '"q": %d,' + field + '"coeff": "%d"' + inner + "}"
     return "[" + inner, term, "," + inner
 
 

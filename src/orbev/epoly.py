@@ -1,10 +1,11 @@
 """Exact bivariate polynomials in u, v and the E-characters of space factors.
 
 Every E-computation in the package is valued in BivariatePolynomial: a map
-from (degree_u, degree_v) to a rational coefficient with no stored zeros.  An
-integral coefficient is stored as an int and only a non-integral one as a
-Fraction, so the E-characters and their products run in integer arithmetic
-and a Fraction appears only where a division makes one.
+from (degree_u, degree_v) to a nonzero int coefficient.  An E-polynomial
+counts Hodge numbers, so its coefficients are integers, and so is each
+centralizer average the engine forms (a dimension of invariants); a division
+that leaves a remainder raises where it happens, and nothing rational is
+carried.
 
 A SpaceDescriptor is an ordered list of factors (elliptic | c_star |
 affine_line, each tensored with the primal or dual lattice); the E-character
@@ -19,7 +20,6 @@ characteristic-polynomial expression:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Mapping
@@ -36,17 +36,16 @@ class InexactDivisionError(PolynomialError):
 
 
 class BivariatePolynomial:
-    """Polynomial in u, v; each coefficient is a nonzero int, or a non-integral Fraction."""
+    """Polynomial in u, v; each coefficient is a nonzero int (a bool, Fraction or float raises)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], Fraction | int] | None = None):
-        cleaned: dict[tuple[int, int], int | Fraction] = {}
+    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
+        cleaned: dict[tuple[int, int], int] = {}
         if coeffs:
             for (p, q), c in coeffs.items():
                 if type(c) is not int:
-                    c = Fraction(c)
-                    c = c.numerator if c.denominator == 1 else c
+                    raise PolynomialError(f"coefficients must be int, not {type(c).__name__}")
                 if c:
                     if p < 0 or q < 0:
                         raise PolynomialError("negative exponents are not supported")
@@ -54,11 +53,10 @@ class BivariatePolynomial:
         object.__setattr__(self, "coeffs", cleaned)
 
     @staticmethod
-    def _of(coeffs: dict[tuple[int, int], int | Fraction]) -> "BivariatePolynomial":
-        """Wrap arithmetic on valid terms: drop zeros, store integral Fractions as int."""
+    def _of(coeffs: dict[tuple[int, int], int]) -> "BivariatePolynomial":
+        """Wrap arithmetic on valid terms, dropping zeros."""
         out = object.__new__(BivariatePolynomial)
-        terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator for k, c in coeffs.items() if c}
-        object.__setattr__(out, "coeffs", terms)
+        object.__setattr__(out, "coeffs", {k: c for k, c in coeffs.items() if c})
         return out
 
     def __setattr__(self, name, value):
@@ -73,11 +71,11 @@ class BivariatePolynomial:
         return BivariatePolynomial({(0, 0): 1})
 
     @staticmethod
-    def constant(c: Fraction | int) -> "BivariatePolynomial":
+    def constant(c: int) -> "BivariatePolynomial":
         return BivariatePolynomial({(0, 0): c})
 
     @staticmethod
-    def monomial(p: int, q: int, c: Fraction | int = 1) -> "BivariatePolynomial":
+    def monomial(p: int, q: int, c: int = 1) -> "BivariatePolynomial":
         return BivariatePolynomial({(p, q): c})
 
     def is_zero(self) -> bool:
@@ -87,7 +85,7 @@ class BivariatePolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int) or isinstance(other, Fraction):
+        if type(other) is int:
             other = BivariatePolynomial.constant(other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
@@ -116,7 +114,7 @@ class BivariatePolynomial:
                 a, b = b, a
             ((p2, q2), c2), = b.items()
             return BivariatePolynomial._of({(p1 + p2, q1 + q2): c1 * c2 for (p1, q1), c1 in a.items()})
-        out: dict[tuple[int, int], int | Fraction] = {}
+        out: dict[tuple[int, int], int] = {}
         for (p1, q1), c1 in a.items():
             for (p2, q2), c2 in b.items():
                 key = (p1 + p2, q1 + q2)
@@ -135,7 +133,7 @@ class BivariatePolynomial:
             n >>= 1
         return result
 
-    def scale(self, c: Fraction | int) -> "BivariatePolynomial":
+    def scale(self, c: int) -> "BivariatePolynomial":
         return self * BivariatePolynomial.constant(c)
 
     def times_monomial(self, p: int, q: int) -> "BivariatePolynomial":
@@ -149,10 +147,7 @@ class BivariatePolynomial:
         object.__setattr__(out, "coeffs", {(a + p, b + q): c for (a, b), c in self.coeffs.items()})
         return out
 
-    def has_integer_coefficients(self) -> bool:
-        return all(type(c) is int for c in self.coeffs.values())
-
-    def sorted_terms(self) -> list[tuple[int, int, int | Fraction]]:
+    def sorted_terms(self) -> list[tuple[int, int, int]]:
         return [(p, q, self.coeffs[(p, q)]) for p, q in sorted(self.coeffs)]
 
     def to_text(self) -> str:
@@ -171,8 +166,9 @@ def exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePol
     order.  The remainder's leading key comes from a max-heap (keys negated);
     a key whose coefficient has cancelled stays in the heap and is skipped when
     it surfaces.  Every key a step adds is below the one it removes, so no
-    popped key comes back.  Quotient coefficients come from divmod, or Fraction
-    when that leaves a remainder: `/` on ints would round through a float.
+    popped key comes back.  Quotient coefficients come from divmod (`/` on ints
+    would round through a float), and a leading coefficient that q's does not
+    divide raises InexactDivisionError, since the quotient must be integral.
     """
     if q.is_zero():
         raise PolynomialError("division by the zero polynomial")
@@ -183,7 +179,7 @@ def exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePol
     q_lead_coeff = q.coeffs[q_lead]
     # c·q_lead_coeff equals the leading coefficient exactly, so that term just goes.
     q_rest = [(key, c) for key, c in q.coeffs.items() if key != q_lead]
-    quotient: dict[tuple[int, int], int | Fraction] = {}
+    quotient: dict[tuple[int, int], int] = {}
     while heap:
         neg_p, neg_q = heappop(heap)
         a = remainder.pop((-neg_p, -neg_q), 0)
@@ -194,7 +190,7 @@ def exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePol
             raise InexactDivisionError("division is not exact")
         c, rem = divmod(a, q_lead_coeff)
         if rem:
-            c = Fraction(a, q_lead_coeff)
+            raise InexactDivisionError("division is not exact over the integers")
         quotient[(dp, dq)] = c
         for (p2, q2), c2 in q_rest:
             key = (p2 + dp, q2 + dq)

@@ -33,7 +33,9 @@ per class serves both of its reports: Ŵ's class table is W's reordered, and
 a dual class term, a class function, is read at W's representative with the
 π₀ sides swapped.  A space's average is one E-character product per distinct
 polynomial, weighted by the counts and fixed counts, divided once by |C(w)|,
-and (uv)^F(w) is an exponent shift.
+and (uv)^F(w) is an exponent shift.  That division is exact, since each
+coefficient of the average is the dimension of a space of invariants; a
+remainder raises EngineError.
 
 Per-w tables.  Everything the engine reads of w itself comes from one
 cached Smith form U·(w - 1)·V = D: dim Λ^w is the number of zero diagonal
@@ -52,7 +54,6 @@ which the walk checks; a non-commuting element raises NonCentralizingError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import getitem, mod, mul
@@ -335,9 +336,11 @@ def class_contribution(
     for poly, weight in weights.items():
         for term, c in _space_character(space.factors, poly).coeffs.items():
             total[term] = total.get(term, 0) + weight * c
-    average = BivariatePolynomial._of(
-        {term: c // order if c % order == 0 else Fraction(c, order) for term, c in total.items()}
-    )
+    for term, c in total.items():
+        total[term], rem = divmod(c, order)
+        if rem:
+            raise EngineError("a centralizer average has a non-integer coefficient")
+    average = BivariatePolynomial._of(total)
     return ClassContribution(
         representative=w,
         class_size=class_size,
@@ -386,7 +389,7 @@ def _rank_zero_report(datum: RootDatum) -> OrbifoldReport:
 def orbifold_e_polynomial(
     datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CAP
 ) -> OrbifoldReport:
-    """Sum of weighted class contributions; total must have integer coefficients."""
+    """Sum of weighted class contributions, each with integer coefficients."""
     if datum.rank == 0:
         return _rank_zero_report(datum)
     return _report(datum, space, _group_data(datum.generators, cap))
@@ -407,8 +410,6 @@ def _summed(label: str, group_order: int, contributions: list[ClassContribution]
     total = BivariatePolynomial.zero()
     for contribution in contributions:
         total = total + contribution.weighted
-    if not total.has_integer_coefficients():
-        raise EngineError("orbifold E-polynomial has non-integer coefficients")
     return OrbifoldReport(label, group_order, tuple(contributions), total)
 
 

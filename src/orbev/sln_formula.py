@@ -130,8 +130,6 @@ def _deg_u(poly: BivariatePolynomial) -> int:
 
 def _layout(n: int, e_a: BivariatePolynomial, d: int) -> tuple[int, int]:
     """(D, K) of the closed form's sum for n on (E(A), d); see the module docstring."""
-    if not e_a.has_integer_coefficients():
-        raise FormulaError("E-polynomial exponents e^{p,q} must be integers")
     if d < 0:
         raise FormulaError("the number d of U(1) factors must be >= 0")
     norm = sum(abs(c) for c in e_a.coeffs.values())

@@ -28,12 +28,16 @@ test can check the package's result against it:
   read off W's and whose terms are read off W's walks.
 - per_element_duality_oracle: a duality_check row rebuilt element by element
   from induced automorphisms, against the engine's per-w π₀ projections.
+- orbifold_euler_oracle: E_orb(1, 1) summed over the commuting pairs of W
+  (Dixon–Harvey–Vafa–Witten), from the minors of [g−1 | h−1], against the
+  engine's total evaluated at u = v = 1.
 
 `rebased` and `rank_four_data` are test data, not oracles: a datum in a
 seeded new basis, and the built-ins of rank <= 4 with two more data.  The
 functions after them are tools that tests read and the package never needs:
-a group's matrices, an element's class, polynomial substitution, evaluation
-and parsing, and a datum written back as a datum file.
+a group's matrices, an element's class, exact division of a polynomial by an
+int, polynomial substitution, evaluation and parsing, and a datum written
+back as a datum file.
 """
 
 from __future__ import annotations
@@ -153,7 +157,7 @@ def direct_sym_oracle(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial:
                 length += 1
             term = term * substitute_powers(e_a, length, length)
         total = total + term
-    return total.scale(Fraction(1, factorial(a)))
+    return divided(total, factorial(a))
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +172,6 @@ def binomial_sym_series(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial
         raise FormulaError("symmetric power requires a >= 0")
     series = [BivariatePolynomial.one()] + [BivariatePolynomial.zero() for _ in range(a)]
     for (p, q), e in sorted(e_a.coeffs.items()):
-        if type(e) is not int:
-            raise FormulaError("E-polynomial exponents e^{p,q} must be integers")
         mono = BivariatePolynomial.monomial(p, q)
         factor: list[BivariatePolynomial] = []
         power = BivariatePolynomial.one()
@@ -192,9 +194,8 @@ def binomial_sym_series(e_a: BivariatePolynomial, a: int) -> BivariatePolynomial
 def scan_exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
     """r with r·q = p by long division that scans the remainder for its lex-leading term.
 
-    Raises InexactDivisionError when a leading term is not a multiple of q's;
-    quotient coefficients come from divmod, or Fraction when that leaves a
-    remainder.
+    Raises InexactDivisionError when a leading term is not an integer multiple
+    of q's.
     """
     if q.is_zero():
         raise PolynomialError("division by the zero polynomial")
@@ -210,7 +211,7 @@ def scan_exact_divide(p: BivariatePolynomial, q: BivariatePolynomial) -> Bivaria
         a = remainder[r_lead]
         c, rem = divmod(a, q_lead_coeff)
         if rem:
-            c = Fraction(a, q_lead_coeff)
+            raise InexactDivisionError("division is not exact over the integers")
         quotient[(dp, dq)] = c
         for (p2, q2), c2 in q.coeffs.items():
             key = (p2 + dp, q2 + dq)
@@ -368,7 +369,7 @@ def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> 
             term = term * factor_e_character(kind, char_poly(solve_right_integer(basis, cs * basis)))
             term = term.scale(fixed_count(*induced_automorphism(cs, ws - eye)) ** factor_dimension(kind))
         total = total + term
-    average = total.scale(Fraction(1, len(cent)))
+    average = divided(total, len(cent))
     shift = direct_shift_oracle(w)
     weighted = average * BivariatePolynomial.monomial(1, 1) ** shift
     return average, weighted, shift, torsion_of_cokernel(w - eye)
@@ -406,6 +407,74 @@ def per_element_duality_oracle(w: IntegerMatrix, cent) -> tuple:
         for c in elements(cent)
     )
     return primal, dual, prod(primal) == prod(dual), counts_agree
+
+
+def orbifold_euler_oracle(datum: RootDatum, space: SpaceDescriptor) -> int:
+    """The orbifold Euler number E_orb(1, 1) by the commuting-pair formula (DHVW).
+
+    e = (1/|W|)·Σ_{gh=hg} Π_factors χ_f(g, h), where χ_f is the Euler number of
+    the points of the factor that g and h both fix.  On an affine line it is 1.
+    On a factor with d = factor_dimension(kind) > 0 it is (Π Smith divisors of
+    [g−1 | h−1])^d when that r × 2r block has r of them, and 0 otherwise (a
+    fixed torus of positive dimension).  A DUAL factor reads g and h as (g⁻¹)ᵀ
+    and (h⁻¹)ᵀ.  See _commuting_pairs for how the pairs are enumerated.
+    """
+    order, pairs = _commuting_pairs(datum.generators)
+    total = sum(
+        size * prod((dual if side == DUAL else primal) ** factor_dimension(kind) for kind, side in space.factors)
+        for size, primal, dual in pairs
+    )
+    e, rem = divmod(total, order)
+    if rem:
+        raise EngineError("the commuting-pair sum is not divisible by |W|")
+    return e
+
+
+@lru_cache(maxsize=None)
+def _commuting_pairs(generators) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """|W|, and (class size, χ on Λ, χ on Λ̂) for each class representative g and h in C(g).
+
+    χ(g, h) is unchanged when g and h are conjugated together, so the pairs
+    with g in one class add up to the class size times those with g its
+    representative.  Classes and centralizers come from matrix_group_oracle,
+    and χ from _common_fixed_points; no characteristic polynomial, π₀ block or
+    key histogram is used.
+    """
+    group, representatives, sizes, centralizers = matrix_group_oracle(generators)
+    pairs = tuple(
+        (size, _common_fixed_points(g, h), _common_fixed_points(g.inverse_transpose(), h.inverse_transpose()))
+        for g, size, cent in zip(representatives, sizes, centralizers)
+        for h in cent
+    )
+    return len(group), pairs
+
+
+def _common_fixed_points(g: IntegerMatrix, h: IntegerMatrix) -> int:
+    """|Λ/((g−1)Λ + (h−1)Λ)|, or 0 when it is infinite.
+
+    That is the product of the Smith divisors of [g−1 | h−1] when there are r
+    of them, which is the gcd of the block's r × r minors; the gcd is 0
+    exactly when the block has rank below r.
+    """
+    eye = IntegerMatrix.identity(g.rows)
+    columns = list(zip(*(g - eye).hstack(h - eye).entries))
+    divisor = 0
+    for minor in itertools.combinations(columns, g.rows):
+        divisor = gcd(divisor, _laplace_det(minor))
+        if divisor == 1:
+            break
+    return divisor
+
+
+def _laplace_det(rows) -> int:
+    """The determinant of a square matrix given by rows, expanded along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
 
 
 def rank_four_data() -> list[RootDatum]:
@@ -452,9 +521,19 @@ def class_of(table, m: IntegerMatrix) -> int:
     return table.class_index[table.group.key(m)]
 
 
+def divided(p: BivariatePolynomial, k: int) -> BivariatePolynomial:
+    """p / k, coefficient by coefficient; raises InexactDivisionError when k leaves a remainder."""
+    out = {}
+    for key, c in p.coeffs.items():
+        out[key], rem = divmod(c, k)
+        if rem:
+            raise InexactDivisionError(f"{k} does not divide the coefficient {c}")
+    return BivariatePolynomial(out)
+
+
 def substitute_powers(p: BivariatePolynomial, i: int, j: int) -> BivariatePolynomial:
     """p(u^i, v^j)."""
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for (a, b), c in p.coeffs.items():
         out[(a * i, b * j)] = out.get((a * i, b * j), 0) + c
     return BivariatePolynomial(out)
@@ -473,17 +552,17 @@ def json_terms(p: BivariatePolynomial) -> list[dict]:
 
 def from_json_terms(terms) -> BivariatePolynomial:
     """The polynomial whose plain JSON form is terms."""
-    return BivariatePolynomial({(int(t["p"]), int(t["q"])): Fraction(t["coeff"]) for t in terms})
+    return BivariatePolynomial({(int(t["p"]), int(t["q"])): int(t["coeff"]) for t in terms})
 
 
 def from_text(text: str) -> BivariatePolynomial:
     """The polynomial that BivariatePolynomial.to_text wrote as text."""
     text = text.strip()
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    coeffs: dict[tuple[int, int], int] = {}
     for term in text.split(" + ") if text != "0" else ():
         c, up, vq = term.split("*")
         key = (int(up.removeprefix("u^")), int(vq.removeprefix("v^")))
-        coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+        coeffs[key] = coeffs.get(key, 0) + int(c)
     return BivariatePolynomial(coeffs)
 
 

@@ -22,6 +22,7 @@ from orbev.lattice_core import (
     torsion_of_cokernel,
 )
 from orbev.orbifold_engine import (
+    EngineError,
     _dual_class_table,
     _duality_row,
     _fixed_data,
@@ -47,6 +48,7 @@ from oracles import (
     dual_group_report,
     elements,
     evaluate,
+    orbifold_euler_oracle,
     per_element_class_oracle,
     per_element_duality_oracle,
     rank_four_data,
@@ -263,11 +265,39 @@ class TestOrbifoldEPolynomial:
         report = orbifold_e_polynomial(trivial, SPACES["betti"])
         assert report.total == ONE
 
-    def test_totals_have_integer_coefficients(self):
-        for datum in [sl_quotient_datum(4, 2), classical_datum("D", 3, "simply_connected")]:
+    def test_non_integral_class_average_raises(self, monkeypatch):
+        # One more element in the identity class's histogram: (1/|C(w)|)·Σ_c leaves a remainder.
+        _, table, cents = _group_data(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)
+        w, cent = table.representatives[0], cents[0]
+        assert w == IntegerMatrix.identity(2)
+        rows = _key_histogram(cent, cent.key(w), (cent.action.dual,))
+        bumped = ((*rows[0][:2], rows[0][2] + 1),) + rows[1:]
+        assert class_contribution(SPACES["betti"], w, cent).average == xpoly([1, 0, 1, 0, 1])
+        monkeypatch.setattr(orbifold_engine, "_key_histogram", lambda *args: bumped)
+        with pytest.raises(EngineError, match="non-integer"):
+            class_contribution(SPACES["betti"], w, cent)
+
+    def test_totals_are_hodge_and_poincare_symmetric(self):
+        # E(u, v) = E(v, u) on every space; on the compact ones, of dimension 2r,
+        # E(u, v) = (uv)^{2r}·E(1/u, 1/v), so (p, q) and (2r - p, 2r - q) agree.
+        for datum in rank_four_data():
+            top = 2 * datum.rank
             for space in SPACES.values():
-                report = orbifold_e_polynomial(datum, space)
-                assert report.total.has_integer_coefficients()
+                report = mirror_check(datum, space)
+                for total in (report.primal.total, report.dual.total):
+                    assert total.coeffs == {(q, p): c for (p, q), c in total.coeffs.items()}
+                    if space.name in ("abelian-surface", "mixed"):
+                        assert total.coeffs == {(top - p, top - q): c for (p, q), c in total.coeffs.items()}
+
+    def test_euler_number_matches_commuting_pair_oracle(self):
+        cases = 0
+        for datum in rank_four_data():
+            if datum.rank <= 3:
+                for space in SPACES.values():
+                    total = orbifold_e_polynomial(datum, space).total
+                    assert evaluate(total, 1, 1) == orbifold_euler_oracle(datum, space), (datum.label, space.name)
+                    cases += 1
+        assert cases == 95
 
     def test_class_count_matches_group(self):
         d = sl_quotient_datum(4, 1)

@@ -11,13 +11,15 @@ component group of (A ⊗ Λ)^w is π₀(T^w)^d(kind) with π₀(T^w) = Tor(Λ/(
 and components fixed by c contribute the identity-component character because
 translations act trivially on cohomology.
 
-Group data.  W, its class table, one centralizer per class and Ŵ's class
-table depend on a datum's generators and nothing else, so they are cached
-per generator set; of the datum itself the engine reads only its rank and
-label.  Data with equal generators share these objects and, through the
-shared centralizers, every key histogram and π₀ table.  Among the built-ins,
-B_n adjoint and C_n simply connected share them (ℤⁿ with signed
-permutations), and so do SL(2) and SL(2)/Z2 (both act by -1).
+Group data.  W, its class table, one centralizer per class and the class
+records, each holding what a class term reads of its class (w, the class
+size, C(w) and a key in it, F(w) and π₀'s divisors), depend on a datum's
+generators alone, so they are cached per generator set, where the
+orbit-stabilizer and w ↔ (w⁻¹)ᵀ bijection checks run; of the datum itself the
+engine reads only its rank and label.  Data with equal generators share all
+of these and, through the shared centralizers, every key histogram and π₀
+table.  Among the built-ins, B_n adjoint and C_n simply connected share them
+(ℤⁿ with signed permutations), and so do SL(2) and SL(2)/Z2 (both act by -1).
 
 Key histogram.  A factor's E-character of c depends only on the
 characteristic polynomial of c on Λ^w, which is the same on the dual side,
@@ -31,11 +33,12 @@ the process.  `compute` reads Λ alone for a space on Λ and both sides for
 `mixed`.  The mirror check reads both sides for every space, and one walk
 per class serves both of its reports: Ŵ's class table is W's reordered, and
 a dual class term, a class function, is read at W's representative with the
-π₀ sides swapped.  A space's average is one E-character product per distinct
-polynomial, weighted by the counts and fixed counts, divided once by |C(w)|,
-and (uv)^F(w) is an exponent shift.  That division is exact, since each
-coefficient of the average is the dimension of a space of invariants; a
-remainder raises EngineError.
+π₀ sides swapped; when it weighs the histogram as the primal term did, it
+takes that term's polynomials.  A space's average is one E-character
+product per distinct polynomial, weighted by the counts and fixed counts,
+divided once by |C(w)|, and (uv)^F(w) is an exponent shift.  That division
+is exact, since each coefficient of the average is the dimension of a space
+of invariants; a remainder raises EngineError.
 
 Per-w tables.  Everything the engine reads of w itself comes from one
 cached Smith form U·(w - 1)·V = D: dim Λ^w is the number of zero diagonal
@@ -56,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import getitem, mod, mul
+from operator import attrgetter, getitem, mod, mul
 
 from .epoly import (
     DUAL,
@@ -75,6 +78,7 @@ from .lattice_core import (
 )
 # No longer called here; imported because perfbench's tracer wraps them in this module.
 from .lattice_core import fixed_sublattice, induced_automorphism, solve_right_integer
+# dual_datum is no longer called here; imported because perfbench's tracer wraps it in this module.
 from .root_data import RootDatum, _dual_label, dual_datum
 from .weyl import (
     DEFAULT_CAP,
@@ -101,6 +105,23 @@ class ClassContribution:
     pi0_divisors: tuple[int, ...]
     average: BivariatePolynomial  # bar E_{C(w)}(X^w)
     weighted: BivariatePolynomial  # average · (uv)^{F(w)}
+
+
+@dataclass(frozen=True)
+class ClassRecord:
+    """What a class term reads of its class: the key histogram of centralizer, read at key on centralizer's side.
+
+    own is the lattice side of the representative w (True for Λ̂), shift is F(w), match a Ŵ record's W class.
+    """
+
+    representative: IntegerMatrix
+    class_size: int
+    centralizer: MatrixGroup
+    key: Key
+    own: bool
+    shift: int
+    pi0_divisors: tuple[int, ...]
+    match: int | None = None
 
 
 @dataclass(frozen=True)
@@ -294,62 +315,71 @@ def _space_character(factors: tuple[tuple[str, str], ...], poly: tuple[int, ...]
     return product
 
 
-def class_contribution(
-    space: SpaceDescriptor,
-    w: IntegerMatrix,
-    cent: MatrixGroup,
-    class_size: int = 1,
-    at: Key | None = None,
-    both_sides: bool = False,
-) -> ClassContribution:
-    """One conjugacy-class term: average over C(w), then shift by (uv)^F(w).
+@lru_cache(maxsize=None)
+def _columns(space: SpaceDescriptor, own: bool, both_sides: bool):
+    """Whether space uses Λ̂, the sides a term of w on side own reads, and their powers in a row's weight.
 
-    The average is read from the key histogram of C(w) at the key of w, on
-    w's own lattice side and, when the space uses Λ̂, the other one too; with
-    both_sides it reads both in any case, so that the mirror check's two
-    reports share one walk.  The term is a class function, so it may also be
-    read at another element: with `at`, cent = C(x) for the element x that
-    key `at` names on cent's side, and w is conjugate to x read on the other
-    side.  C(w) and C(x) then have the same histogram with the π₀ sides
-    swapped, while the representative, the shift and π₀'s divisors are w's.
+    A PRIMAL factor reads w's own side, a DUAL one the other; the powers come for w, then swapped for its twin.
     """
-    order = cent.order
-    if not order:
-        raise EngineError("centralizer must contain at least the identity")
-    if at is None:
-        key, own, other = cent.key(w), cent.action.dual, cent.dual_matrix
-    else:
-        key, own, other = at, not cent.action.dual, cent.matrix
-    shift = fermionic_shift(w)
-    if space.uses_dual and fermionic_shift(other(key)) != shift:
-        raise EngineError("fermionic shift differs between the lattice and its dual")
     sides = (False, True) if both_sides or space.uses_dual else (own,)
-    # A factor on the PRIMAL side reads w's own lattice, one on the DUAL side the other.
-    columns = [(sides.index(own != (side == DUAL)), factor_dimension(kind)) for kind, side in space.factors]
+    powers = [tuple(sum(factor_dimension(k) for k, side in space.factors if (o != (side == DUAL)) == s) for s in sides)
+              for o in (own, not own)]
+    return space.uses_dual, sides, *powers
 
+
+def _weights(rows, powers: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Each characteristic polynomial's count in the histogram rows, times its fixed counts' powers."""
     weights: dict[tuple[int, ...], int] = {}
-    for poly, fixes, weight in _key_histogram(cent, key, sides):
-        for i, d in columns:
-            weight *= fixes[i] ** d
-        weights[poly] = weights.get(poly, 0) + weight
-    total: dict[tuple[int, int], int] = {}
-    for poly, weight in weights.items():
-        for term, c in _space_character(space.factors, poly).coeffs.items():
-            total[term] = total.get(term, 0) + weight * c
-    for term, c in total.items():
-        total[term], rem = divmod(c, order)
-        if rem:
-            raise EngineError("a centralizer average has a non-integer coefficient")
-    average = BivariatePolynomial._of(total)
-    return ClassContribution(
-        representative=w,
-        class_size=class_size,
-        centralizer_order=order,
-        shift=shift,
-        pi0_divisors=_fixed_data(w)[1],
-        average=average,
-        weighted=average.times_monomial(shift, shift),
-    )
+    for poly, fixes, n in rows:
+        weights[poly] = weights.get(poly, 0) + n * prod(map(pow, fixes, powers))
+    return weights
+
+
+def class_contribution(
+    record: ClassRecord, space: SpaceDescriptor, both_sides: bool = False, twin: ClassContribution | None = None
+) -> ClassContribution:
+    """One conjugacy-class term: average over the record's centralizer, then shift by (uv)^F(w).
+
+    The average is read from the key histogram at the record's key, on w's
+    own lattice side and, when the space uses Λ̂, the other one too; with
+    both_sides it reads both in any case, so that the mirror check's two
+    reports share one walk.  twin is the term that read the same histogram
+    from the other lattice side: when its weights, centralizer order and
+    shift equal this term's, so do its average and weighted polynomials,
+    and this term takes them rather than assembling them again.
+    """
+    cent, key, own, shift = record.centralizer, record.key, record.own, record.shift
+    uses_dual, sides, powers, twin_powers = _columns(space, own, both_sides)
+    other = cent.dual_matrix if own == cent.action.dual else cent.matrix
+    if uses_dual and fermionic_shift(other(key)) != shift:
+        raise EngineError("fermionic shift differs between the lattice and its dual")
+    rows = _key_histogram(cent, key, sides)
+    weights, order = _weights(rows, powers), cent.order
+    alike = twin is not None and (twin.shift, twin.centralizer_order) == (shift, order)
+    if alike and _weights(rows, twin_powers) == weights:
+        average, weighted = twin.average, twin.weighted
+    else:
+        total: dict[tuple[int, int], int] = {}
+        for poly, weight in weights.items():
+            for term, c in _space_character(space.factors, poly).coeffs.items():
+                total[term] = total.get(term, 0) + weight * c
+        for term, c in total.items():
+            total[term], rem = divmod(c, order)
+            if rem:
+                raise EngineError("a centralizer average has a non-integer coefficient")
+        average = BivariatePolynomial._of(total)
+        weighted = average.times_monomial(shift, shift)
+    pi0 = record.pi0_divisors
+    return ClassContribution(record.representative, record.class_size, order, shift, pi0, average, weighted)
+
+
+def _record(w: IntegerMatrix, cent: MatrixGroup, size: int = 1, at: Key | None = None, match: int | None = None):
+    """w's ClassRecord, read at w on cent = C(w), or at key `at` on cent = C(x), x named by `at`, sides swapped."""
+    if not cent.order:
+        raise EngineError("centralizer must contain at least the identity")
+    dim, pi0 = _fixed_data(w)
+    key, own = (cent.key(w), cent.action.dual) if at is None else (at, not cent.action.dual)
+    return ClassRecord(w, size, cent, key, own, w.rows - dim, pi0, match)
 
 
 @lru_cache(maxsize=None)
@@ -366,23 +396,29 @@ def _group_data(generators: tuple[IntegerMatrix, ...], cap: int):
 
 
 @lru_cache(maxsize=None)
-def _dual_class_table(generators: tuple[IntegerMatrix, ...], cap: int):
-    """The class table of Ŵ = {(w⁻¹)ᵀ} for W generated by generators, read off W's."""
-    return dual_class_table(_group_data(generators, cap)[1])
+def _class_records(generators: tuple[IntegerMatrix, ...], cap: int) -> tuple[ClassRecord, ...]:
+    """W's class records, once per generator set, each read at its representative."""
+    group, table, cents = _group_data(generators, cap)
+    if any(cent.order * size != group.order for size, cent in zip(table.sizes, cents)):
+        raise EngineError("orbit-stabilizer mismatch in class table")
+    return tuple(map(_record, table.representatives, cents, table.sizes))
 
 
-def _rank_zero_report(datum: RootDatum) -> OrbifoldReport:
+@lru_cache(maxsize=None)
+def _dual_records(generators: tuple[IntegerMatrix, ...], cap: int) -> tuple[ClassRecord, ...]:
+    """Ŵ's class records, once per generator set, each read at the key of its W class by w ↔ (w⁻¹)ᵀ."""
+    _, table, cents = _group_data(generators, cap)
+    dual = dual_class_table(table)
+    matches = [table.class_index[key] for key in dual.keys]
+    if sorted(matches) != list(range(table.count)):
+        raise EngineError("class matching w ↔ (w⁻¹)ᵀ is not a bijection")
+    classes = zip(dual.representatives, dual.sizes, matches)
+    return tuple(_record(rep, cents[i], size, table.keys[i], i) for rep, size, i in classes)
+
+
+def _rank_zero_report(label: str) -> OrbifoldReport:
     one = BivariatePolynomial.one()
-    contribution = ClassContribution(
-        representative=IntegerMatrix.identity(0),
-        class_size=1,
-        centralizer_order=1,
-        shift=0,
-        pi0_divisors=(),
-        average=one,
-        weighted=one,
-    )
-    return OrbifoldReport(datum.label, 1, (contribution,), one)
+    return OrbifoldReport(label, 1, (ClassContribution(IntegerMatrix.identity(0), 1, 1, 0, (), one, one),), one)
 
 
 @lru_cache(maxsize=None)
@@ -391,26 +427,21 @@ def orbifold_e_polynomial(
 ) -> OrbifoldReport:
     """Sum of weighted class contributions, each with integer coefficients."""
     if datum.rank == 0:
-        return _rank_zero_report(datum)
-    return _report(datum, space, _group_data(datum.generators, cap))
+        return _rank_zero_report(datum.label)
+    return _report(datum.label, space, _class_records(datum.generators, cap))
 
 
-def _report(datum: RootDatum, space: SpaceDescriptor, group_data, both_sides: bool = False) -> OrbifoldReport:
-    group, table, cents = group_data
-    if any(cent.order * size != group.order for size, cent in zip(table.sizes, cents)):
-        raise EngineError("orbit-stabilizer mismatch in class table")
-    contributions = [
-        class_contribution(space, rep, cent, size, both_sides=both_sides)
-        for rep, size, cent in zip(table.representatives, table.sizes, cents)
-    ]
-    return _summed(datum.label, group.order, contributions)
+def _report(label: str, space: SpaceDescriptor, records, both_sides: bool = False) -> OrbifoldReport:
+    return _summed(label, [class_contribution(record, space, both_sides) for record in records])
 
 
-def _summed(label: str, group_order: int, contributions: list[ClassContribution]) -> OrbifoldReport:
-    total = BivariatePolynomial.zero()
+def _summed(label: str, contributions: list[ClassContribution]) -> OrbifoldReport:
+    total: dict[tuple[int, int], int] = {}
     for contribution in contributions:
-        total = total + contribution.weighted
-    return OrbifoldReport(label, group_order, tuple(contributions), total)
+        for term, c in contribution.weighted.coeffs.items():
+            total[term] = total.get(term, 0) + c
+    group_order = sum(c.class_size for c in contributions)
+    return OrbifoldReport(label, group_order, tuple(contributions), BivariatePolynomial._of(total))
 
 
 @lru_cache(maxsize=None)
@@ -418,39 +449,27 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
     """Compare E_orb on (Λ, W) and (Λ̂, Ŵ), matching classes by w ↔ (w⁻¹)ᵀ.
 
     A key names w in W and (w⁻¹)ᵀ in Ŵ, so Ŵ's class table is W's reordered
-    (`dual_class_table`) and the matching is a lookup of each primal
-    representative's key in it.  Each class is walked once, with both lattice
-    sides: the primal term reads the histogram of C(w), and the dual term of
-    the class reads the same histogram at W's representative with its sides
-    swapped.  Ŵ needs no class scan, centralizer or walk of its own, and the
-    dual report's label is read off the primal one, so no dual datum is built.
+    (`dual_class_table`) and each of Ŵ's class records holds the index of
+    the W class it matches.  Each class is walked once, with both lattice
+    sides: the primal term reads the histogram of C(w), and the dual term
+    reads the same histogram at W's representative with its sides swapped,
+    taking the primal term's polynomials when it weighs the histogram alike.
+    Ŵ needs no class scan, centralizer or walk of its own, and the dual
+    report's label is read off the primal one, so no dual datum is built.
     """
     if datum.rank == 0:
-        primal = orbifold_e_polynomial(datum, space, cap)
-        dual = orbifold_e_polynomial(dual_datum(datum), space, cap)
-        pair = MirrorPair(0, 0, BivariatePolynomial.zero())
-        return MirrorReport(primal, dual, (pair,), True, True)
-    group_data = _group_data(datum.generators, cap)
-    group, table, cents = group_data
-    primal = _report(datum, space, group_data, both_sides=True)
-    dual_table = _dual_class_table(datum.generators, cap)
-    dual_terms = []
-    for rep, size, key in zip(dual_table.representatives, dual_table.sizes, dual_table.keys):
-        i = table.class_index[key]
-        dual_terms.append(class_contribution(space, rep, cents[i], size, at=table.keys[i], both_sides=True))
-    dual = _summed(_dual_label(datum.label), group.order, dual_terms)
+        primal, dual = _rank_zero_report(datum.label), _rank_zero_report(_dual_label(datum.label))
+        return MirrorReport(primal, dual, (MirrorPair(0, 0, BivariatePolynomial.zero()),), True, True)
+    primal = _report(datum.label, space, _class_records(datum.generators, cap), both_sides=True)
+    terms, records = primal.contributions, _dual_records(datum.generators, cap)
+    dual = _summed(_dual_label(datum.label), [class_contribution(r, space, True, terms[r.match]) for r in records])
     pairs = []
-    seen_dual = set()
-    for i, (key, contribution) in enumerate(zip(table.keys, primal.contributions)):
-        j = dual_table.class_index[key]
-        seen_dual.add(j)
-        difference = contribution.weighted - dual.contributions[j].weighted
-        pairs.append(MirrorPair(i, j, difference))
-    if len(seen_dual) != len(dual.contributions):
-        raise EngineError("class matching w ↔ (w⁻¹)ᵀ is not a bijection")
+    for j, (record, term) in enumerate(zip(records, dual.contributions)):
+        a, b = terms[record.match].weighted, term.weighted
+        pairs.append(MirrorPair(record.match, j, BivariatePolynomial.zero() if a is b else a - b))
+    pairs.sort(key=attrgetter("primal_class"))
     term_by_term = all(p.difference.is_zero() for p in pairs)
-    equal = primal.total == dual.total
-    return MirrorReport(primal, dual, tuple(pairs), term_by_term, equal)
+    return MirrorReport(primal, dual, tuple(pairs), term_by_term, primal.total == dual.total)
 
 
 @lru_cache(maxsize=None)

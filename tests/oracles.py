@@ -22,7 +22,7 @@ test can check the package's result against it:
 - matrix_group_oracle: group elements, conjugacy classes and centralizers by
   IntegerMatrix products alone, against weyl's permutation keys.
 - per_element_class_oracle: a class term summed element by element, against
-  the key histogram of orbifold_engine.class_contribution.
+  the key histogram that orbifold_engine.class_contribution reads.
 - dual_group_report: E_orb on (Λ̂, Ŵ) from Ŵ's own class scan, centralizers
   and key walks, against mirror_check's dual report, whose class table is
   read off W's and whose terms are read off W's walks.
@@ -69,7 +69,7 @@ from orbev.lattice_core import (
     solve_right_integer,
     torsion_of_cokernel,
 )
-from orbev.orbifold_engine import EngineError, OrbifoldReport, _report
+from orbev.orbifold_engine import EngineError, OrbifoldReport, _record, _report
 from orbev.root_data import FractionMatrix, RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
 from orbev.sln_formula import FormulaError, partitions, tau
 from orbev.weyl import centralizer, conjugacy_classes, dual_group, generate_group
@@ -388,7 +388,9 @@ def dual_group_report(datum: RootDatum, space: SpaceDescriptor) -> OrbifoldRepor
     Each class term is read at Ŵ's own representative from a walk of Ŵ's own
     centralizer, with the lattice sides the space uses.
     """
-    return _report(dual_datum(datum), space, dual_group_data(datum))
+    _, table, cents = dual_group_data(datum)
+    records = tuple(map(_record, table.representatives, cents, table.sizes))
+    return _report(dual_datum(datum).label, space, records)
 
 
 def per_element_duality_oracle(w: IntegerMatrix, cent) -> tuple:

@@ -7,6 +7,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbev import orbifold_engine
 from orbev.cli import main
@@ -18,18 +20,21 @@ from orbev.lattice_core import (
     fixed_count,
     fixed_sublattice,
     induced_automorphism,
+    smith_normal_form,
     solve_right_integer,
     torsion_of_cokernel,
 )
 from orbev.orbifold_engine import (
     EngineError,
-    _dual_class_table,
+    _class_records,
+    _dual_records,
     _duality_row,
     _fixed_data,
     _group_data,
     _key_histogram,
     _newton,
     _pi0_reader,
+    _record,
     _space_character,
     _trace_reader,
     class_contribution,
@@ -39,11 +44,22 @@ from orbev.orbifold_engine import (
     orbifold_e_polynomial,
 )
 from orbev.root_data import RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
-from orbev.weyl import DEFAULT_CAP, GroupError, centralizer, conjugacy_classes, dual_group, generate_group
+from orbev.weyl import (
+    DEFAULT_CAP,
+    ConjugacyClassTable,
+    GroupError,
+    MatrixGroup,
+    centralizer,
+    conjugacy_classes,
+    dual_class_table,
+    dual_group,
+    generate_group,
+)
 from oracles import (
     G2_PATH,
     class_of,
     direct_shift_oracle,
+    divided,
     dual_group_data,
     dual_group_report,
     elements,
@@ -62,6 +78,29 @@ UV = P.monomial(1, 1)
 
 def M(rows):
     return IntegerMatrix.from_rows(rows, cols=len(rows[0]))
+
+
+TRIVIAL = RootDatum(rank=0, basis=IntegerMatrix.zero(0, 0), denominator=1, gram=(), generators=(), label="trivial")
+ENGINE_CACHES = (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records, _key_histogram)
+
+
+@pytest.fixture
+def cleared_engine_caches():
+    """The engine's report, group, record and histogram caches, empty before the test and after it.
+
+    A test that patches the engine fills them with what the patch returned; the
+    clearing afterwards keeps those entries from reaching later tests.
+    """
+    for cached in ENGINE_CACHES:
+        cached.cache_clear()
+    yield
+    for cached in ENGINE_CACHES:
+        cached.cache_clear()
+
+
+def term(space, w, cent):
+    """The class term of w read on cent, which is C(w) unless a test says otherwise."""
+    return class_contribution(_record(w, cent), SPACES[space])
 
 
 def xpoly(coeffs):
@@ -168,7 +207,7 @@ class TestClassContribution:
         d = sl_quotient_datum(2, 1)
         group = generate_group(d.generators)
         w = IntegerMatrix.identity(1)
-        contrib = class_contribution(SPACES["betti"], w, centralizer(group, w))
+        contrib = term("betti", w, centralizer(group, w))
         # average of (uv-1)^2 and (uv+1)^2 over W = Z/2
         assert contrib.average == xpoly([1, 0, 1])
         assert contrib.weighted == contrib.average
@@ -177,7 +216,7 @@ class TestClassContribution:
         d = sl_quotient_datum(2, 1)
         group = generate_group(d.generators)
         w = M([[-1]])
-        contrib = class_contribution(SPACES["betti"], w, centralizer(group, w))
+        contrib = term("betti", w, centralizer(group, w))
         # 4 order-2 points of (C^x)^2 survive, each contributing 1, shift 1
         assert contrib.average == P.constant(4)
         assert contrib.weighted == UV.scale(4)
@@ -189,10 +228,7 @@ class TestClassContribution:
         table = conjugacy_classes(group)
         for i, rep in enumerate(table.representatives):
             twins = [x for x in elements(group) if class_of(table, x) == i][:2]
-            results = [
-                class_contribution(SPACES["abelian-surface"], w, centralizer(group, w))
-                for w in twins
-            ]
+            results = [term("abelian-surface", w, centralizer(group, w)) for w in twins]
             assert all(r.average == results[0].average for r in results)
             assert all(r.weighted == results[0].weighted for r in results)
 
@@ -254,15 +290,7 @@ class TestOrbifoldEPolynomial:
         assert report.total == xpoly([1, 1, 8, 1, 1])
 
     def test_rank_zero_datum(self):
-        trivial = RootDatum(
-            rank=0,
-            basis=IntegerMatrix.zero(0, 0),
-            denominator=1,
-            gram=(),
-            generators=(),
-            label="trivial",
-        )
-        report = orbifold_e_polynomial(trivial, SPACES["betti"])
+        report = orbifold_e_polynomial(TRIVIAL, SPACES["betti"])
         assert report.total == ONE
 
     def test_non_integral_class_average_raises(self, monkeypatch):
@@ -272,10 +300,10 @@ class TestOrbifoldEPolynomial:
         assert w == IntegerMatrix.identity(2)
         rows = _key_histogram(cent, cent.key(w), (cent.action.dual,))
         bumped = ((*rows[0][:2], rows[0][2] + 1),) + rows[1:]
-        assert class_contribution(SPACES["betti"], w, cent).average == xpoly([1, 0, 1, 0, 1])
+        assert term("betti", w, cent).average == xpoly([1, 0, 1, 0, 1])
         monkeypatch.setattr(orbifold_engine, "_key_histogram", lambda *args: bumped)
         with pytest.raises(EngineError, match="non-integer"):
-            class_contribution(SPACES["betti"], w, cent)
+            term("betti", w, cent)
 
     def test_totals_are_hodge_and_poincare_symmetric(self):
         # E(u, v) = E(v, u) on every space; on the compact ones, of dimension 2r,
@@ -362,8 +390,8 @@ class TestMirrorCheck:
         assert report.dual.total == direct.total
 
     def test_dual_report_is_labelled_without_building_the_dual_datum(self, monkeypatch):
-        """The dual report's label is the dual datum's, read off the primal label alone."""
-        data = rank_four_data()
+        """The dual report's label is the dual datum's, read off the primal label alone, at rank 0 too."""
+        data = rank_four_data() + [TRIVIAL]
         expected = {d.label: dual_datum(d).label for d in data}
         calls = []
         monkeypatch.setattr(orbifold_engine, "dual_datum", lambda d: calls.append(d) or dual_datum(d))
@@ -371,6 +399,52 @@ class TestMirrorCheck:
         for d in data:
             assert mirror_check(d, SPACES["betti"]).dual.datum_label == expected[d.label]
         assert calls == []
+        assert expected["trivial"] == "dual(trivial)"
+
+    def test_dual_terms_take_the_primal_polynomials_when_their_inputs_match(self):
+        """Every pair of every rank <= 4 datum on every space: one polynomial object, difference zero."""
+        for datum in rank_four_data():
+            for space in SPACES.values():
+                report = mirror_check(datum, space)
+                for pair in report.pairs:
+                    primal = report.primal.contributions[pair.primal_class]
+                    dual = report.dual.contributions[pair.dual_class]
+                    assert (dual.average, dual.weighted) == (primal.average, primal.weighted)
+                    assert dual.weighted is primal.weighted and pair.difference.is_zero()
+
+    def test_dual_term_assembles_its_own_polynomial_when_its_fixed_counts_differ(self, monkeypatch,
+                                                                                cleared_engine_caches):
+        """SL(3)/Z3's 3-cycle class, made to fix all of π₀ on Λ and only the identity on Λ̂.
+
+        The primal term on betti reads Λ's counts and the dual term Λ̂'s, so
+        their weights differ: the dual term must assemble its own average,
+        from the swapped weights, and the pair must not cancel.
+        """
+        datum, space = sl_quotient_datum(3, 3), SPACES["betti"]
+        records = _class_records(datum.generators, DEFAULT_CAP)
+        (i, target), = [(i, r) for i, r in enumerate(records) if r.pi0_divisors]
+        histogram = orbifold_engine._key_histogram
+        real = histogram(target.centralizer, target.key, (False, True))
+        rows = tuple((poly, (fixes[0], 1), n) for poly, fixes, n in real)
+        assert all(fixes == (3, 1) for _, fixes, _ in rows)
+
+        def patched(cent, key, inverses, polys=True):
+            return rows if (key, inverses) == (target.key, (False, True)) else histogram(cent, key, inverses, polys)
+
+        monkeypatch.setattr(orbifold_engine, "_key_histogram", patched)
+        report = mirror_check(datum, space)
+        pair = next(p for p in report.pairs if p.primal_class == i)
+        primal, dual = report.primal.contributions[i], report.dual.contributions[pair.dual_class]
+        by_hand = P.zero()
+        for poly, (_, dual_fixes), n in rows:
+            by_hand = by_hand + _space_character(space.factors, poly).scale(n * dual_fixes ** 2)
+        assert primal.average == P.constant(9)
+        assert dual.average == divided(by_hand, target.centralizer.order) == ONE
+        assert pair.difference == UV.scale(8) * UV
+        assert not pair.difference.is_zero()
+        assert not report.term_by_term and not report.equal
+        others = [p for p in report.pairs if p is not pair]
+        assert others and all(p.difference.is_zero() for p in others)
 
     def test_d3_simply_connected_matches_sl4(self):
         # rank-3 coincidence: the D-type double cover agrees with SL(4),
@@ -379,6 +453,58 @@ class TestMirrorCheck:
         a3 = sl_quotient_datum(4, 1)
         for space in SPACES.values():
             assert orbifold_e_polynomial(d3, space).total == orbifold_e_polynomial(a3, space).total
+
+
+RANK_TWO_OR_THREE = [d for d in rank_four_data() if d.rank in (2, 3)]
+
+
+def class_terms(report):
+    """The multiset of what a report says of each class, representatives aside."""
+    terms = report.contributions
+    return Counter((c.class_size, c.centralizer_order, c.shift, c.pi0_divisors, c.average) for c in terms)
+
+
+class TestBasisChangeInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(datum=st.sampled_from(RANK_TWO_OR_THREE), seed=st.integers(0, 2**32))
+    def test_mirror_check_is_unchanged_by_a_change_of_basis(self, datum, seed):
+        """A re-based datum's mirror reports agree with the datum's on every space, class by class."""
+        moved = rebased(datum, seed)
+        for space in SPACES.values():
+            a, b = mirror_check(datum, space), mirror_check(moved, space)
+            assert (b.primal.total, b.dual.total, b.equal, b.term_by_term) == (
+                a.primal.total, a.dual.total, a.equal, a.term_by_term)
+            assert class_terms(b.primal) == class_terms(a.primal)
+            assert class_terms(b.dual) == class_terms(a.dual)
+
+
+class TestEngineChecks:
+    """Each consistency check of the class records and terms, made to fire."""
+
+    def test_empty_centralizer(self):
+        group = generate_group(sl_quotient_datum(3, 1).generators)
+        with pytest.raises(EngineError, match="at least the identity"):
+            _record(IntegerMatrix.identity(2), MatrixGroup(group.action, (), (), ()))
+
+    def test_shift_disagreement_on_a_space_that_uses_the_dual(self):
+        record = _class_records(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)[1]
+        wrong = replace(record, shift=record.shift + 1)
+        assert class_contribution(wrong, SPACES["betti"]).shift == record.shift + 1
+        with pytest.raises(EngineError, match="fermionic shift differs"):
+            class_contribution(wrong, SPACES["mixed"])
+
+    def test_orbit_stabilizer_mismatch(self, monkeypatch, cleared_engine_caches):
+        monkeypatch.setattr(orbifold_engine, "centralizer", lambda group, w: group)
+        with pytest.raises(EngineError, match="orbit-stabilizer"):
+            orbifold_e_polynomial(sl_quotient_datum(3, 1), SPACES["betti"])
+
+    def test_class_matching_that_is_not_a_bijection(self, monkeypatch, cleared_engine_caches):
+        def collapsed(table):
+            return ConjugacyClassTable(table.group, (table.keys[0],) * table.count, table.sizes, table.class_index)
+
+        monkeypatch.setattr(orbifold_engine, "dual_class_table", collapsed)
+        with pytest.raises(EngineError, match="not a bijection"):
+            mirror_check(sl_quotient_datum(3, 1), SPACES["betti"])
 
 
 class TestDualityCheck:
@@ -479,7 +605,7 @@ class TestKeyHistogram:
                             lambda group: reads["classes"].append(group) or classes(group))
         monkeypatch.setattr(orbifold_engine, "centralizer",
                             lambda group, w: reads["centralizers"].append(group) or cent_scan(group, w))
-        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table, _key_histogram):
+        for cached in ENGINE_CACHES:
             cached.cache_clear()
         return reads
 
@@ -515,7 +641,7 @@ class TestKeyHistogram:
                 rebased(classical_datum("C", 3, "adjoint"), seed=7)]
         runs = []
         for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
-            for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table, _fixed_data,
+            for cached in (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records, _fixed_data,
                            _key_histogram, fixed_count, _space_character,
                            factor_e_character, char_poly):
                 cached.cache_clear()
@@ -524,11 +650,11 @@ class TestKeyHistogram:
 
     def test_matrix_caches_hold_only_representatives_and_generators(self):
         datum = classical_datum("B", 4, "simply_connected")
-        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_class_table):
+        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records):
             cached.cache_clear()
         mirror_check(datum, SPACES["mixed"])
         group, table, cents = _group_data(datum.generators, DEFAULT_CAP)
-        allowed = set(table.keys) | set(_dual_class_table(datum.generators, DEFAULT_CAP).keys) | set(group.generator_keys)
+        allowed = set(table.keys) | set(dual_class_table(table).keys) | set(group.generator_keys)
         built = set(group.action.matrices) | set(group.action.flipped().matrices)
         assert built <= allowed
         assert sum(cent.order for cent in cents) > len(allowed)
@@ -538,7 +664,7 @@ class TestSharedGroupData:
     """Data with equal generators share one group, class table, centralizers and key histograms."""
 
     def test_c3_simply_connected_reuses_b3_adjoint_work(self, monkeypatch):
-        for cached in (duality_check, _group_data, _dual_class_table, _key_histogram):
+        for cached in (duality_check, _group_data, _class_records, _dual_records, _key_histogram):
             cached.cache_clear()
         b3 = duality_check(classical_datum("B", 3, "adjoint"))
         calls = []
@@ -551,6 +677,29 @@ class TestSharedGroupData:
         assert (b3.datum_label, c3.datum_label) == ("B3_ad", "C3_sc")
         assert c3.rows == b3.rows
         assert replace(c3, datum_label=b3.datum_label) == b3
+
+    def test_records_are_built_once_per_generator_set(self, cleared_engine_caches):
+        """B3_sc's five mirror checks: the first builds every record, Smith form and fixed datum; the rest none."""
+        for cached in (_fixed_data, smith_normal_form):
+            cached.cache_clear()
+        caches = (_fixed_data, smith_normal_form, _class_records, _dual_records)
+        datum = classical_datum("B", 3, "simply_connected")
+        misses = []
+        for space in SPACES.values():
+            assert mirror_check(datum, space).equal
+            misses.append(tuple(cached.cache_info().misses for cached in caches))
+        assert misses[0][2:] == (1, 1) and min(misses[0]) > 0
+        assert misses == [misses[0]] * len(SPACES)
+
+    def test_c2_simply_connected_builds_no_records_after_b2_adjoint(self, cleared_engine_caches):
+        b2, c2 = classical_datum("B", 2, "adjoint"), classical_datum("C", 2, "simply_connected")
+        assert b2.generators == c2.generators and b2 != c2
+        builds = []
+        for datum in (b2, c2):
+            for space in SPACES.values():
+                assert mirror_check(datum, space).equal
+            builds.append([cached.cache_info().misses for cached in (_group_data, _class_records, _dual_records)])
+        assert builds == [[1, 1, 1], [1, 1, 1]]
 
     def test_b2_adjoint_and_c2_simply_connected_print_one_mirror_body(self):
         bodies = []
@@ -632,7 +781,7 @@ class TestCentralizerGuard:
         _, group, w = reflection_in_sl3()
         for space in ("betti", "mixed"):
             with pytest.raises(NonCentralizingError):
-                class_contribution(SPACES[space], w, group)
+                term(space, w, group)
 
     def test_duality_row_rejects_non_commuting_elements(self):
         _, group, w = reflection_in_sl3()

@@ -16,10 +16,12 @@ from orbev.cli import main
 from orbev.epoly import SPACES
 from orbev.lattice_core import IntegerMatrix, NonCentralizingError
 from orbev.orbifold_engine import (
-    _dual_class_table,
+    _class_records,
+    _dual_records,
     _duality_row,
     _group_data,
     _key_histogram,
+    _record,
     class_contribution,
     duality_check,
     mirror_check,
@@ -36,7 +38,8 @@ from orbev.weyl import (
     schreier_sims_order,
 )
 
-ENGINE_CACHES = (orbifold_e_polynomial, mirror_check, duality_check, _group_data, _dual_class_table, _key_histogram)
+ENGINE_CACHES = (orbifold_e_polynomial, mirror_check, duality_check, _group_data, _class_records, _dual_records,
+                 _key_histogram)
 COMMANDS = (["compute", "--space", "mixed"], ["mirror-check", "--space", "mixed"], ["duality-check"])
 
 
@@ -129,7 +132,7 @@ def test_a_non_commuting_element_still_raises(kind):
     w = sl_quotient_datum(3, 1).generators[0]
     for space in ("betti", "mixed"):
         with pytest.raises(NonCentralizingError):
-            class_contribution(SPACES[space], w, group)
+            class_contribution(_record(w, group), SPACES[space])
     with pytest.raises(NonCentralizingError):
         _duality_row(group, group.key(w))
 

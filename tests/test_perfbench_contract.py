@@ -18,19 +18,20 @@ from orbev.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("argv, cached, nonzero", [
+@pytest.mark.parametrize("argv, cached, nonzero, exact", [
+    # SL(3)/Z3 has three classes: compute makes one class term each, mirror-check a primal and a dual one.
     (["compute", "--group", "sl", "3", "3", "--space", "mixed"], (orbifold_engine.orbifold_e_polynomial,),
-     ("orbifold_engine.classes",)),
+     (), {"orbifold_engine.classes": 3}),
     (["mirror-check", "--group", "sl", "3", "3", "--space", "mixed"], (orbifold_engine.mirror_check,),
-     ("orbifold_engine.classes",)),
+     (), {"orbifold_engine.classes": 6}),
     (["duality-check", "--group", "classical", "B", "3", "sc"],
      (orbifold_engine.duality_check, orbifold_engine._fixed_data, orbifold_engine._key_histogram),
-     ("lattice_core.fixed_data_s", "lattice_core.pi0_count_calls")),
+     ("lattice_core.fixed_data_s", "lattice_core.pi0_count_calls"), {}),
     (["closed-form", "--n", "6", "--m", "2", "--surface", "abelian"],
      (sln_formula._grouped_partition_sums, sln_formula.partitions, sln_formula.tau),
-     ("sln_formula.closed_form_self_s",)),
+     ("sln_formula.closed_form_self_s",), {}),
 ], ids=["compute", "mirror-check", "duality-check", "closed-form"])
-def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, nonzero):
+def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, nonzero, exact):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     from tracing import Tracer, cache_counters
@@ -50,6 +51,7 @@ def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, 
     assert all(vars(orbifold_engine)[name] is value for name, value in originals.items())
     metrics = tracer.layer_metrics(before, cache_counters())
     assert all(metrics[metric][0] > 0 for metric in nonzero)
+    assert {metric: metrics[metric][0] for metric in exact} == exact
     # Every π₀ lookup, a memo hit or a miss, goes through the name the tracer wraps.
     assert metrics["lattice_core.pi0_count_calls"][0] == metrics["orbifold_engine.pi0_fixed_count_cache_calls"][0]
     for cache in ("orbifold_engine.restricted_action", "orbifold_engine.pi0_fixed_count",

@@ -19,10 +19,9 @@ characteristic-polynomial expression:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .lattice_core import IntegerMatrix, LatticeError
 
@@ -260,24 +259,37 @@ def factor_dimension(kind: str) -> int:
         raise PolynomialError(f"unknown factor kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
 class SpaceDescriptor:
-    """Ordered factor list; each factor is (kind, lattice_side).
+    """Ordered factor list; each factor is (kind, lattice_side), held as a tuple of pairs.
 
     Equality and hashing use the factors only, so descriptors with the same
     factors share every engine cache entry whatever their names.
     """
 
-    name: str = field(compare=False)
-    factors: tuple[tuple[str, str], ...]
+    __slots__ = ("name", "factors")
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, name: str, factors: Sequence[tuple[str, str]]):
+        factors = tuple((kind, side) for kind, side in factors)
+        if not factors:
             raise PolynomialError("a space descriptor needs at least one factor")
-        for kind, side in self.factors:
+        for kind, side in factors:
             factor_dimension(kind)
             if side not in (PRIMAL, DUAL):
                 raise PolynomialError(f"unknown lattice side {side!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpaceDescriptor is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SpaceDescriptor) and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"SpaceDescriptor({self.name!r}, {self.factors!r})"
 
     @property
     def uses_dual(self) -> bool:

@@ -16,12 +16,11 @@ There is no floating point in this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
 from operator import add, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class LatticeError(Exception):
@@ -291,8 +290,7 @@ def solve_right_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix._of(a.cols, b.cols, tuple(x))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U·M·V = D with U, V unimodular and D diagonal, and U⁻¹, built by the same elimination.
 
     Nonzero diagonal entries come first, are positive, and each divides the

@@ -56,10 +56,10 @@ which the walk checks; a non-commuting element raises NonCentralizingError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from operator import attrgetter, getitem, mod, mul
+from typing import NamedTuple
 
 from .epoly import (
     DUAL,
@@ -96,8 +96,7 @@ class EngineError(LatticeError):
     """Internal consistency failure in the orbifold engine."""
 
 
-@dataclass(frozen=True)
-class ClassContribution:
+class ClassContribution(NamedTuple):
     representative: IntegerMatrix
     class_size: int
     centralizer_order: int
@@ -107,8 +106,7 @@ class ClassContribution:
     weighted: BivariatePolynomial  # average · (uv)^{F(w)}
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """What a class term reads of its class: the key histogram of centralizer, read at key on centralizer's side.
 
     own is the lattice side of the representative w (True for Λ̂), shift is F(w), match a Ŵ record's W class.
@@ -124,23 +122,20 @@ class ClassRecord:
     match: int | None = None
 
 
-@dataclass(frozen=True)
-class OrbifoldReport:
+class OrbifoldReport(NamedTuple):
     datum_label: str
     group_order: int
     contributions: tuple[ClassContribution, ...]
     total: BivariatePolynomial
 
 
-@dataclass(frozen=True)
-class MirrorPair:
+class MirrorPair(NamedTuple):
     primal_class: int
     dual_class: int
     difference: BivariatePolynomial
 
 
-@dataclass(frozen=True)
-class MirrorReport:
+class MirrorReport(NamedTuple):
     primal: OrbifoldReport
     dual: OrbifoldReport
     pairs: tuple[MirrorPair, ...]
@@ -148,8 +143,7 @@ class MirrorReport:
     equal: bool
 
 
-@dataclass(frozen=True)
-class DualityRow:
+class DualityRow(NamedTuple):
     representative: IntegerMatrix
     pi0_primal: tuple[int, ...]
     pi0_dual: tuple[int, ...]
@@ -157,8 +151,7 @@ class DualityRow:
     fixed_counts_agree: bool
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     datum_label: str
     rows: tuple[DualityRow, ...]
     equal: bool

@@ -6,19 +6,20 @@ denominator), the Weyl generators as integer matrices acting in that basis,
 and a W-invariant positive definite rational form on the basis.  Every
 downstream computation uses only the basis representation; the ambient
 coordinates exist so that Λ and its dual Λ̂ = Hom(Λ, Z) live in one space and
-can be compared.  A RootDatum is immutable, so the built-in constructors and
-`dual_datum` are memoized and their callers share one instance per argument.
+can be compared.  A RootDatum is a named tuple, immutable and equal and hashed
+by its fields, so the built-in constructors and `dual_datum` are memoized and
+their callers share one instance per argument; `d._replace(field=value)` gives
+a modified copy, which `validate()` checks.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice_core import (
     IntegerMatrix,
@@ -40,8 +41,7 @@ class DatumFormatError(DatumError):
     """A datum file is malformed."""
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     rank: int
     basis: IntegerMatrix  # ambient_dim x rank; true basis vectors are columns / denominator
     denominator: int
@@ -288,7 +288,7 @@ def dual_datum(d: RootDatum) -> RootDatum:
     replaced by their inverse transposes, and the gram form by its inverse.
     """
     if d.rank == 0:
-        return replace(d, label=_dual_label(d.label))
+        return d._replace(label=_dual_label(d.label))
     ginv = _gram_inverse(d.gram)
     # Ambient coordinates of the dual basis: (basis/denominator) · gram⁻¹.
     frac_cols = [

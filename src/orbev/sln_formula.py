@@ -38,9 +38,9 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, prod
+from typing import Sequence
 
 from .epoly import BivariatePolynomial, InexactDivisionError, PolynomialError, exact_divide
 
@@ -49,17 +49,30 @@ class FormulaError(PolynomialError):
     """Invalid closed-form input."""
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Partition stored as parts in descending order."""
+    """Partition stored as parts in descending order, held as a tuple."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
+    def __init__(self, parts: Sequence[int]):
+        parts = tuple(parts)
+        if not parts or any(p < 1 for p in parts):
             raise FormulaError("a partition needs positive parts")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise FormulaError("parts must be in descending order")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Partition is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition({self.parts!r})"
 
     @property
     def n(self) -> int:

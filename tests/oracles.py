@@ -32,12 +32,12 @@ test can check the package's result against it:
   (Dixon–Harvey–Vafa–Witten), from the minors of [g−1 | h−1], against the
   engine's total evaluated at u = v = 1.
 
-`rebased` and `rank_four_data` are test data, not oracles: a datum in a
-seeded new basis, and the built-ins of rank <= 4 with two more data.  The
-functions after them are tools that tests read and the package never needs:
-a group's matrices, an element's class, exact division of a polynomial by an
-int, polynomial substitution, evaluation and parsing, and a datum written
-back as a datum file.
+`rebased`, `direct_sum` and `rank_four_data` are test data, not oracles: a
+datum in a seeded new basis, the direct sum of two data, and the built-ins of
+rank <= 4 with two more data.  The functions after them are tools that tests
+read and the package never needs: a group's matrices, an element's class,
+exact division of a polynomial by an int, polynomial substitution, evaluation
+and parsing, and a datum written back as a datum file.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from pathlib import Path
 
 from orbev.epoly import (
@@ -508,6 +508,30 @@ def rebased(d: RootDatum, seed: int) -> RootDatum:
         gram=_congruence(t, d.gram),
         generators=tuple(t_inv * g * t for g in d.generators),
         label="rebased",
+    )
+    out.validate()
+    return out
+
+
+def direct_sum(d1: RootDatum, d2: RootDatum) -> RootDatum:
+    """Λ₁ ⊕ Λ₂ with W₁ × W₂: block-diagonal basis over the lcm of the denominators, gram and g ⊕ 1, 1 ⊕ g."""
+    rank, den = d1.rank + d2.rank, lcm(d1.denominator, d2.denominator)
+
+    def block(a, b, zero=0) -> list[tuple]:
+        """Rows of diag(a, b) for a with r₁ columns and b with r₂ columns, each given by rows."""
+        return [tuple(row) + (zero,) * d2.rank for row in a] + [(zero,) * d1.rank + tuple(row) for row in b]
+
+    def matrix(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+        return IntegerMatrix.from_rows(block(a.entries, b.entries), cols=rank)
+
+    one1, one2 = IntegerMatrix.identity(d1.rank), IntegerMatrix.identity(d2.rank)
+    out = RootDatum(
+        rank=rank,
+        basis=matrix(d1.basis.scale(den // d1.denominator), d2.basis.scale(den // d2.denominator)),
+        denominator=den,
+        gram=tuple(block(d1.gram, d2.gram, Fraction(0))),
+        generators=tuple(matrix(g, one2) for g in d1.generators) + tuple(matrix(one1, g) for g in d2.generators),
+        label=f"{d1.label}+{d2.label}",
     )
     out.validate()
     return out

@@ -4,7 +4,6 @@ The heavy mirror computations are cached module-wide, so criterion 1 pays the
 full cost and later criteria reuse its reports.
 """
 
-import dataclasses
 import time
 from fractions import Fraction
 from itertools import product
@@ -176,7 +175,7 @@ def test_criterion_9_integrality_and_invariance():
     for factor in (Fraction(2), Fraction(1, 3)):
         for datum in [sl_quotient_datum(3, 1), classical_datum("B", 2, "simply_connected")]:
             scaled_gram = tuple(tuple(x * factor for x in row) for row in datum.gram)
-            scaled = dataclasses.replace(datum, gram=scaled_gram)
+            scaled = datum._replace(gram=scaled_gram)
             scaled.validate()
             for space in SPACES.values():
                 assert (

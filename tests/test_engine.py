@@ -3,8 +3,8 @@
 import io
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +59,7 @@ from oracles import (
     G2_PATH,
     class_of,
     direct_shift_oracle,
+    direct_sum,
     divided,
     dual_group_data,
     dual_group_report,
@@ -336,12 +337,10 @@ class TestOrbifoldEPolynomial:
         assert sum(c.class_size for c in report.contributions) == 24
 
     def test_gram_rescale_changes_nothing(self):
-        import dataclasses
-
         d = sl_quotient_datum(3, 1)
         for factor in (Fraction(2), Fraction(1, 3)):
             scaled_gram = tuple(tuple(x * factor for x in row) for row in d.gram)
-            scaled = dataclasses.replace(d, gram=scaled_gram)
+            scaled = d._replace(gram=scaled_gram)
             scaled.validate()
             for space in ("betti", "abelian-surface"):
                 assert (
@@ -478,6 +477,30 @@ class TestBasisChangeInvariance:
             assert class_terms(b.dual) == class_terms(a.dual)
 
 
+PRODUCT_FACTORS = [
+    sl_quotient_datum(2, 1),
+    sl_quotient_datum(2, 2),
+    sl_quotient_datum(3, 1),
+    sl_quotient_datum(3, 3),
+    classical_datum("B", 2, "simply_connected"),
+    classical_datum("C", 2, "adjoint"),
+    custom_datum(G2_PATH),
+]
+
+
+class TestProductMultiplicativity:
+    @pytest.mark.parametrize(
+        "d1, d2", combinations_with_replacement(PRODUCT_FACTORS, 2), ids=lambda d: d.label
+    )
+    def test_direct_sum_total_is_the_product_of_totals(self, d1, d2):
+        """E_orb of (Λ₁ ⊕ Λ₂, W₁ × W₂) is the product of the factors' totals on every space, and passes the mirror check."""
+        both = direct_sum(d1, d2)
+        for space in SPACES.values():
+            report = mirror_check(both, space)
+            assert report.primal.total == orbifold_e_polynomial(d1, space).total * orbifold_e_polynomial(d2, space).total
+            assert report.equal and report.term_by_term
+
+
 class TestEngineChecks:
     """Each consistency check of the class records and terms, made to fire."""
 
@@ -488,7 +511,7 @@ class TestEngineChecks:
 
     def test_shift_disagreement_on_a_space_that_uses_the_dual(self):
         record = _class_records(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)[1]
-        wrong = replace(record, shift=record.shift + 1)
+        wrong = record._replace(shift=record.shift + 1)
         assert class_contribution(wrong, SPACES["betti"]).shift == record.shift + 1
         with pytest.raises(EngineError, match="fermionic shift differs"):
             class_contribution(wrong, SPACES["mixed"])
@@ -676,7 +699,7 @@ class TestSharedGroupData:
         assert _key_histogram.cache_info().misses == misses
         assert (b3.datum_label, c3.datum_label) == ("B3_ad", "C3_sc")
         assert c3.rows == b3.rows
-        assert replace(c3, datum_label=b3.datum_label) == b3
+        assert c3._replace(datum_label=b3.datum_label) == b3
 
     def test_records_are_built_once_per_generator_set(self, cleared_engine_caches):
         """B3_sc's five mirror checks: the first builds every record, Smith form and fixed datum; the rest none."""

@@ -61,6 +61,9 @@ class BivariatePolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
 
+    def __reduce__(self):
+        return BivariatePolynomial, (self.coeffs,)
+
     @staticmethod
     def zero() -> "BivariatePolynomial":
         return BivariatePolynomial()
@@ -281,6 +284,9 @@ class SpaceDescriptor:
 
     def __setattr__(self, name, value):
         raise AttributeError("SpaceDescriptor is immutable")
+
+    def __reduce__(self):
+        return SpaceDescriptor, (self.name, self.factors)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpaceDescriptor) and self.factors == other.factors

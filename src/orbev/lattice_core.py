@@ -35,6 +35,14 @@ class NonCentralizingError(LatticeError):
     """A matrix does not preserve the image lattice it was asked to act through."""
 
 
+def _integer(x) -> int:
+    """x as an int; LatticeError when x is not integral (1.5, Fraction(1, 2)), where int() would truncate."""
+    n = int(x)
+    if n != x:
+        raise LatticeError(f"matrix entry {x!r} is not an integer")
+    return n
+
+
 class IntegerMatrix:
     """Immutable integer matrix; rows and cols may be zero (empty basis)."""
 
@@ -43,7 +51,7 @@ class IntegerMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[int]]):
         if rows < 0 or cols < 0:
             raise LatticeError("matrix dimensions must be nonnegative")
-        ents = tuple(tuple(int(x) for x in row) for row in entries)
+        ents = tuple(tuple(map(_integer, row)) for row in entries)
         if len(ents) != rows or any(len(r) != cols for r in ents):
             raise LatticeError("entry grid inconsistent with declared dimensions")
         object.__setattr__(self, "rows", rows)
@@ -61,6 +69,9 @@ class IntegerMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerMatrix is immutable")
+
+    def __reduce__(self):
+        return IntegerMatrix, (self.rows, self.cols, self.entries)
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -87,10 +98,10 @@ class IntegerMatrix:
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
-        if not columns:
-            return IntegerMatrix(rows if rows is not None else 0, 0, tuple(() for _ in range(rows or 0)))
-        rows = len(columns[0])
-        return IntegerMatrix._of(rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows)))
+        """The matrix with these columns, checked as the constructor checks rows; rows is needed for no columns."""
+        if rows is None:
+            rows = len(columns[0]) if columns else 0
+        return IntegerMatrix(len(columns), rows, columns).transpose()
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key

@@ -31,14 +31,15 @@ an orbit of at most 256 points and as an int tuple beyond; indexing gives an
 int either way), and the histogram serves every later space of the datum in
 the process.  `compute` reads Λ alone for a space on Λ and both sides for
 `mixed`.  The mirror check reads both sides for every space, and one walk
-per class serves both of its reports: Ŵ's class table is W's reordered, and
-a dual class term, a class function, is read at W's representative with the
-π₀ sides swapped; when it weighs the histogram as the primal term did, it
-takes that term's polynomials.  A space's average is one E-character
-product per distinct polynomial, weighted by the counts and fixed counts,
-divided once by |C(w)|, and (uv)^F(w) is an exponent shift.  That division
-is exact, since each coefficient of the average is the dimension of a space
-of invariants; a remainder raises EngineError.
+per class serves both of its reports: Ŵ's classes are W's, listed in Ŵ's
+order (`weyl.dual_class_order`), and a dual class term, a class function, is
+read at W's representative with the π₀ sides swapped; when it weighs the
+histogram as the primal term did, it takes that term's polynomials.  A
+space's average is one E-character product per distinct polynomial, weighted
+by the counts and fixed counts, divided once by |C(w)|, and (uv)^F(w) is an
+exponent shift.  That division is exact, since each coefficient of the
+average is the dimension of a space of invariants; a remainder raises
+EngineError.
 
 Per-w tables.  Everything the engine reads of w itself comes from one
 cached Smith form U·(w - 1)·V = D: dim Λ^w is the number of zero diagonal
@@ -87,7 +88,7 @@ from .weyl import (
     centralizer,
     commutes_with,
     conjugacy_classes,
-    dual_class_table,
+    dual_class_order,
     generate_group,
 )
 
@@ -107,9 +108,10 @@ class ClassContribution(NamedTuple):
 
 
 class ClassRecord(NamedTuple):
-    """What a class term reads of its class: the key histogram of centralizer, read at key on centralizer's side.
+    """What a class term reads of its class: the key histogram of centralizer, a subgroup of W, read at key.
 
-    own is the lattice side of the representative w (True for Λ̂), shift is F(w), match a Ŵ record's W class.
+    own is the lattice side of the representative: False for w ∈ W on Λ, named by key; True for a Ŵ record,
+    whose representative (x⁻¹)ᵀ acts on Λ̂ and key names x.  shift is F(w), match a Ŵ record's W class.
     """
 
     representative: IntegerMatrix
@@ -192,14 +194,14 @@ def _pi0_reader(cent: MatrixGroup, key: Key, inverse: bool):
     """π₀(T^w)'s divisors on one lattice side, and a map from the key of c to c's block there.
 
     The side reads a key c as the matrix with columns O[c[i]] (inverse false)
-    or as its inverse transpose, whose rows are O[c⁻¹[i]].  The block
-    U_T·c·U⁻¹_T, flattened row by row, is then a sum over i < r of outer
-    products: of U_T·O[c[i]] with row i of U⁻¹_T, or of column i of U_T with
-    O[c⁻¹[i]]·U⁻¹_T.  A table per w holds them for every i and orbit point.
+    or as its inverse transpose, whose rows are O[c⁻¹[i]]: the one action of W
+    and its centralizers reads a key either way, so Λ̂ needs no group of its
+    own.  The block U_T·c·U⁻¹_T, flattened row by row, is then a sum over
+    i < r of outer products: of U_T·O[c[i]] with row i of U⁻¹_T, or of column
+    i of U_T with O[c⁻¹[i]]·U⁻¹_T.  A table per w holds them for every i and orbit point.
     This is induced_automorphism's block, read without the rest of U·c·U⁻¹.
     """
-    action = cent.action if cent.action.dual == inverse else cent.action.flipped()
-    w, r, points = action.matrix(key), action.rank, action.points
+    w, r, points = cent.action.matrix(key, inverse), cent.action.rank, cent.action.points
     divisors = _fixed_data(w)[1]
     if not divisors:
         return divisors, None
@@ -343,8 +345,7 @@ def class_contribution(
     """
     cent, key, own, shift = record.centralizer, record.key, record.own, record.shift
     uses_dual, sides, powers, twin_powers = _columns(space, own, both_sides)
-    other = cent.dual_matrix if own == cent.action.dual else cent.matrix
-    if uses_dual and fermionic_shift(other(key)) != shift:
+    if uses_dual and fermionic_shift(cent.action.matrix(key, not own)) != shift:
         raise EngineError("fermionic shift differs between the lattice and its dual")
     rows = _key_histogram(cent, key, sides)
     weights, order = _weights(rows, powers), cent.order
@@ -371,7 +372,7 @@ def _record(w: IntegerMatrix, cent: MatrixGroup, size: int = 1, at: Key | None =
     if not cent.order:
         raise EngineError("centralizer must contain at least the identity")
     dim, pi0 = _fixed_data(w)
-    key, own = (cent.key(w), cent.action.dual) if at is None else (at, not cent.action.dual)
+    key, own = (cent.key(w), False) if at is None else (at, True)
     return ClassRecord(w, size, cent, key, own, w.rows - dim, pi0, match)
 
 
@@ -400,13 +401,11 @@ def _class_records(generators: tuple[IntegerMatrix, ...], cap: int) -> tuple[Cla
 @lru_cache(maxsize=None)
 def _dual_records(generators: tuple[IntegerMatrix, ...], cap: int) -> tuple[ClassRecord, ...]:
     """Ŵ's class records, once per generator set, each read at the key of its W class by w ↔ (w⁻¹)ᵀ."""
-    _, table, cents = _group_data(generators, cap)
-    dual = dual_class_table(table)
-    matches = [table.class_index[key] for key in dual.keys]
-    if sorted(matches) != list(range(table.count)):
+    group, table, cents = _group_data(generators, cap)
+    first = dual_class_order(table)
+    if sorted(first) != list(range(table.count)):
         raise EngineError("class matching w ↔ (w⁻¹)ᵀ is not a bijection")
-    classes = zip(dual.representatives, dual.sizes, matches)
-    return tuple(_record(rep, cents[i], size, table.keys[i], i) for rep, size, i in classes)
+    return tuple(_record(group.dual_matrix(k), cents[i], table.sizes[i], table.keys[i], i) for i, k in first.items())
 
 
 def _rank_zero_report(label: str) -> OrbifoldReport:
@@ -441,13 +440,13 @@ def _summed(label: str, contributions: list[ClassContribution]) -> OrbifoldRepor
 def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CAP) -> MirrorReport:
     """Compare E_orb on (Λ, W) and (Λ̂, Ŵ), matching classes by w ↔ (w⁻¹)ᵀ.
 
-    A key names w in W and (w⁻¹)ᵀ in Ŵ, so Ŵ's class table is W's reordered
-    (`dual_class_table`) and each of Ŵ's class records holds the index of
+    A key names w in W and (w⁻¹)ᵀ in Ŵ, so Ŵ's classes are W's in Ŵ's order
+    (`dual_class_order`), and each of Ŵ's class records holds the index of
     the W class it matches.  Each class is walked once, with both lattice
     sides: the primal term reads the histogram of C(w), and the dual term
     reads the same histogram at W's representative with its sides swapped,
     taking the primal term's polynomials when it weighs the histogram alike.
-    Ŵ needs no class scan, centralizer or walk of its own, and the dual
+    Ŵ needs no group, class scan, centralizer or walk of its own, and the dual
     report's label is read off the primal one, so no dual datum is built.
     """
     if datum.rank == 0:
@@ -481,6 +480,6 @@ def _duality_row(cent: MatrixGroup, key: Key) -> DualityRow:
     rep, dual_rep = cent.matrix(key), cent.dual_matrix(key)
     pi0_primal = _fixed_data(rep)[1]
     pi0_dual = _fixed_data(dual_rep)[1]
-    rows = _key_histogram(cent, key, (cent.action.dual, not cent.action.dual), False)
+    rows = _key_histogram(cent, key, (False, True), False)
     counts_agree = all(primal == dual for _, (primal, dual), _ in rows)
     return DualityRow(rep, pi0_primal, pi0_dual, prod(pi0_primal) == prod(pi0_dual), counts_agree)

@@ -367,6 +367,7 @@ def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
     basis_rows: list[list[int]] | None = None
     gram_rows: list[list[Fraction]] | None = None
     generator_rows: list[list[int]] = []
+    seen: set[str] = set()
     pos = 0
 
     def parse_int_row(line: str, what: str) -> list[int]:
@@ -379,6 +380,10 @@ def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
         head, _, rest = lines[pos].partition(" ")
         if head not in _KEYWORDS:
             raise DatumFormatError(f"unexpected line: {lines[pos]!r}")
+        if head in seen:
+            raise DatumFormatError(f"{head} appears twice")
+        if head != "generators":  # generator blocks may come in several sections
+            seen.add(head)
         pos += 1
         if head == "rank":
             try:

@@ -65,6 +65,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 

@@ -26,12 +26,10 @@ the cap is refused without spending memory on it.
 Element order is the breadth-first insertion order of x·g over generators
 sorted by their matrix entries, so class representatives (the first element of
 each class in that order) and reports are reproducible.  The Langlands dual
-Ŵ = {(w⁻¹)ᵀ} is the same abstract group: `dual_group` reads the same keys as
-matrices through w ↦ (w⁻¹)ᵀ and replays the breadth-first search with the dual
-generators' own sorted order, so a key names w in W and (w⁻¹)ᵀ in Ŵ at once.
-Conjugacy in Ŵ is then conjugacy in W read through the same keys, and
-`dual_class_table` reorders W's class table into Ŵ's without a second
-conjugation walk or centralizer scan.
+Ŵ = {(w⁻¹)ᵀ} is the same abstract group, and a key names w in W and (w⁻¹)ᵀ in
+Ŵ at once (`MatrixGroup.dual_matrix`).  Conjugacy in Ŵ is conjugacy in W read
+through the same keys, so Ŵ's classes are W's; `dual_class_order` lists them
+in Ŵ's order, without a second group, class table or conjugation walk.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from __future__ import annotations
 from itertools import islice, product
 from math import prod
 from operator import attrgetter, methodcaller, mul
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .lattice_core import IntegerMatrix, LatticeError
 
@@ -109,46 +107,39 @@ def _inverse_tuple(a: tuple[int, ...]) -> tuple[int, ...]:
 class _Action:
     """The orbit O that keys index, and how a key reads as a matrix.
 
-    With dual set, the key of w reads as (w⁻¹)ᵀ, whose rows are the columns
-    of w⁻¹.  A group and its subgroups share one action and its matrix cache,
-    and a group and its dual share the pair of actions `flipped` links.  The
-    key of a matrix the action built is looked up by identity (the cache keeps
-    every such matrix alive, so no id is reused); any other matrix is scanned.
-    A key of the other kind is refused, so it cannot miss a dict of keys unseen.
+    The key of w reads as w (`matrix(key)`) or as (w⁻¹)ᵀ (`matrix(key,
+    dual=True)`), whose rows are the columns of w⁻¹, with one cache for each.
+    A group and its subgroups share one action and its caches.  The key of a
+    matrix w the action built is looked up by identity (the cache keeps every
+    such matrix alive, so no id is reused); any other matrix is scanned.  A
+    key of the other kind is refused, so it cannot miss a dict of keys unseen.
     """
 
-    __slots__ = ("points", "point_index", "rank", "dual", "kind", "matrices", "matrix_keys", "_flipped")
+    __slots__ = ("points", "point_index", "rank", "kind", "matrices", "dual_matrices", "matrix_keys")
 
-    def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, dual: bool, kind: _KeyKind):
+    def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, kind: _KeyKind):
         self.points = points
         self.point_index = point_index
         self.rank = rank
-        self.dual = dual
         self.kind = kind
         self.matrices: dict[Key, IntegerMatrix] = {}
+        self.dual_matrices: dict[Key, IntegerMatrix] = {}
         self.matrix_keys: dict[int, Key] = {}
-        self._flipped: _Action | None = None
 
-    def flipped(self) -> "_Action":
-        """The same keys read the other way, as (w⁻¹)ᵀ for w; built once, flipping back to self."""
-        if self._flipped is None:
-            self._flipped = _Action(self.points, self.point_index, self.rank, not self.dual, self.kind)
-            self._flipped._flipped = self
-        return self._flipped
-
-    def matrix(self, key: Key) -> IntegerMatrix:
-        m = self.matrices.get(key)
+    def matrix(self, key: Key, dual: bool = False) -> IntegerMatrix:
+        cache = self.dual_matrices if dual else self.matrices
+        m = cache.get(key)
         if m is None:
             if type(key) is not self.kind.of:
                 raise GroupError(f"a {type(key).__name__} key on a group of {self.kind.of.__name__} keys")
             r, points = self.rank, self.points
-            if self.dual:
+            if dual:
                 inv = self.kind.inverse(key)
                 m = IntegerMatrix._of(r, r, tuple(points[inv[j]] for j in range(r)))
             else:
                 m = IntegerMatrix._of(r, r, tuple(zip(*(points[key[j]] for j in range(r)))))
-            self.matrices[key] = m
-            self.matrix_keys[id(m)] = key
+                self.matrix_keys[id(m)] = key
+            cache[key] = m
         return m
 
     def key(self, m: IntegerMatrix) -> Key:
@@ -158,12 +149,10 @@ class _Action:
             return key
         if m.rows != self.rank or m.cols != self.rank:
             raise GroupError("matrix is not an element of the group")
-        rows = m.transpose().entries if self.dual else m.entries
         try:
-            key = self.kind.of([self.point_index[_apply(rows, v)] for v in self.points])
+            return self.kind.of([self.point_index[_apply(m.entries, v)] for v in self.points])
         except KeyError:
             raise GroupError("matrix is not an element of the group") from None
-        return self.kind.inverse(key) if self.dual else key
 
 
 def _apply(rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -197,7 +186,7 @@ class MatrixGroup:
 
     def dual_matrix(self, key: Key) -> IntegerMatrix:
         """(w⁻¹)ᵀ for the element w that key names, read from the orbit without inverting."""
-        return self.action.flipped().matrix(key)
+        return self.action.matrix(key, dual=True)
 
     def key(self, m: IntegerMatrix) -> Key:
         key = self.action.key(m)
@@ -308,10 +297,12 @@ def _sorted_generators(generators, keys) -> tuple[Key, ...]:
     return tuple(pairs[g] for g in sorted(pairs, key=lambda g: g.entries))
 
 
-def _breadth_first(generator_keys: tuple[Key, ...], kind: _KeyKind) -> tuple[Key, ...]:
+def _breadth_first(generator_keys: tuple[Key, ...], kind: _KeyKind) -> Iterator[Key]:
+    """The keys of ⟨generators⟩ in breadth-first order of x·g, each yielded once it is found."""
     table, apply = kind.table, kind.apply
     keys = [kind.identity]
     seen = {kind.identity}
+    yield kind.identity
     for x in keys:  # grows while it is read
         x_table = table(x)
         for g in generator_keys:
@@ -319,7 +310,7 @@ def _breadth_first(generator_keys: tuple[Key, ...], kind: _KeyKind) -> tuple[Key
             if y not in seen:
                 seen.add(y)
                 keys.append(y)
-    return tuple(keys)
+                yield y
 
 
 def generate_group(generators: tuple[IntegerMatrix, ...] | list[IntegerMatrix], cap: int = DEFAULT_CAP) -> MatrixGroup:
@@ -341,30 +332,10 @@ def generate_group(generators: tuple[IntegerMatrix, ...] | list[IntegerMatrix], 
     order = schreier_sims_order(keys, len(points))
     if order > cap:
         raise CapExceededError(cap, order)
-    elements = _breadth_first(_sorted_generators(generators, keys), kind)
+    elements = tuple(_breadth_first(_sorted_generators(generators, keys), kind))
     if len(elements) != order:
         raise GroupError(f"enumeration found {len(elements)} elements, Schreier–Sims {order}")
-    return MatrixGroup(_Action(points, point_index, n, False, kind), elements, generators, keys)
-
-
-def dual_group(group: MatrixGroup) -> MatrixGroup:
-    """{(w⁻¹)ᵀ : w ∈ group} from the group's keys, in its own breadth-first order.
-
-    The result equals generate_group of the inverse-transposed generators,
-    element order included; each key names w in `group` and (w⁻¹)ᵀ here.
-    When the dual generators sort into the same key order as the group's,
-    the breadth-first search is the same search, so its keys are reused.
-    Its class table is `dual_class_table` of the group's, and the centralizer
-    of a key is the group's centralizer of that key read on this side.
-    """
-    action = group.action.flipped()
-    generators = tuple(action.matrix(k) for k in group.generator_keys)
-    order = _sorted_generators(generators, group.generator_keys)
-    if order == _sorted_generators(group.generators, group.generator_keys):
-        keys = group.keys
-    else:
-        keys = _breadth_first(order, action.kind)
-    return MatrixGroup(action, keys, generators, group.generator_keys)
+    return MatrixGroup(_Action(points, point_index, n, kind), elements, generators, keys)
 
 
 class ConjugacyClassTable:
@@ -419,24 +390,26 @@ def conjugacy_classes(group: MatrixGroup) -> ConjugacyClassTable:
     return ConjugacyClassTable(group, tuple(representatives), tuple(sizes), class_index)
 
 
-def dual_class_table(table: ConjugacyClassTable) -> ConjugacyClassTable:
-    """Ŵ's class table read off W's, with no conjugation in Ŵ.
+def dual_class_order(table: ConjugacyClassTable) -> dict[int, Key]:
+    """Ŵ's classes in Ŵ's order: each W class index mapped to the class's first key in Ŵ's element order.
 
     w ↦ (w⁻¹)ᵀ is an isomorphism W → Ŵ and a key names both elements, so the
-    classes of Ŵ are those of W as key sets.  Only the order differs: each
-    class's Ŵ representative is its first key in `dual_group`'s breadth-first
-    order, and the classes come in the order of those first keys, which is
-    what `conjugacy_classes(dual_group(group))` yields.
+    classes of Ŵ are those of W as key sets, and a class's Ŵ representative is
+    (w⁻¹)ᵀ for its first key k, `dual_matrix(k)`.  Ŵ's element order is the
+    breadth-first search over the dual generators' own sorted order; when they
+    sort into the same key order as W's, it is the same search and W's keys
+    are read in place.  Otherwise the search runs until every class is met.
     """
-    group = dual_group(table.group)
+    group, keys = table.group, table.group.generator_keys
+    order = _sorted_generators([group.dual_matrix(k) for k in keys], keys)
+    same = order == _sorted_generators(group.generators, keys)
+    walk = group.keys if same else _breadth_first(order, group.action.kind)
     first: dict[int, Key] = {}
-    for k in group.keys:
+    for k in walk:
         first.setdefault(table.class_index[k], k)
         if len(first) == table.count:
             break
-    renumber = {i: j for j, i in enumerate(first)}
-    class_index = {k: renumber[i] for k, i in table.class_index.items()}
-    return ConjugacyClassTable(group, tuple(first.values()), tuple(table.sizes[i] for i in first), class_index)
+    return first
 
 
 def centralizer(group: MatrixGroup, w: IntegerMatrix) -> MatrixGroup:

@@ -23,9 +23,10 @@ test can check the package's result against it:
   IntegerMatrix products alone, against weyl's permutation keys.
 - per_element_class_oracle: a class term summed element by element, against
   the key histogram that orbifold_engine.class_contribution reads.
-- dual_group_report: E_orb on (Λ̂, Ŵ) from Ŵ's own class scan, centralizers
-  and key walks, against mirror_check's dual report, whose class table is
-  read off W's and whose terms are read off W's walks.
+- dual_group_report: E_orb on (Λ̂, Ŵ) from Ŵ generated from dual_datum's
+  generators, with its own class scan, centralizers and key walks, against
+  mirror_check's dual report, whose classes are W's in Ŵ's order and whose
+  terms are read off W's walks.
 - per_element_duality_oracle: a duality_check row rebuilt element by element
   from induced automorphisms, against the engine's per-w π₀ projections.
 - orbifold_euler_oracle: E_orb(1, 1) summed over the commuting pairs of W
@@ -72,7 +73,7 @@ from orbev.lattice_core import (
 from orbev.orbifold_engine import EngineError, OrbifoldReport, _record, _report
 from orbev.root_data import FractionMatrix, RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
 from orbev.sln_formula import FormulaError, partitions, tau
-from orbev.weyl import centralizer, conjugacy_classes, dual_group, generate_group
+from orbev.weyl import centralizer, conjugacy_classes, generate_group
 
 G2_PATH = Path(__file__).parent / "data" / "g2.datum"
 
@@ -376,8 +377,8 @@ def per_element_class_oracle(space: SpaceDescriptor, w: IntegerMatrix, cent) -> 
 
 
 def dual_group_data(datum: RootDatum) -> tuple:
-    """(Ŵ, its class table, its centralizers) for Ŵ = dual_group(W), each scanned in Ŵ itself."""
-    group = dual_group(generate_group(datum.generators))
+    """(Ŵ, its class table, its centralizers), Ŵ generated from dual_datum's generators and scanned in itself."""
+    group = generate_group(dual_datum(datum).generators)
     table = conjugacy_classes(group)
     return group, table, tuple(centralizer(group, rep) for rep in table.representatives)
 

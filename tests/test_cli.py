@@ -334,6 +334,13 @@ class TestErrors:
         code, _ = run_cli(["compute", "--group", "custom", str(bad), "--space", "betti"])
         assert code == 1
 
+    def test_repeated_datum_section(self, tmp_path, capsys):
+        bad = tmp_path / "twice.datum"
+        bad.write_text("rank 1\nbasis\n1\nbasis\n2\ngram\n1\ngenerators\n-1\n")
+        code, out = run_cli(["compute", "--group", "custom", str(bad), "--space", "betti"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "orbev: error: basis appears twice\n"
+
     def test_cap_exceeded(self):
         code, _ = run_cli(["compute", "--group", "sl", "4", "1", "--space", "betti", "--cap", "5"])
         assert code == 1

@@ -46,13 +46,11 @@ from orbev.orbifold_engine import (
 from orbev.root_data import RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
 from orbev.weyl import (
     DEFAULT_CAP,
-    ConjugacyClassTable,
     GroupError,
     MatrixGroup,
     centralizer,
     conjugacy_classes,
-    dual_class_table,
-    dual_group,
+    dual_class_order,
     generate_group,
 )
 from oracles import (
@@ -299,7 +297,7 @@ class TestOrbifoldEPolynomial:
         _, table, cents = _group_data(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)
         w, cent = table.representatives[0], cents[0]
         assert w == IntegerMatrix.identity(2)
-        rows = _key_histogram(cent, cent.key(w), (cent.action.dual,))
+        rows = _key_histogram(cent, cent.key(w), (False,))
         bumped = ((*rows[0][:2], rows[0][2] + 1),) + rows[1:]
         assert term("betti", w, cent).average == xpoly([1, 0, 1, 0, 1])
         monkeypatch.setattr(orbifold_engine, "_key_histogram", lambda *args: bumped)
@@ -521,11 +519,12 @@ class TestEngineChecks:
         with pytest.raises(EngineError, match="orbit-stabilizer"):
             orbifold_e_polynomial(sl_quotient_datum(3, 1), SPACES["betti"])
 
-    def test_class_matching_that_is_not_a_bijection(self, monkeypatch, cleared_engine_caches):
-        def collapsed(table):
-            return ConjugacyClassTable(table.group, (table.keys[0],) * table.count, table.sizes, table.class_index)
-
-        monkeypatch.setattr(orbifold_engine, "dual_class_table", collapsed)
+    @pytest.mark.parametrize("order", [
+        lambda table: dict.fromkeys([0] * table.count, table.keys[0]),
+        lambda table: {i + 1: k for i, k in dual_class_order(table).items()},
+    ], ids=["collapsed", "shifted"])
+    def test_class_matching_that_is_not_a_bijection(self, monkeypatch, cleared_engine_caches, order):
+        monkeypatch.setattr(orbifold_engine, "dual_class_order", order)
         with pytest.raises(EngineError, match="not a bijection"):
             mirror_check(sl_quotient_datum(3, 1), SPACES["betti"])
 
@@ -591,7 +590,7 @@ class TestKeyHistogram:
         report = mirror_check(datum, SPACES[space])
         group = generate_group(datum.generators)
         assert_report_matches_oracle(report.primal, group, SPACES[space])
-        assert_report_matches_oracle(report.dual, dual_group(group), SPACES[space])
+        assert_report_matches_oracle(report.dual, dual_group_data(datum)[0], SPACES[space])
         assert report.dual == dual_group_report(datum, SPACES[space])
 
     def test_rebased_c3_adjoint_on_mixed_matches_oracle(self):
@@ -599,9 +598,15 @@ class TestKeyHistogram:
         report = mirror_check(datum, SPACES["mixed"])
         group = generate_group(datum.generators)
         assert_report_matches_oracle(report.primal, group, SPACES["mixed"])
-        assert_report_matches_oracle(report.dual, dual_group(group), SPACES["mixed"])
+        assert_report_matches_oracle(report.dual, dual_group_data(datum)[0], SPACES["mixed"])
         assert report.dual == dual_group_report(datum, SPACES["mixed"])
         assert report.equal and report.term_by_term
+
+    @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
+    def test_dual_report_equals_the_dual_group_oracle(self, datum):
+        """The dual report, read off W's keys, against Ŵ generated from dual_datum's generators."""
+        for space in SPACES.values():
+            assert mirror_check(datum, space).dual == dual_group_report(datum, space)
 
     @pytest.mark.parametrize("space", ["betti", "mixed"])
     def test_multiplicities_sum_to_centralizer_order(self, space):
@@ -677,10 +682,23 @@ class TestKeyHistogram:
             cached.cache_clear()
         mirror_check(datum, SPACES["mixed"])
         group, table, cents = _group_data(datum.generators, DEFAULT_CAP)
-        allowed = set(table.keys) | set(dual_class_table(table).keys) | set(group.generator_keys)
-        built = set(group.action.matrices) | set(group.action.flipped().matrices)
+        allowed = set(table.keys) | set(dual_class_order(table).values()) | set(group.generator_keys)
+        built = set(group.action.matrices) | set(group.action.dual_matrices)
         assert built <= allowed
         assert sum(cent.order for cent in cents) > len(allowed)
+
+    @pytest.mark.parametrize("datum", [classical_datum("B", 3, "simply_connected"), sl_quotient_datum(4, 2)],
+                             ids=["B3_sc", "SL4/Z2"])
+    def test_mirror_check_builds_no_group_besides_w_and_its_centralizers(self, monkeypatch, datum):
+        """Ŵ is read off W's keys, whether its order reuses W's search (B3_sc) or walks its own (SL(4)/Z2)."""
+        built, init = [], MatrixGroup.__init__
+        monkeypatch.setattr(MatrixGroup, "__init__", lambda group, *args: built.append(group) or init(group, *args))
+        for cached in ENGINE_CACHES:
+            cached.cache_clear()
+        for space in SPACES.values():
+            assert mirror_check(datum, space).equal
+        group, _, cents = _group_data(datum.generators, DEFAULT_CAP)
+        assert built == [group, *cents]
 
 
 class TestSharedGroupData:

@@ -100,6 +100,20 @@ class TestIntegerMatrix:
         with pytest.raises(LatticeError):
             IntegerMatrix.identity(-1)
 
+    def test_from_columns(self):
+        assert IntegerMatrix.from_columns([[1, 2], [3, 4]]) == M([[1, 3], [2, 4]])
+        assert IntegerMatrix.from_columns([[Fraction(2)]]).entries == ((2,),)
+        empty = IntegerMatrix.from_columns([], rows=2)
+        assert (empty.rows, empty.cols, empty.entries) == (2, 0, ((), ()))
+
+    @pytest.mark.parametrize("columns", [[[1.5]], [[Fraction(1, 2)]], [[1], [2, 3]], [[1, 2], [3]]],
+                             ids=["float", "fraction", "longer-column", "shorter-column"])
+    def test_from_columns_validates_as_the_constructor_does(self, columns):
+        with pytest.raises(LatticeError):
+            IntegerMatrix.from_columns(columns)
+        with pytest.raises(LatticeError):
+            IntegerMatrix.from_rows(columns)
+
     def test_empty_matrix(self):
         e = IntegerMatrix.zero(2, 0)
         assert e.rank() == 0

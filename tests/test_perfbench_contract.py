@@ -24,13 +24,17 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
      (), {"orbifold_engine.classes": 3}),
     (["mirror-check", "--group", "sl", "3", "3", "--space", "mixed"], (orbifold_engine.mirror_check,),
      (), {"orbifold_engine.classes": 6}),
+    # SL(4)/Z2's dual generators sort unlike W's, so Ŵ's class order walks its own search; W = S4 has 5 classes.
+    (["mirror-check", "--group", "sl", "4", "2", "--space", "mixed"],
+     (orbifold_engine.mirror_check, orbifold_engine._group_data, orbifold_engine._class_records,
+      orbifold_engine._dual_records), (), {"orbifold_engine.classes": 10}),
     (["duality-check", "--group", "classical", "B", "3", "sc"],
      (orbifold_engine.duality_check, orbifold_engine._fixed_data, orbifold_engine._key_histogram),
      ("lattice_core.fixed_data_s", "lattice_core.pi0_count_calls"), {}),
     (["closed-form", "--n", "6", "--m", "2", "--surface", "abelian"],
      (sln_formula._grouped_partition_sums, sln_formula.partitions, sln_formula.tau),
      ("sln_formula.closed_form_self_s",), {}),
-], ids=["compute", "mirror-check", "duality-check", "closed-form"])
+], ids=["compute", "mirror-check", "mirror-check-dual-walk", "duality-check", "closed-form"])
 def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, nonzero, exact):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)

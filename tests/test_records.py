@@ -1,13 +1,15 @@
-"""The package's record types: value semantics, immutability, and an import that never loads `dataclasses`."""
+"""The package's record types: value semantics, immutability, copies, and an import that never loads `dataclasses`."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from orbev.epoly import C_STAR, ELLIPTIC, PRIMAL, SPACES, PolynomialError, SpaceDescriptor
+from orbev.epoly import C_STAR, ELLIPTIC, PRIMAL, SPACES, BivariatePolynomial, PolynomialError, SpaceDescriptor
 from orbev.lattice_core import IntegerMatrix, smith_normal_form
 from orbev.orbifold_engine import _class_records, duality_check, mirror_check, orbifold_e_polynomial
 from orbev.root_data import sl_quotient_datum
@@ -77,6 +79,31 @@ class TestSpaceDescriptorValues:
     def test_list_built_partition_is_the_tuple_built_one(self):
         assert Partition([2, 1, 1]).parts == (2, 1, 1)
         assert Partition([2, 1, 1]) == Partition((2, 1, 1))
+
+
+@pytest.mark.parametrize("value", [
+    IntegerMatrix.from_rows([[1, -2], [0, 3]]),
+    IntegerMatrix.zero(2, 0),
+    BivariatePolynomial({(0, 0): 1, (2, 1): -3}),
+    SPACES["derham"],
+    Partition((3, 1, 1)),
+], ids=["IntegerMatrix", "empty-IntegerMatrix", "BivariatePolynomial", "SpaceDescriptor", "Partition"])
+def test_immutable_values_copy_and_pickle(value):
+    """copy, deepcopy and pickle rebuild the value through its constructor, every field included."""
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert [getattr(twin, name) for name in type(value).__slots__] == [
+            getattr(value, name) for name in type(value).__slots__]
+        with pytest.raises(AttributeError):
+            setattr(twin, type(value).__slots__[0], None)
+
+
+def test_mirror_report_and_datum_copy_and_pickle():
+    datum = sl_quotient_datum(4, 2)
+    report = mirror_check(datum, SPACES["mixed"])
+    for value in (report, datum):
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 _PROBE = """

@@ -259,6 +259,21 @@ generators
             with pytest.raises(DatumError, match="not positive definite"):
                 parse_datum_text(text)
 
+    @pytest.mark.parametrize("keyword, text", [
+        ("rank", "rank 1\nrank 1\nbasis\n1\ngram\n1\n"),
+        ("denominator", "denominator 1\nrank 1\ndenominator 2\nbasis\n1\ngram\n1\n"),
+        ("label", "label A\nrank 1\nlabel B\nbasis\n1\ngram\n1\n"),
+        ("basis", "rank 1\nbasis\n1\nbasis\n2\ngram\n1\n"),
+        ("gram", "rank 1\nbasis\n1\ngram\n1\ngram\n4\n"),
+    ], ids=["rank", "denominator", "label", "basis", "gram"])
+    def test_repeated_section_rejected(self, keyword, text):
+        with pytest.raises(DatumFormatError, match=f"^{keyword} appears twice$"):
+            parse_datum_text(text)
+
+    def test_generators_may_come_in_several_sections(self):
+        text = "rank 1\nbasis\n1\ngram\n1\ngenerators\n-1\ngenerators\n1\n"
+        assert [g.entries for g in parse_datum_text(text).generators] == [((-1,),), ((1,),)]
+
     def test_generator_rows_at_rank_zero_rejected(self):
         with pytest.raises(DatumFormatError, match="rank 0"):
             parse_datum_text("rank 0\nbasis\ngram\ngenerators\n1 2 3\n7\n")

@@ -19,8 +19,7 @@ from orbev.weyl import (
     GroupError,
     centralizer,
     conjugacy_classes,
-    dual_class_table,
-    dual_group,
+    dual_class_order,
     generate_group,
     schreier_sims_order,
 )
@@ -212,48 +211,59 @@ class TestAgainstMatrixOracle:
     def test_group_classes_and_centralizers(self, datum):
         assert_matches_oracle(generate_group(datum.generators), datum.generators)
 
-    def test_dual_by_index_equals_dual_enumeration(self, datum):
-        dual = dual_datum(datum)
-        group = dual_group(generate_group(datum.generators))
-        assert group.generators == dual.generators
-        assert group.keys == tuple(group.key(m) for m in elements(generate_group(dual.generators)))
-        assert_matches_oracle(group, dual.generators)
-
-    def test_dual_class_table_equals_dual_scan(self, datum):
-        table = dual_class_table(conjugacy_classes(generate_group(datum.generators)))
-        scanned = conjugacy_classes(dual_group(generate_group(datum.generators)))
-        assert table.group.keys == scanned.group.keys
-        assert (table.keys, table.sizes, table.class_index) == (scanned.keys, scanned.sizes, scanned.class_index)
-        assert table.representatives == scanned.representatives
+    def test_dual_class_order_equals_dual_scan(self, datum):
+        """Ŵ's classes read off W's keys, against Ŵ generated from the dual generators and scanned in itself."""
+        group = generate_group(datum.generators)
+        table = conjugacy_classes(group)
+        dual = generate_group(dual_datum(datum).generators)
+        scanned = conjugacy_classes(dual)
+        order = dual_class_order(table)
+        assert [group.dual_matrix(k) for k in order.values()] == list(scanned.representatives)
+        assert [table.sizes[i] for i in order] == list(scanned.sizes)
+        # each class, read through w ↦ (w⁻¹)ᵀ, is the Ŵ class it is listed as
+        for j, i in enumerate(order):
+            members = {dual.key(group.dual_matrix(k)) for k, c in table.class_index.items() if c == i}
+            assert members == {k for k, c in scanned.class_index.items() if c == j}
 
 
 class TestKeys:
-    def test_dual_key_names_the_inverse_transpose(self):
+    def test_dual_matrix_is_the_inverse_transpose_read_from_its_cache(self):
         group = generate_group(classical_datum("C", 3, "adjoint").generators)
-        dual = dual_group(group)
         for k in group.keys:
-            assert dual.matrix(k) == group.matrix(k).inverse_transpose()
-            assert dual.key(dual.matrix(k)) == k
-            # the group and its dual share one pair of actions and their matrix caches
-            assert group.dual_matrix(k) is dual.matrix(k)
-            assert dual.dual_matrix(k) is group.matrix(k)
+            m = group.dual_matrix(k)
+            assert m == group.matrix(k).inverse_transpose()
+            # a group and its centralizers share one action, and its cache of (w⁻¹)ᵀ
+            assert group.dual_matrix(k) is m is centralizer(group, group.matrix(k)).dual_matrix(k)
+            # only the matrices w are looked up by identity
+            assert id(m) not in group.action.matrix_keys
 
-    @pytest.mark.parametrize("datum, replays", [
+    @pytest.mark.parametrize("datum, walks", [
         (classical_datum("B", 3, "simply_connected"), 0),
         (sl_quotient_datum(4, 2), 1),
     ], ids=["B3_sc", "SL4/Z2"])
-    def test_dual_reuses_the_primal_search_when_generators_sort_alike(self, monkeypatch, datum, replays):
+    def test_dual_class_order_walks_only_when_generators_sort_differently(self, monkeypatch, datum, walks):
         group = generate_group(datum.generators)
-        calls = []
+        table = conjugacy_classes(group)
+        calls, consumed = [], []
         breadth_first = weyl._breadth_first
-        monkeypatch.setattr(weyl, "_breadth_first", lambda *args: calls.append(args) or breadth_first(*args))
-        dual = dual_group(group)
-        assert len(calls) == replays
-        assert (dual.keys is group.keys) == (replays == 0)
 
-    def test_dual_of_dual_reads_the_primal_matrices(self):
-        group = generate_group(sl_quotient_datum(4, 2).generators)
-        assert elements(dual_group(dual_group(group))) == elements(group)
+        def counted(*args):
+            calls.append(args)
+            for k in breadth_first(*args):
+                consumed.append(k)
+                yield k
+
+        monkeypatch.setattr(weyl, "_breadth_first", counted)
+        order = dual_class_order(table)
+        assert len(calls) == walks
+        assert sorted(order) == list(range(table.count))
+        if walks:
+            # the walk stops at the first key of the last class it meets
+            assert consumed[-1] == list(order.values())[-1]
+            assert len(consumed) < group.order == len(tuple(breadth_first(*calls[0])))
+        else:
+            # the same search: Ŵ's first keys are W's representatives, in W's order
+            assert tuple(order.values()) == table.keys
 
     def test_matrix_outside_the_orbit_is_not_a_member(self):
         g = generate_group(sl_quotient_datum(3, 1).generators)

@@ -8,15 +8,25 @@ successful run), 1 on usage or validation errors.
 
 Each command is one `_COMMANDS` entry: its function, its help and its
 `config_echo` fields in output order, parsed as their `_OPTIONS` except `d`
-and `space`, which `--surface` gives.  `main` parses an argv that starts with
-a command name with that command's own parser alone, which prints the same
-help and usage errors as the whole tree's subparser; anything else (--help,
-no command, an unknown command) goes to the whole tree.  Each parser is built
-once per process.  A command function is a generator of
-its body (what follows `config_echo`) with its exit code, then of its text
-lines, so a JSON run renders no text.  `main` writes through `dumps_canonical`
-or `"\\n".join`.  Command functions look the engine's entry points up as
-module globals when they run, so perfbench's tracer can replace them.
+and `space`, which `--surface` gives (`_option_fields`).
+
+`main` reads an argv that starts with a command name in one pass over that
+command's `_OPTIONS` (`_read`): exact option names, each once, with values
+that do not start with "-", converted and checked as argparse would.  It
+returns the namespace argparse would return and builds no parser.  An argv
+it does not read cleanly (an abbreviation, --opt=value, a repeated option,
+a value starting with "-", a missing, extra or invalid value, -h or --help)
+goes to that command's own argparse parser, which prints the same help and
+usage errors as the whole tree's subparser; an argv without a command name
+(--help, no command, an unknown command) goes to the whole tree.  So
+argparse alone writes help and usage errors, a valid command builds no
+parser, and each parser is built at most once per process.
+
+A command function is a generator of its body (what follows `config_echo`)
+with its exit code, then of its text lines, so a JSON run renders no text.
+`main` writes through `dumps_canonical` or `"\\n".join`.  Command functions
+look the engine's entry points up as module globals when they run, so
+perfbench's tracer can replace them.
 
 JSON output is written by `dumps_canonical`, which reproduces
 `json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"` byte for byte for
@@ -323,13 +333,64 @@ _OPTIONS = {
 # The config_echo fields that `main` reads off SURFACES for a command with --surface.
 _SURFACE_FIELDS = ("d", "space")
 
+# The option spec keys `_read` applies or may ignore; an option with any other key is left to argparse.
+_READ_KEYS = {"nargs", "type", "choices", "required", "default", "metavar", "help"}
 
-def _add_options(parser: _Parser, fields: tuple[str, ...]) -> _Parser:
-    """parser with an option from `_OPTIONS` for each parsed config_echo field of a command."""
-    for field in fields:
-        if not ("surface" in fields and field in _SURFACE_FIELDS):
-            parser.add_argument("--" + field, **_OPTIONS[field])
+
+def _option_fields(name: str) -> tuple[str, ...]:
+    """Command name's parsed config_echo fields, each an option from `_OPTIONS`: all but those --surface gives."""
+    fields = _COMMANDS[name][2]
+    return tuple(f for f in fields if f not in _SURFACE_FIELDS) if "surface" in fields else fields
+
+
+def _add_options(parser: _Parser, name: str) -> _Parser:
+    """parser with an option from `_OPTIONS` for each parsed config_echo field of command name."""
+    for field in _option_fields(name):
+        parser.add_argument("--" + field, **_OPTIONS[field])
     return parser
+
+
+def _read(name: str, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace command name's parser returns for argv, read in one pass, or None to leave argv to it.
+
+    It reads exact option names, each at most once, with one value, or one
+    or more for nargs="+", none of which starts with "-"; it applies type
+    and choices to each value, then required and default.  Anything else
+    returns None: an abbreviation, --opt=value, a repeated option, a value
+    starting with "-", a missing, extra or invalid value, -h or --help, an
+    option spec key or nargs it does not know.
+    """
+    specs = {field: _OPTIONS[field] for field in _option_fields(name)}
+    if any(spec.keys() - _READ_KEYS or spec.get("nargs") not in (None, "+") for spec in specs.values()):
+        return None
+    parsed = {}
+    i, end = 0, len(argv)
+    while i < end:
+        field = argv[i][2:]
+        if argv[i][:2] != "--" or field not in specs or field in parsed:
+            return None
+        spec = specs[field]
+        many = spec.get("nargs") == "+"
+        j = i + 1
+        while j < end and argv[j][:1] != "-" and (many or j == i + 1):
+            j += 1
+        if j == i + 1:
+            return None
+        convert, choices = spec.get("type"), spec.get("choices")
+        try:
+            values = argv[i + 1 : j] if convert is None else [convert(value) for value in argv[i + 1 : j]]
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and not all(value in choices for value in values):
+            return None
+        parsed[field] = values if many else values[0]
+        i = j
+    for field, spec in specs.items():
+        if field not in parsed:
+            if spec.get("required"):
+                return None
+            parsed[field] = spec.get("default")
+    return argparse.Namespace(command=name, **parsed)
 
 
 @lru_cache(maxsize=None)
@@ -341,22 +402,24 @@ def _build_parser() -> _Parser:
     """
     parser = _Parser(prog="orbev", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, fields) in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), fields)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 @lru_cache(maxsize=None)
 def _command_parser(name: str) -> _Parser:
     """One command's parser, the same as the whole tree's subparser for it, built once per process."""
-    return _add_options(_Parser(prog=f"orbev {name}"), _COMMANDS[name][2])
+    return _add_options(_Parser(prog=f"orbev {name}"), name)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by its command's own parser when it starts with a command name, else by the whole tree."""
+    """argv read by `_read` when it starts with a command name; else parsed by its command's parser or the tree."""
     if argv and argv[0] in _COMMANDS:
-        args = _command_parser(argv[0]).parse_args(argv[1:])
-        args.command = argv[0]
+        args = _read(argv[0], argv[1:])
+        if args is None:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+            args.command = argv[0]
         return args
     return _build_parser().parse_args(argv)
 

@@ -110,15 +110,14 @@ class ClassContribution(NamedTuple):
 class ClassRecord(NamedTuple):
     """What a class term reads of its class: the key histogram of centralizer, a subgroup of W, read at key.
 
-    own is the lattice side of the representative: False for w ∈ W on Λ, named by key; True for a Ŵ record,
-    whose representative (x⁻¹)ᵀ acts on Λ̂ and key names x.  shift is F(w), match a Ŵ record's W class.
+    match is None for w ∈ W on Λ, named by key, and for a Ŵ record the W class of x, where its representative
+    (x⁻¹)ᵀ acts on Λ̂ and key names x: match also says the lattice side.  shift is F(w).
     """
 
     representative: IntegerMatrix
     class_size: int
     centralizer: MatrixGroup
     key: Key
-    own: bool
     shift: int
     pi0_divisors: tuple[int, ...]
     match: int | None = None
@@ -343,7 +342,7 @@ def class_contribution(
     shift equal this term's, so do its average and weighted polynomials,
     and this term takes them rather than assembling them again.
     """
-    cent, key, own, shift = record.centralizer, record.key, record.own, record.shift
+    cent, key, own, shift = record.centralizer, record.key, record.match is not None, record.shift
     uses_dual, sides, powers, twin_powers = _columns(space, own, both_sides)
     if uses_dual and fermionic_shift(cent.action.matrix(key, not own)) != shift:
         raise EngineError("fermionic shift differs between the lattice and its dual")
@@ -368,12 +367,12 @@ def class_contribution(
 
 
 def _record(w: IntegerMatrix, cent: MatrixGroup, size: int = 1, at: Key | None = None, match: int | None = None):
-    """w's ClassRecord, read at w on cent = C(w), or at key `at` on cent = C(x), x named by `at`, sides swapped."""
+    """w's ClassRecord, read at w on cent = C(w), or for a match at key `at` on cent = C(x), x named by `at`."""
     if not cent.order:
         raise EngineError("centralizer must contain at least the identity")
     dim, pi0 = _fixed_data(w)
-    key, own = (cent.key(w), False) if at is None else (at, True)
-    return ClassRecord(w, size, cent, key, own, w.rows - dim, pi0, match)
+    key = cent.key(w) if match is None else at
+    return ClassRecord(w, size, cent, key, w.rows - dim, pi0, match)
 
 
 @lru_cache(maxsize=None)

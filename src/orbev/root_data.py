@@ -377,7 +377,8 @@ def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
             raise DatumFormatError(f"malformed {what} row: {line!r}") from exc
 
     while pos < len(lines):
-        head, _, rest = lines[pos].partition(" ")
+        head, *rest = lines[pos].split(maxsplit=1)  # a keyword, then its value after any whitespace
+        rest = "".join(rest)
         if head not in _KEYWORDS:
             raise DatumFormatError(f"unexpected line: {lines[pos]!r}")
         if head in seen:
@@ -423,7 +424,7 @@ def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
                         raise DatumFormatError(f"malformed gram row: {lines[pos]!r}") from exc
                     pos += 1
             else:  # generators
-                while pos < len(lines) and lines[pos].split(" ", 1)[0] not in _KEYWORDS:
+                while pos < len(lines) and lines[pos].split(maxsplit=1)[0] not in _KEYWORDS:
                     generator_rows.append(parse_int_row(lines[pos], "generator"))
                     pos += 1
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import io
 import json
 import subprocess
@@ -13,13 +14,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbev.cli import _COMMANDS, CliUsageError, _build_parser, _command_parser, _parse, dumps_canonical, main
-from orbev.epoly import BivariatePolynomial
+import orbev
+from orbev.cli import (
+    _COMMANDS,
+    _OPTIONS,
+    CliUsageError,
+    _build_parser,
+    _command_parser,
+    _option_fields,
+    _parse,
+    _read,
+    dumps_canonical,
+    main,
+)
+from orbev.epoly import SPACES, BivariatePolynomial
 from orbev.lattice_core import IntegerMatrix
 from oracles import from_json_terms, from_text, json_terms
 
 P = BivariatePolynomial
 G2_PATH = str(Path(__file__).parent / "data" / "g2.datum")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(args):
@@ -418,10 +432,143 @@ class TestParserDispatch:
         else:
             assert vars(_parse(argv)) == parsed
 
-    def test_one_command_process_builds_one_parser(self):
+    def test_one_command_process_builds_no_parser(self):
         proc = subprocess.run([sys.executable, "-c", ONE_PARSER_SCRIPT], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, ["orbev closed-form"]]
+        assert json.loads(proc.stdout) == [0, []]
+
+
+def parser_namespace(argv):
+    """vars of what argv[0]'s parser returns for argv[1:], with command; None where it refuses or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+    except (CliUsageError, SystemExit):
+        return None
+    return {**vars(args), "command": argv[0]}
+
+
+# The reader's alphabet: every option string of any command (and --d, which none has) with its
+# abbreviations, --opt=value forms, -h, --help, --, command names, and valid and invalid values.
+OPTION_TOKENS = sorted({"--" + f[:k] for f in (*_OPTIONS, "d") for k in range(1, len(f) + 1)})
+SPECIAL_TOKENS = ["-h", "--help", "--", *_COMMANDS]
+VALUES = ["4", "2", "1", "0", "-3", "-", "", "a b", "-g2.datum", "x", " 3", "4.0", "sl", "classical", "custom",
+          "B", "sc", G2_PATH, "betti", "abelian", "mixed", "json", "text", "klein-bottle"]
+VALID_VALUES = {
+    "group": [["sl", "2", "1"], ["classical", "B", "2", "sc"], ["custom", G2_PATH], ["custom", "a b"], [""]],
+    "space": [[space] for space in sorted(SPACES)],
+    "n": [["4"], ["2"], ["+3"], [" 1 "]],
+    "m": [["2"], ["1"], ["0"]],
+    "surface": [["betti"], ["abelian"]],
+    "format": [["json"], ["text"]],
+    "cap": [["5"], ["10000000"]],
+}
+
+
+@st.composite
+def command_argvs(draw):
+    """A command's argv: its options with valid values in any order, the optional ones at will, maybe one
+    option given twice, then 0–2 edits that insert, replace or drop a token, each token from the alphabet."""
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    fields = _option_fields(name)
+
+    def piece(field):
+        return ["--" + field, *draw(st.sampled_from(VALID_VALUES[field]))]
+
+    pieces = [piece(f) for f in draw(st.permutations(fields)) if _OPTIONS[f].get("required") or draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 1))):
+        pieces.insert(draw(st.integers(0, len(pieces))), piece(draw(st.sampled_from(fields))))
+    argv = [token for piece in pieces for token in piece]
+    inline = st.tuples(st.sampled_from(OPTION_TOKENS), st.sampled_from(VALUES)).map(lambda t: f"{t[0]}={t[1]}")
+    values, options = st.sampled_from(VALUES), st.sampled_from(OPTION_TOKENS + SPECIAL_TOKENS)
+    alphabet = st.one_of(values, values, options, inline)  # a value is drawn as often as the other two together
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        argv[i : i + draw(st.integers(0, 1))] = draw(st.lists(alphabet, max_size=1))
+    return [name, *argv]
+
+
+# argv that _read leaves to the command's parser, whether that parser refuses it or not.
+READER_DECLINES = [
+    ["closed-form", "--n", "4", "--m", "2", "--surf", "betti"],
+    ["closed-form", "--n=4", "--m", "2", "--surface", "betti"],
+    ["closed-form", "--n", "4", "--n", "5", "--m", "2", "--surface", "betti"],
+    ["closed-form", "--n", "-3", "--m", "1", "--surface", "betti"],
+    ["compute", "--group", "custom", "-g2.datum", "--space", "betti"],
+    ["compute", "--group", "custom", "-", "--space", "betti"],
+    ["compute", "--group", "sl", "2", "1", "-3", "--space", "betti"],
+    ["closed-form", "--n", "--m", "2", "--surface", "betti"],
+    ["closed-form", "--n", "4", "5", "--m", "2", "--surface", "betti"],
+    ["closed-form", "--n", "", "--m", "2", "--surface", "betti"],
+    ["closed-form", "--n", "4.0", "--m", "2", "--surface", "betti"],
+    ["closed-form", "--n", "4", "--m", "2", "--surface", "klein-bottle"],
+    ["closed-form", "--m", "2", "--surface", "betti"],
+    ["closed-form", "4", "--n", "4", "--m", "2", "--surface", "betti"],
+    ["closed-form", "--n", "4", "--m", "2", "--surface", "betti", "--cap", "5"],
+    ["closed-form", "--n", "4", "--m", "2", "--surface", "betti", "--"],
+    ["closed-form", "-h"],
+    ["closed-form", "--help"],
+    ["compute", "--group", "--space", "betti"],
+]
+READER_DECLINE_IDS = ["abbreviation", "inline-value", "repeated", "negative", "dash-path", "dash", "dash-in-selector",
+                      "missing-value", "extra-value", "empty-int", "float", "choice", "missing-required",
+                      "leading-value", "other-command-option", "double-dash", "-h", "--help", "empty-selector"]
+
+# argv that _read takes, with values argparse takes as they are or converts with int().
+READER_TAKES = [
+    ["compute", "--group", "custom", "", "--space", "betti"],
+    ["compute", "--group", "custom", "a b", "--space", "betti", "--format", "text"],
+    ["closed-form", "--surface", "betti", "--m", " 2", "--n", "+4"],
+    ["mirror-check", "--space", "mixed", "--group", "sl", "4", "2", "--cap", "100"],
+    ["duality-check", "--group", "classical", "B", "2", "sc"],
+    ["cross-validate", "--n", "2", "--m", "1", "--surface", "abelian", "--cap", "0"],
+]
+
+
+class TestReader:
+    """_read returns the namespace the command's parser returns, or None to leave argv to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_argvs())
+    def test_reader_returns_none_or_the_parser_namespace(self, argv):
+        read = _read(argv[0], argv[1:])
+        assert read is None or vars(read) == parser_namespace(argv)
+
+    @pytest.mark.parametrize("argv", READER_DECLINES, ids=READER_DECLINE_IDS)
+    def test_reader_declines_and_the_parser_decides(self, argv):
+        assert _read(argv[0], argv[1:]) is None
+        expected = parser_namespace(argv)
+        if expected is not None:  # the parser takes an abbreviation, --opt=value, a repeat, a negative number
+            assert vars(_parse(argv)) == expected
+
+    @pytest.mark.parametrize("argv", READER_TAKES, ids=lambda argv: argv[0])
+    def test_reader_takes(self, argv):
+        read = _read(argv[0], argv[1:])
+        assert read is not None and vars(read) == parser_namespace(argv)
+
+    def test_reader_takes_every_workload_argv(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        monkeypatch.delitem(sys.modules, "workloads", raising=False)
+        from workloads import WORKLOADS, build_ops
+
+        for workload in WORKLOADS:
+            for argv in build_ops(workload, 1, tmp_path):
+                read = _read(argv[0], argv[1:])
+                assert read is not None and vars(read) == parser_namespace(argv), argv
+
+    @pytest.mark.parametrize("field, extra", [
+        ("n", {"action": "store"}),
+        ("n", {"dest": "count"}),
+        ("group", {"nargs": 2}),
+    ], ids=["action", "dest", "nargs-2"])
+    def test_reader_declines_an_option_spec_it_does_not_know(self, monkeypatch, field, extra):
+        if field == "group":
+            argv = ["compute", "--group", "sl", "2", "1", "--space", "betti"]
+        else:
+            argv = ["cross-validate", "--n", "2", "--m", "1", "--surface", "betti"]
+        assert _read(argv[0], argv[1:]) is not None
+        monkeypatch.setitem(_OPTIONS, field, {**_OPTIONS[field], **extra})
+        assert _read(argv[0], argv[1:]) is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,8 +625,21 @@ class TestSubprocess:
         *together, trees_built, command_parsers_built = json.loads(proc.stdout)
         assert together == separate
         assert trees_built == 1
-        # one per distinct command: compute and closed-form
-        assert command_parsers_built == 2
+        # compute's, for the klein-bottle refusal; the valid runs are read without a parser
+        assert command_parsers_built == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--n", "4", "--m", "2", "--surface", "betti"],
+        ["mirror-check", "--group", "sl", "2", "1", "--space", "mixed"],
+        ["duality-check", "--group", "classical", "B", "2", "sc"],
+    ], ids=lambda argv: argv[0])
+    def test_valid_command_leaves_locale_unimported(self, argv):
+        # argparse's first gettext call imports locale; a valid command makes none
+        src = str(Path(orbev.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-c", NO_LOCALE_SCRIPT, src, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, False]
 
 
 ONE_PROCESS_SCRIPT = """
@@ -495,6 +655,14 @@ for argv in json.loads(sys.argv[1]):
             code = exc.code
     results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(results + [_build_parser.cache_info().misses, _command_parser.cache_info().misses]))
+"""
+
+NO_LOCALE_SCRIPT = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+from orbev.cli import main
+code = main(json.loads(sys.argv[2]), out=io.StringIO())
+print(json.dumps([code, "locale" in sys.modules]))
 """
 
 ONE_PARSER_SCRIPT = """

@@ -195,6 +195,11 @@ class TestDatumFiles:
         assert weyl_order(g2) == 12
         g2.validate()
 
+    def test_keyword_lines_split_on_any_whitespace(self):
+        tabbed = Path(G2_PATH).read_text(encoding="utf-8").replace(" ", "\t")
+        assert "rank\t2" in tabbed and "label\tG2" in tabbed
+        assert parse_datum_text(tabbed, default_label="g2") == custom_datum(G2_PATH)
+
     def test_round_trip_builtin(self):
         for d in [sl_quotient_datum(3, 1), classical_datum("B", 2, "adjoint")]:
             assert parse_datum_text(datum_to_text(d)) == d

@@ -21,19 +21,30 @@ polynomial with u-degree below D and every coefficient in [-2^(K-1), 2^(K-1))
 is read back from its image as signed K-bit digits, the digit at p + D·q being
 the coefficient of u^p v^q.  The layout is fixed per (n, E(A), d):
 
-- D = n·max(1, deg_u E(A)) + 1, above the u-degree of every term of the sum;
+- D = 0 when every term of E(A) has p = q, as for (uv - 1)^2: then every
+  polynomial of the sum lies in ℤ[uv], the image is P(X, 1), still a ring
+  map, and digit i is read back as the coefficient of u^i v^i;
+- otherwise D = n·max(1, deg_u E(A)) + 1, above the u-degree of every term of
+  the sum;
 - K = 2 + the bit length of M = Σ_α g(α)^{2d} · Π_i C(N + α_i - 1, α_i) with
   N = ‖E(A)‖₁.  The t^a coefficient of Π (1 - x·t)^{∓e} is majorised by that of
   (1 - t)^{-N}, and τ ≤ g^{2d}, so M bounds the τ-weighted total's L1 norm.
 
 The series step s_k ± x·s_{k-1} is then a shift and an add, a partition
-product one `*`, (uv)^s a shift, Σ_g τ·S_g integer arithmetic and the division
-by E(A) one divmod.  Its decoded quotient Q' is returned only when the
-remainder is 0, max|Q'|·‖E(A)‖₁ < 2^(K-1) and deg_u Q' + deg_u E(A) < D: then
-Q'·E(A) and the total are both read back from the same image, so they are
-equal and Q' is the quotient exact_divide returns.  Otherwise the total is
-decoded and divided by exact_divide, which raises when the division is not
-exact.
+product one `*`, (uv)^s a shift by s·(1 + D) digits, Σ_g τ·S_g integer
+arithmetic and the division by E(A) one divmod.  Its decoded quotient Q' is
+returned only when the remainder is 0, max|Q'|·‖E(A)‖₁ < 2^(K-1) and, for
+D > 0, deg_u Q' + deg_u E(A) < D.  Then every coefficient of Q'·E(A) lies in
+[-2^(K-1), 2^(K-1)).  For D > 0 its u-degree lies below D, so no term wraps
+onto the next v-row; for D = 0, Q' and E(A) lie in ℤ[uv], where no term can
+wrap, so the u-degree condition has nothing to check.  Q'·E(A) is thus read
+back from its image, which is the total's, as the total is: they are equal,
+and Q' is the quotient exact_divide returns.  Otherwise the total is decoded
+and divided by exact_divide, which raises when the division is not exact.
+
+A decoded polynomial's terms come out in (p, q) order, the order in which the
+writer and `to_text` list them: for D > 0 by u-degree p, each as the digits
+p + D·q for ascending q; for D = 0 by ascending digit.
 """
 
 from __future__ import annotations
@@ -153,7 +164,8 @@ def _layout(n: int, e_a: BivariatePolynomial, d: int) -> tuple[int, int]:
         alpha.g ** (2 * d) * prod(comb(norm + k - 1, k) for k in alpha.multiplicities().values())
         for alpha in partitions(n)
     )
-    return n * max(1, _deg_u(e_a)) + 1, 2 + majorant.bit_length()
+    width_u = 0 if all(p == q for p, q in e_a.coeffs) else n * max(1, _deg_u(e_a)) + 1
+    return width_u, 2 + majorant.bit_length()
 
 
 def _pack(poly: BivariatePolynomial, width_u: int, bits: int) -> int:
@@ -166,20 +178,25 @@ def _unpack(packed: int, width_u: int, bits: int) -> BivariatePolynomial:
 
     Adding 2^(K-1) to every digit makes them all nonnegative, so they are the
     K-character slices of one binary string; a slice equal to 2^(K-1) is a zero.
+    Digit i is u^p v^q with i = p + D·q, or u^i v^i when D = 0.  The terms are
+    emitted in (p, q) order: for D > 0 the digits p, p + D, p + 2D, ... for
+    each p in turn.
     """
     half = 1 << (bits - 1)
     count = packed.bit_length() // bits + 2
     bias = half * (((1 << bits * count) - 1) // ((1 << bits) - 1))
     text = format(packed + bias, "b").zfill(bits * count)
     zero = format(half, "b")
+    digits = [text[end - bits : end] for end in range(len(text), 0, -bits)]
     coeffs: dict[tuple[int, int], int] = {}
-    end = len(text)
-    for i in range(count):
-        chunk = text[end - bits : end]
-        end -= bits
-        if chunk != zero:
-            q, p = divmod(i, width_u)
-            coeffs[(p, q)] = int(chunk, 2) - half
+    if not width_u:
+        for i, chunk in enumerate(digits):
+            if chunk != zero:
+                coeffs[(i, i)] = int(chunk, 2) - half
+    for p in range(width_u):
+        for q, chunk in enumerate(digits[p::width_u]):
+            if chunk != zero:
+                coeffs[(p, q)] = int(chunk, 2) - half
     return BivariatePolynomial._of(coeffs)
 
 
@@ -255,9 +272,8 @@ def closed_form_eorb(n: int, m: int, d: int, e_a: BivariatePolynomial) -> Bivari
             quotient = _unpack(packed_q, width_u, bits)
             # Then Q'·E(A) fits the layout, as the total does, and has its image: it is the total.
             norm = sum(abs(c) for c in e_a.coeffs.values())
-            if (
-                max(map(abs, quotient.coeffs.values()), default=0) * norm < 1 << (bits - 1)
-                and _deg_u(quotient) + _deg_u(e_a) < width_u
+            if max(map(abs, quotient.coeffs.values()), default=0) * norm < 1 << (bits - 1) and (
+                not width_u or _deg_u(quotient) + _deg_u(e_a) < width_u
             ):
                 return quotient
     try:

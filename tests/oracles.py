@@ -15,6 +15,9 @@ test can check the package's result against it:
 - per_partition_closed_form: the closed form summed one partition at a time,
   each with its own product of symmetric powers, against the packed-integer
   grouped sums and divmod of sln_formula.closed_form_eorb.
+- wreath_product_series: E_orb of B_n adjoint and C_n simply connected from
+  the wreath-product generating series, against the conjugacy-class engine
+  on the signed-permutation data.
 - datum_equivalent: equality of root data up to a change of basis, against
   the explicit dual pairs that root_data builds.
 - _congruence: gᵀ·G·g in Fractions, against root_data's integer check of
@@ -51,7 +54,10 @@ from math import comb, factorial, gcd, lcm, prod
 from pathlib import Path
 
 from orbev.epoly import (
+    AFFINE_LINE,
+    C_STAR,
     DUAL,
+    ELLIPTIC,
     BivariatePolynomial,
     InexactDivisionError,
     PolynomialError,
@@ -72,7 +78,7 @@ from orbev.lattice_core import (
 )
 from orbev.orbifold_engine import EngineError, OrbifoldReport, _record, _report
 from orbev.root_data import FractionMatrix, RootDatum, classical_datum, custom_datum, dual_datum, sl_quotient_datum
-from orbev.sln_formula import FormulaError, partitions, tau
+from orbev.sln_formula import FormulaError, partitions, sym_e_polynomial, tau
 from orbev.weyl import centralizer, conjugacy_classes, generate_group
 
 G2_PATH = Path(__file__).parent / "data" / "g2.datum"
@@ -243,6 +249,59 @@ def per_partition_closed_form(n: int, m: int, d: int, e_a: BivariatePolynomial) 
         return scan_exact_divide(total, e_a)
     except InexactDivisionError as exc:
         raise FormulaError("division by E(A) is not exact") from exc
+
+
+_U = BivariatePolynomial.monomial(1, 0)
+_V = BivariatePolynomial.monomial(0, 1)
+_UV = BivariatePolynomial.monomial(1, 1)
+_ONE = BivariatePolynomial.one()
+# Per factor kind at rank 1: E₊ and E₋, the E-characters of c = 1 and c = -1
+# on A ⊗ ℤ, and the number of U(1) factors of A.
+_RANK_ONE_FACTORS = {
+    C_STAR: (_UV - _ONE, _UV + _ONE, 1),
+    ELLIPTIC: ((_ONE - _U) * (_ONE - _V), (_ONE + _U) * (_ONE + _V), 2),
+    AFFINE_LINE: (_UV, _UV, 0),
+}
+
+
+def wreath_product_series(space: SpaceDescriptor, n_max: int) -> list[BivariatePolynomial]:
+    """E_orb of (X^n)/((ℤ/2)^n ⋊ S_n) for n = 0, ..., n_max, X the space at rank 1.
+
+    B_n adjoint and C_n simply connected both have Λ = ℤ^n with W the signed
+    permutations, which act on Λ̂ as on Λ, so the space's lattice sides do not
+    matter.  With E₊ and E₋ the products of the factors' E-characters at
+    c = 1 and c = -1, E(Y) = (E₊ + E₋)/2 is the E-polynomial of Y = X/±1 and
+    N = 2^(number of U(1) factors) the number of points of X fixed by -1.  A
+    class of W is a pair of partitions, its positive and its negative signed
+    cycles: m positive k-cycles fix Sym^m Y with shift (k - 1)·m, and m
+    negative k-cycles fix the multisets of m of the N points with shift k·m.
+    So (Wang–Zhou)
+
+        Σ_n E_orb q^n = Π_{k≥1} Z_Y((uv)^(k-1) q^k) · (1 - (uv)^k q^k)^(-N)
+
+    with Z_Y(t) = Σ_m E(Sym^m Y) t^m.  Only sym_e_polynomial comes from the
+    package.
+    """
+    plus, minus, dims = _ONE, _ONE, 0
+    for kind, _side in space.factors:
+        e_plus, e_minus, dim = _RANK_ONE_FACTORS[kind]
+        plus, minus, dims = plus * e_plus, minus * e_minus, dims + dim
+    e_y = divided(plus + minus, 2)
+    points = 2**dims
+    sym = [sym_e_polynomial(e_y, m) for m in range(n_max + 1)]
+    series = [_ONE] + [BivariatePolynomial.zero()] * n_max
+    for k in range(1, n_max + 1):
+        positive = [BivariatePolynomial.zero()] * (n_max + 1)
+        negative = [BivariatePolynomial.zero()] * (n_max + 1)
+        for m in range(n_max // k + 1):
+            positive[k * m] = sym[m] * BivariatePolynomial.monomial((k - 1) * m, (k - 1) * m)
+            negative[k * m] = BivariatePolynomial.monomial(k * m, k * m, comb(points + m - 1, m))
+        for factor in (positive, negative):
+            series = [
+                sum((series[i] * factor[j - i] for i in range(j + 1)), BivariatePolynomial.zero())
+                for j in range(n_max + 1)
+            ]
+    return series
 
 
 def _congruence(g: IntegerMatrix, gram: FractionMatrix) -> FractionMatrix:

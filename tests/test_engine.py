@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbev import orbifold_engine
+from orbev import orbifold_engine, sln_formula
 from orbev.cli import main
 from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
 from orbev.lattice_core import (
@@ -68,6 +69,7 @@ from oracles import (
     per_element_duality_oracle,
     rank_four_data,
     rebased,
+    wreath_product_series,
 )
 
 P = BivariatePolynomial
@@ -751,6 +753,34 @@ class TestSharedGroupData:
             assert doc.pop("config_echo")["group"] == ["classical", *selector]
             bodies.append(doc)
         assert bodies[0] == bodies[1]
+
+
+class TestWreathProductSeries:
+    """B_n adjoint and C_n simply connected against the wreath-product series, which shares only sym_e_polynomial."""
+
+    def test_series_matches_engine_for_ranks_two_to_five(self, monkeypatch):
+        layouts = []
+        layout = sln_formula._layout
+
+        def recording(n, e_a, d):
+            layouts.append(layout(n, e_a, d))
+            return layouts[-1]
+
+        monkeypatch.setattr(sln_formula, "_layout", recording)
+        start = time.perf_counter()
+        series, widths = {}, {}
+        for name, space in SPACES.items():
+            series[name] = wreath_product_series(space, 5)
+            widths[name] = {width for width, _ in layouts}
+            layouts.clear()
+        assert time.perf_counter() - start < 1.0
+        # E(Y) is u²v² + 1 or uv + u²v² on the first three, in ℤ[uv]; the other two take the general layout.
+        assert widths == {"betti": {0}, "dolbeault": {0}, "derham": {0}, "abelian-surface": {3, 5, 7, 9, 11},
+                          "mixed": {3, 5, 7, 9, 11}}
+        for n in range(2, 6):
+            for datum in (classical_datum("B", n, "adjoint"), classical_datum("C", n, "simply_connected")):
+                for name, space in SPACES.items():
+                    assert orbifold_e_polynomial(datum, space).total == series[name][n], (datum.label, name)
 
 
 class TestLatticeProjections:

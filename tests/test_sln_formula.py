@@ -40,6 +40,25 @@ PAIRS = list(dict.fromkeys([(e_a, d) for e_a, d, _ in SURFACES.values()] + list(
 # Nonzero integer E(A) of u- and v-degree <= 2 with coefficients in -3..3: most are
 # no E-polynomial, and many have a lex-leading coefficient of ±2 or ±3.
 RANDOM_E_A = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), min_size=1).map(P).filter(bool)
+# Nonzero integer E(A) in ℤ[uv]: terms u^k v^k with k <= 3, which take the layout with D = 0.
+RANDOM_UV_E_A = (
+    st.dictionaries(st.integers(0, 3), st.integers(-3, 3), min_size=1)
+    .map(lambda coeffs: P({(k, k): c for k, c in coeffs.items()}))
+    .filter(bool)
+)
+
+
+def assert_matches_per_partition_oracle(n, d, e_a):
+    """closed_form_eorb equals per_partition_closed_form for every m | n, or both raise FormulaError."""
+    for m in range(1, n + 1):
+        if n % m == 0:
+            try:
+                expected = per_partition_closed_form(n, m, d, e_a)
+            except FormulaError:
+                with pytest.raises(FormulaError):
+                    closed_form_eorb(n, m, d, e_a)
+            else:
+                assert closed_form_eorb(n, m, d, e_a) == expected
 
 
 class TestPartitions:
@@ -155,6 +174,12 @@ class TestSymEPolynomial:
         for e_a in FIVE_GROUPS:
             assert sym_e_polynomial(e_a, a) == binomial_sym_series(e_a, a)
 
+    @settings(max_examples=100, deadline=None)
+    @given(RANDOM_UV_E_A)
+    def test_uv_only_layout_matches_binomial_series(self, e_a):
+        for a in range(6):
+            assert sym_e_polynomial(e_a, a) == binomial_sym_series(e_a, a)
+
     def test_rejects_non_integer_exponents(self):
         # E(A) holds ints only, so a rational exponent is refused when E(A) is built.
         with pytest.raises(PolynomialError):
@@ -243,15 +268,30 @@ class TestClosedForm:
     # the quotient, whose u^(D-1) term times u wraps onto v.
     @example((ONE + U).scale(-3), 4, 0)
     def test_packed_path_matches_per_partition_oracle(self, e_a, n, d):
-        for m in range(1, n + 1):
-            if n % m == 0:
-                try:
-                    expected = per_partition_closed_form(n, m, d, e_a)
-                except FormulaError:
-                    with pytest.raises(FormulaError):
-                        closed_form_eorb(n, m, d, e_a)
-                else:
-                    assert closed_form_eorb(n, m, d, e_a) == expected
+        assert_matches_per_partition_oracle(n, d, e_a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RANDOM_UV_E_A, st.integers(1, 6), st.integers(0, 4))
+    # uv + 1 is the inexact case of test_inexact_division_signalled.
+    @example(UV + ONE, 2, 2)
+    def test_uv_only_layout_matches_per_partition_oracle(self, e_a, n, d):
+        assert sln_formula._layout(n, e_a, d)[0] == 0
+        assert_matches_per_partition_oracle(n, d, e_a)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_layout_width(self, n):
+        # (uv - 1)^2 lies in ℤ[uv]: one digit per power of uv.  The abelian surface needs D above
+        # the u-degree 2n of every term of the sum.
+        assert sln_formula._layout(n, E_TORUS2, 2)[0] == 0
+        assert sln_formula._layout(n, E_ABELIAN, 4)[0] == 2 * n + 1
+
+    def test_totals_come_out_in_term_order(self):
+        for e_a, d, _ in SURFACES.values():
+            for n in range(1, 11):
+                for m in range(1, n + 1):
+                    if n % m == 0:
+                        total = closed_form_eorb(n, m, d, e_a)
+                        assert list(total.coeffs) == sorted(total.coeffs)
 
     def test_exact_divide_runs_only_when_the_proof_check_fails(self, monkeypatch):
         calls = []

@@ -31,17 +31,20 @@ perfbench's tracer can replace them.
 JSON output is written by `dumps_canonical`, which reproduces
 `json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"` byte for byte for
 dict, list, str, int, bool and None, and raises TypeError for any other type
-(float and tuple included).  Two report types are values too, written as
+(float and tuple included).  Three report types are values too, written as
 json.dumps writes their plain form:
 
 - a `BivariatePolynomial` as the list of its terms `{"p": p, "q": q,
   "coeff": str(c)}` in sorted (p, q) order, each one %-format of a term
   template built once per indent, with the int coefficient written by `%d`,
   which needs no escaping;
-- an `IntegerMatrix` as the list of its rows.
+- an `IntegerMatrix` as the list of its rows;
+- a `ClassContribution` as its class row, from `class_rep` to
+  `weighted_poly`, rendered once per process for each distinct term and
+  indent (`_class_row`), since a sweep writes the same rows again and again.
 
-Reports put their polynomials and matrices into the document as they are,
-so no term dict or row list is built before the text.
+Reports put these values into the document as they are, so no term dict or
+row list is built before the text.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from functools import lru_cache
 
 from .epoly import BivariatePolynomial, SPACES
 from .lattice_core import IntegerMatrix, LatticeError
-from .orbifold_engine import duality_check, mirror_check, orbifold_e_polynomial
+from .orbifold_engine import ClassContribution, duality_check, mirror_check, orbifold_e_polynomial
 from .root_data import RootDatum, classical_datum, custom_datum, sl_quotient_datum
 from .sln_formula import closed_form_eorb, partitions, tau
 from .weyl import DEFAULT_CAP
@@ -122,18 +125,6 @@ def _resolve_datum(selector: list[str]) -> RootDatum:
     raise CliUsageError(f"unknown group selector {kind!r}; use sl, classical, or custom")
 
 
-def _class_json(c) -> dict:
-    return {
-        "class_rep": c.representative,
-        "class_size": c.class_size,
-        "centralizer_order": c.centralizer_order,
-        "shift": c.shift,
-        "pi0_divisors": list(c.pi0_divisors),
-        "average_poly": c.average,
-        "weighted_poly": c.weighted,
-    }
-
-
 def _classes_text(report) -> Iterator[str]:
     for i, c in enumerate(report.contributions):
         rep = json.dumps(c.representative.entries, separators=(",", ":"))
@@ -167,6 +158,14 @@ def _int_list(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + newline + "]"
 
 
+@lru_cache(maxsize=None)
+def _class_row(c: ClassContribution, newline: str) -> str:
+    """A class term's plain row in json.dumps's layout, rendered once per process for each term and indent."""
+    return _encode({"class_rep": c.representative, "class_size": c.class_size, "centralizer_order": c.centralizer_order,
+                    "shift": c.shift, "pi0_divisors": list(c.pi0_divisors), "average_poly": c.average,
+                    "weighted_poly": c.weighted}, newline)
+
+
 def _encode(obj, newline: str) -> str:
     """obj in json.dumps's indent=2 layout, with its nested lines starting at newline."""
     t = type(obj)
@@ -183,6 +182,8 @@ def _encode(obj, newline: str) -> str:
             return "[]"
         opening, term, sep = _term_layout(newline)
         return opening + sep.join([term % (p, q, c) for (p, q), c in sorted(obj.coeffs.items())]) + newline + "]"
+    if t is ClassContribution:
+        return _class_row(obj, newline)
     if t is IntegerMatrix:
         if not obj.rows:
             return "[]"
@@ -213,14 +214,14 @@ def _encode(obj, newline: str) -> str:
 
 def dumps_canonical(obj) -> str:
     """The one JSON encoding used everywhere: json.dumps(obj, indent=2, ensure_ascii=False) + "\\n",
-    with each polynomial and matrix in obj written as its plain form (see the module docstring)."""
+    with each polynomial, matrix and class term in obj written as its plain form (see the module docstring)."""
     return _encode(obj, "\n") + "\n"
 
 
 def _compute(args) -> Iterator:
     report = orbifold_e_polynomial(_resolve_datum(args.group), SPACES[args.space], args.cap)
     yield {
-        "classes": [_class_json(c) for c in report.contributions],
+        "classes": list(report.contributions),
         "total": report.total,
     }, 0
     yield f"group order: {report.group_order}"
@@ -232,7 +233,7 @@ def _mirror_check(args) -> Iterator:
     report = mirror_check(_resolve_datum(args.group), SPACES[args.space], args.cap)
     verdict = report.equal and report.term_by_term
     yield {
-        "classes": [_class_json(c) for c in report.primal.contributions],
+        "classes": list(report.primal.contributions),
         "total": report.primal.total,
         "verdict": verdict,
         "pair_diffs": [

@@ -33,13 +33,13 @@ the process.  `compute` reads Λ alone for a space on Λ and both sides for
 `mixed`.  The mirror check reads both sides for every space, and one walk
 per class serves both of its reports: Ŵ's classes are W's, listed in Ŵ's
 order (`weyl.dual_class_order`), and a dual class term, a class function, is
-read at W's representative with the π₀ sides swapped; when it weighs the
-histogram as the primal term did, it takes that term's polynomials.  A
-space's average is one E-character product per distinct polynomial, weighted
-by the counts and fixed counts, divided once by |C(w)|, and (uv)^F(w) is an
-exponent shift.  That division is exact, since each coefficient of the
-average is the dimension of a space of invariants; a remainder raises
-EngineError.
+read at W's representative with the π₀ sides swapped.  A space's average is
+one E-character product per distinct polynomial, weighted by the counts and
+fixed counts, divided once by |C(w)|, and (uv)^F(w) is an exponent shift.
+That division is exact, since each coefficient of the average is the
+dimension of a space of invariants; a remainder raises EngineError.  Both
+are built once per process per reading (factors, weights, |C(w)|, F(w)), so
+a dual term that weighs the histogram as its primal did shares its objects.
 
 Per-w tables.  Everything the engine reads of w itself comes from one
 cached Smith form U·(w - 1)·V = D: dim Λ^w is the number of zero diagonal
@@ -313,12 +313,11 @@ def _space_character(factors: tuple[tuple[str, str], ...], poly: tuple[int, ...]
 def _columns(space: SpaceDescriptor, own: bool, both_sides: bool):
     """Whether space uses Λ̂, the sides a term of w on side own reads, and their powers in a row's weight.
 
-    A PRIMAL factor reads w's own side, a DUAL one the other; the powers come for w, then swapped for its twin.
+    A PRIMAL factor reads w's own side, a DUAL one the other.
     """
     sides = (False, True) if both_sides or space.uses_dual else (own,)
-    powers = [tuple(sum(factor_dimension(k) for k, side in space.factors if (o != (side == DUAL)) == s) for s in sides)
-              for o in (own, not own)]
-    return space.uses_dual, sides, *powers
+    powers = tuple(sum(factor_dimension(k) for k, side in space.factors if (own != (side == DUAL)) == s) for s in sides)
+    return space.uses_dual, sides, powers
 
 
 def _weights(rows, powers: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -329,41 +328,38 @@ def _weights(rows, powers: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return weights
 
 
-def class_contribution(
-    record: ClassRecord, space: SpaceDescriptor, both_sides: bool = False, twin: ClassContribution | None = None
-) -> ClassContribution:
+@lru_cache(maxsize=None)
+def _class_polynomials(factors: tuple[tuple[str, str], ...], weights: frozenset, order: int, shift: int):
+    """(average, weighted) of every class term that reads weights, |C(w)| = order and F(w) = shift."""
+    total: dict[tuple[int, int], int] = {}
+    for poly, weight in weights:
+        for term, c in _space_character(factors, poly).coeffs.items():
+            total[term] = total.get(term, 0) + weight * c
+    for term, c in total.items():
+        total[term], rem = divmod(c, order)
+        if rem:
+            raise EngineError("a centralizer average has a non-integer coefficient")
+    average = BivariatePolynomial._of(total)
+    return average, average.times_monomial(shift, shift)
+
+
+def class_contribution(record: ClassRecord, space: SpaceDescriptor, both_sides: bool = False) -> ClassContribution:
     """One conjugacy-class term: average over the record's centralizer, then shift by (uv)^F(w).
 
     The average is read from the key histogram at the record's key, on w's
     own lattice side and, when the space uses Λ̂, the other one too; with
     both_sides it reads both in any case, so that the mirror check's two
-    reports share one walk.  twin is the term that read the same histogram
-    from the other lattice side: when its weights, centralizer order and
-    shift equal this term's, so do its average and weighted polynomials,
-    and this term takes them rather than assembling them again.
+    reports share one walk.  `_class_polynomials`, keyed by what the term
+    reads, gives a term that reads as an earlier one did (a dual term that
+    weighs the histogram as its primal did) that term's polynomial objects.
     """
     cent, key, own, shift = record.centralizer, record.key, record.match is not None, record.shift
-    uses_dual, sides, powers, twin_powers = _columns(space, own, both_sides)
+    uses_dual, sides, powers = _columns(space, own, both_sides)
     if uses_dual and fermionic_shift(cent.action.matrix(key, not own)) != shift:
         raise EngineError("fermionic shift differs between the lattice and its dual")
-    rows = _key_histogram(cent, key, sides)
-    weights, order = _weights(rows, powers), cent.order
-    alike = twin is not None and (twin.shift, twin.centralizer_order) == (shift, order)
-    if alike and _weights(rows, twin_powers) == weights:
-        average, weighted = twin.average, twin.weighted
-    else:
-        total: dict[tuple[int, int], int] = {}
-        for poly, weight in weights.items():
-            for term, c in _space_character(space.factors, poly).coeffs.items():
-                total[term] = total.get(term, 0) + weight * c
-        for term, c in total.items():
-            total[term], rem = divmod(c, order)
-            if rem:
-                raise EngineError("a centralizer average has a non-integer coefficient")
-        average = BivariatePolynomial._of(total)
-        weighted = average.times_monomial(shift, shift)
-    pi0 = record.pi0_divisors
-    return ClassContribution(record.representative, record.class_size, order, shift, pi0, average, weighted)
+    weights = frozenset(_weights(_key_histogram(cent, key, sides), powers).items())
+    polys = _class_polynomials(space.factors, weights, cent.order, shift)
+    return ClassContribution(record.representative, record.class_size, cent.order, shift, record.pi0_divisors, *polys)
 
 
 def _record(w: IntegerMatrix, cent: MatrixGroup, size: int = 1, at: Key | None = None, match: int | None = None):
@@ -443,8 +439,9 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
     (`dual_class_order`), and each of Ŵ's class records holds the index of
     the W class it matches.  Each class is walked once, with both lattice
     sides: the primal term reads the histogram of C(w), and the dual term
-    reads the same histogram at W's representative with its sides swapped,
-    taking the primal term's polynomials when it weighs the histogram alike.
+    reads the same histogram at W's representative with its sides swapped;
+    when it weighs the histogram alike, `_class_polynomials` gives it the
+    primal term's objects, so the pair's difference needs no subtraction.
     Ŵ needs no group, class scan, centralizer or walk of its own, and the dual
     report's label is read off the primal one, so no dual datum is built.
     """
@@ -453,7 +450,7 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
         return MirrorReport(primal, dual, (MirrorPair(0, 0, BivariatePolynomial.zero()),), True, True)
     primal = _report(datum.label, space, _class_records(datum.generators, cap), both_sides=True)
     terms, records = primal.contributions, _dual_records(datum.generators, cap)
-    dual = _summed(_dual_label(datum.label), [class_contribution(r, space, True, terms[r.match]) for r in records])
+    dual = _summed(_dual_label(datum.label), [class_contribution(r, space, True) for r in records])
     pairs = []
     for j, (record, term) in enumerate(zip(records, dual.contributions)):
         a, b = terms[record.match].weighted, term.weighted

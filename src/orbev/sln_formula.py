@@ -100,10 +100,7 @@ class Partition:
     @property
     def g(self) -> int:
         """gcd of the part lengths that occur."""
-        out = 0
-        for p in self.parts:
-            out = gcd(out, p)
-        return out
+        return gcd(*self.parts)
 
     def multiplicities(self) -> dict[int, int]:
         """α_i = number of parts of length i."""

@@ -29,6 +29,7 @@ from orbev.cli import (
 )
 from orbev.epoly import SPACES, BivariatePolynomial
 from orbev.lattice_core import IntegerMatrix
+from orbev.orbifold_engine import ClassContribution
 from oracles import from_json_terms, from_text, json_terms
 
 P = BivariatePolynomial
@@ -55,8 +56,9 @@ json_values = st.recursive(
 )
 
 # Report objects the writer takes as values: polynomials with wide int
-# coefficients of either sign (the zero polynomial among them), and integer
-# matrices of any shape, empty rows and columns included.
+# coefficients of either sign (the zero polynomial among them), integer
+# matrices of any shape, empty rows and columns included, and class terms
+# built of both, at any depth, since the writer's class-row memo keys on the indent.
 coefficients = st.integers(-(2**70), 2**70)
 polynomials = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)), coefficients, max_size=8).map(P)
 matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
@@ -66,15 +68,27 @@ matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
         max_size=shape[0],
     ).map(lambda rows: IntegerMatrix(shape[0], shape[1], rows))
 )
+class_terms = st.builds(ClassContribution, matrices, st.integers(), st.integers(), st.integers(),
+                        st.lists(st.integers(-(2**40), 2**40), max_size=3).map(tuple), polynomials, polynomials)
 report_values = st.recursive(
-    st.just(P.zero()) | polynomials | matrices | st.integers() | json_strings | st.none() | st.booleans(),
+    st.just(P.zero()) | polynomials | matrices | class_terms | st.integers() | json_strings | st.none() | st.booleans(),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(json_strings, children, max_size=4),
     max_leaves=20,
 )
 
 
 def plain(obj):
-    """obj with each polynomial as its term dicts and each matrix as its rows, for json.dumps."""
+    """obj with each polynomial as its term dicts, matrix as its rows and class term as its row, for json.dumps."""
+    if isinstance(obj, ClassContribution):
+        return plain({
+            "class_rep": obj.representative,
+            "class_size": obj.class_size,
+            "centralizer_order": obj.centralizer_order,
+            "shift": obj.shift,
+            "pi0_divisors": list(obj.pi0_divisors),
+            "average_poly": obj.average,
+            "weighted_poly": obj.weighted,
+        })
     if isinstance(obj, BivariatePolynomial):
         return json_terms(obj)
     if isinstance(obj, IntegerMatrix):
@@ -151,6 +165,13 @@ class TestCanonicalJson:
     @given(report_values)
     def test_report_objects_written_as_their_plain_form(self, obj):
         assert dumps_canonical(obj) == json_dumps_reference(plain(obj))
+
+    def test_one_class_term_at_several_depths(self):
+        """A term written at one indent, again at it, and at deeper ones, as json.dumps writes its row each time."""
+        c = ClassContribution(IntegerMatrix(2, 2, [[0, -1], [1, 0]]), 2, 4, 2, (2,), P.monomial(1, 1, 3) + P.one(),
+                              P.monomial(3, 3, 3) + P.monomial(2, 2))
+        for obj in (c, [c, c], {"classes": [c, {"again": [c]}], "first": c}, [[[c]], c, ClassContribution(*c)]):
+            assert dumps_canonical(obj) == json_dumps_reference(plain(obj))
 
     def test_empty_containers_and_int_lists(self):
         obj = {"a": [], "b": {}, "c": [[]], "d": [1, -2, 10**30], "e": [True, 0, None], "": [{}]}
@@ -610,12 +631,15 @@ class TestSubprocess:
             ["--help"],
             ["compute", "--group", "sl", "2", "1", "--space", "betti"],
             ["closed-form", "--n", "2", "--m", "1", "--surface", "betti"],
+            # C2_sc's class terms are B2_ad's, so its rows are the ones the writer rendered for B2_ad
+            ["mirror-check", "--group", "classical", "B", "2", "ad", "--space", "mixed"],
+            ["mirror-check", "--group", "classical", "C", "2", "sc", "--space", "mixed"],
         ]
         separate = []
         for argv in argvs:
             proc = subprocess.run([sys.executable, "-m", "orbev", *argv], capture_output=True, text=True)
             separate.append([proc.returncode, proc.stdout, proc.stderr])
-        assert [code for code, _, _ in separate] == [1, 0, 0, 0]
+        assert [code for code, _, _ in separate] == [1, 0, 0, 0, 0, 0]
         proc = subprocess.run(
             [sys.executable, "-c", ONE_PROCESS_SCRIPT, json.dumps(argvs)],
             capture_output=True,

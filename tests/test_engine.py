@@ -27,6 +27,7 @@ from orbev.lattice_core import (
 )
 from orbev.orbifold_engine import (
     EngineError,
+    _class_polynomials,
     _class_records,
     _dual_records,
     _duality_row,
@@ -82,12 +83,13 @@ def M(rows):
 
 
 TRIVIAL = RootDatum(rank=0, basis=IntegerMatrix.zero(0, 0), denominator=1, gram=(), generators=(), label="trivial")
-ENGINE_CACHES = (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records, _key_histogram)
+ENGINE_CACHES = (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records, _key_histogram,
+                 _class_polynomials)
 
 
 @pytest.fixture
 def cleared_engine_caches():
-    """The engine's report, group, record and histogram caches, empty before the test and after it.
+    """The engine's report, group, record, histogram and class-polynomial caches, empty before the test and after it.
 
     A test that patches the engine fills them with what the patch returned; the
     clearing afterwards keeps those entries from reaching later tests.
@@ -400,16 +402,16 @@ class TestMirrorCheck:
         assert calls == []
         assert expected["trivial"] == "dual(trivial)"
 
-    def test_dual_terms_take_the_primal_polynomials_when_their_inputs_match(self):
-        """Every pair of every rank <= 4 datum on every space: one polynomial object, difference zero."""
+    def test_dual_terms_take_the_primal_polynomials_when_their_inputs_match(self, cleared_engine_caches):
+        """Every pair of every rank <= 4 datum on every space: the dual term's polynomials are the primal's objects."""
         for datum in rank_four_data():
             for space in SPACES.values():
                 report = mirror_check(datum, space)
                 for pair in report.pairs:
                     primal = report.primal.contributions[pair.primal_class]
                     dual = report.dual.contributions[pair.dual_class]
-                    assert (dual.average, dual.weighted) == (primal.average, primal.weighted)
-                    assert dual.weighted is primal.weighted and pair.difference.is_zero()
+                    assert dual.average is primal.average and dual.weighted is primal.weighted
+                    assert pair.difference.is_zero()
 
     def test_dual_term_assembles_its_own_polynomial_when_its_fixed_counts_differ(self, monkeypatch,
                                                                                 cleared_engine_caches):
@@ -452,6 +454,52 @@ class TestMirrorCheck:
         a3 = sl_quotient_datum(4, 1)
         for space in SPACES.values():
             assert orbifold_e_polynomial(d3, space).total == orbifold_e_polynomial(a3, space).total
+
+
+class TestClassPolynomials:
+    """A class term's average and weighted polynomials are built once per process for each reading."""
+
+    @staticmethod
+    def assert_terms_shared(a, b, classes):
+        """Class i of report a and class classes[i] of report b hold the same two polynomial objects."""
+        assert sorted(classes) == list(range(len(b.contributions)))
+        for x, j in zip(a.contributions, classes):
+            y = b.contributions[j]
+            assert x.average is y.average and x.weighted is y.weighted
+
+    @pytest.mark.parametrize("space", list(SPACES), ids=str)
+    def test_data_with_the_same_readings_share_their_term_objects(self, space, cleared_engine_caches):
+        """B2_ad and C2_sc class by class, and C2_ad and a re-based copy through the conjugation by T."""
+        b2, c2 = classical_datum("B", 2, "adjoint"), classical_datum("C", 2, "simply_connected")
+        reports = orbifold_e_polynomial(b2, SPACES[space]), orbifold_e_polynomial(c2, SPACES[space])
+        self.assert_terms_shared(*reports, range(len(reports[0].contributions)))
+        c2_ad = classical_datum("C", 2, "adjoint")
+        moved = rebased(c2_ad, seed=3)
+        t = solve_right_integer(c2_ad.basis, moved.basis)
+        t_inv = t.inverse_unimodular()
+        table = _group_data(moved.generators, DEFAULT_CAP)[1]
+        report = orbifold_e_polynomial(c2_ad, SPACES[space])
+        classes = [class_of(table, t_inv * c.representative * t) for c in report.contributions]
+        self.assert_terms_shared(report, orbifold_e_polynomial(moved, SPACES[space]), classes)
+
+    def test_a_cleared_memo_reads_a_patched_space_character_again(self, monkeypatch, cleared_engine_caches):
+        """Clearing the engine caches but the class-polynomial memo leaves the old terms; clearing it too does not."""
+        datum, space = sl_quotient_datum(3, 1), SPACES["betti"]
+        before = orbifold_e_polynomial(datum, space)
+        character = orbifold_engine._space_character
+        monkeypatch.setattr(orbifold_engine, "_space_character", lambda f, poly: character(f, poly).scale(2))
+        for cached in ENGINE_CACHES:
+            if cached is not _class_polynomials:
+                cached.cache_clear()
+        stale = orbifold_e_polynomial(datum, space)
+        assert stale is not before
+        assert all(a.average is b.average for a, b in zip(stale.contributions, before.contributions))
+        for cached in ENGINE_CACHES:
+            cached.cache_clear()
+        after = orbifold_e_polynomial(datum, space)
+        assert after.total == before.total.scale(2)
+        for a, b in zip(after.contributions, before.contributions):
+            assert (a.average, a.weighted) == (b.average.scale(2), b.weighted.scale(2))
 
 
 RANK_TWO_OR_THREE = [d for d in rank_four_data() if d.rank in (2, 3)]
@@ -672,7 +720,7 @@ class TestKeyHistogram:
         runs = []
         for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
             for cached in (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records, _fixed_data,
-                           _key_histogram, fixed_count, _space_character,
+                           _key_histogram, fixed_count, _space_character, _class_polynomials,
                            factor_e_character, char_poly):
                 cached.cache_clear()
             runs.append({(d.label, s.name): mirror_check(d, s) for d in data for s in spaces})
@@ -680,7 +728,8 @@ class TestKeyHistogram:
 
     def test_matrix_caches_hold_only_representatives_and_generators(self):
         datum = classical_datum("B", 4, "simply_connected")
-        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records):
+        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records,
+                       _class_polynomials):
             cached.cache_clear()
         mirror_check(datum, SPACES["mixed"])
         group, table, cents = _group_data(datum.generators, DEFAULT_CAP)

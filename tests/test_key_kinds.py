@@ -16,6 +16,7 @@ from orbev.cli import main
 from orbev.epoly import SPACES
 from orbev.lattice_core import IntegerMatrix, NonCentralizingError
 from orbev.orbifold_engine import (
+    _class_polynomials,
     _class_records,
     _dual_records,
     _duality_row,
@@ -38,7 +39,7 @@ from orbev.weyl import (
 )
 
 ENGINE_CACHES = (orbifold_e_polynomial, mirror_check, duality_check, _group_data, _class_records, _dual_records,
-                 _key_histogram)
+                 _key_histogram, _class_polynomials)
 COMMANDS = (["compute", "--space", "mixed"], ["mirror-check", "--space", "mixed"], ["duality-check"])
 
 

@@ -63,12 +63,18 @@ def test_tracer_installs_reads_caches_and_uninstalls(monkeypatch, argv, cached, 
         assert f"{cache}_cache_hit_ratio" in metrics
 
 
-@pytest.mark.parametrize("argv", [
-    ["mirror-check", "--group", "classical", "B", "2", "ad", "--space", "mixed"],
-    ["closed-form", "--n", "4", "--m", "2", "--surface", "abelian"],
-], ids=["mirror-check", "closed-form"])
-def test_traced_output_bytes_are_every_byte_written(monkeypatch, argv):
-    """Every byte of stdout goes through cli.dumps_canonical, where the tracer counts it."""
+MIRROR_B2_AD = ["mirror-check", "--group", "classical", "B", "2", "ad", "--space", "mixed"]
+MIRROR_C2_SC = ["mirror-check", "--group", "classical", "C", "2", "sc", "--space", "mixed"]
+
+
+@pytest.mark.parametrize("argvs", [
+    [MIRROR_B2_AD],
+    [["closed-form", "--n", "4", "--m", "2", "--surface", "abelian"]],
+    # C2_sc's class rows are B2_ad's, so the second run writes rows the writer rendered in the first.
+    [MIRROR_B2_AD, MIRROR_C2_SC],
+], ids=["mirror-check", "closed-form", "mirror-check-rows-written-again"])
+def test_traced_output_bytes_are_every_byte_written(monkeypatch, argvs):
+    """Every byte of stdout goes through cli.dumps_canonical, where the tracer counts it, rendered or remembered."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     from tracing import Tracer, cache_counters
@@ -78,7 +84,8 @@ def test_traced_output_bytes_are_every_byte_written(monkeypatch, argv):
     tracer = Tracer()
     tracer.install()
     try:
-        main(argv, out=out)
+        for argv in argvs:
+            main(argv, out=out)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(before, cache_counters())

@@ -3,14 +3,16 @@
 Smith normal form with unimodular transforms, saturated fixed sublattices,
 and the component-group data the engine compares: the torsion of a cokernel
 as its divisors d₁ | d₂ | ..., an induced automorphism of ⊕ ℤ/dᵢ as a
-flattened block, and its fixed-point count, over 𝔽_p when every dᵢ is one
-prime p and by a Smith form otherwise.  Every exact elimination over
-ℤ or ℚ goes through one fraction-free integer kernel, `_bareiss`: rank,
-determinant, solves, and the inverse of a unimodular matrix, read in integers
-off the reduced [M | 1] with no Fraction; Smith normal form keeps its own,
-because it needs the unimodular transforms, and builds U⁻¹ in the same steps,
-so the readers of U⁻¹ invert nothing.  `rank_mod` eliminates over 𝔽_p.
-There is no floating point in this module.
+flattened block, and its fixed-point count: over 𝔽₂ from an XOR basis of
+int bit rows, over 𝔽_p for another prime p when every dᵢ is p, and by a
+Smith form otherwise.  Every exact elimination over ℤ or ℚ goes through one
+fraction-free integer kernel, `_bareiss`: rank, determinant, solves, the
+inverse of a unimodular matrix, read in integers off the reduced [M | 1] with
+no Fraction, and the leading principal minors, from a pass with no row
+exchange; Smith normal form keeps its own, because it needs the unimodular
+transforms, and builds U⁻¹ in the same steps, so the readers of U⁻¹ invert
+nothing.  `rank_mod` eliminates over 𝔽_p.  There is no floating point in
+this module.
 """
 
 from __future__ import annotations
@@ -75,12 +77,10 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        rows = len(entries)
-        if rows == 0:
-            if cols is None:
-                cols = 0
-            return IntegerMatrix(0, cols, ())
-        return IntegerMatrix(rows, len(entries[0]), entries)
+        """The matrix with these rows, checked by the constructor; cols is needed for no rows, and checked if given."""
+        if cols is None:
+            cols = len(entries[0]) if entries else 0
+        return IntegerMatrix(len(entries), cols, entries)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -169,7 +169,9 @@ class IntegerMatrix:
         return len(_bareiss(self.entries, self.cols, reduce_above=False)[1])
 
     def rank_mod(self, p: int) -> int:
-        """Rank over the field 𝔽_p, p prime, by Gaussian elimination mod p."""
+        """Rank over the field 𝔽_p by Gaussian elimination mod p; LatticeError unless p is prime."""
+        if not _is_prime(p):
+            raise LatticeError(f"rank_mod needs a prime modulus, not {p}")
         rows = [[x % p for x in row] for row in self.entries]
         rank = 0
         while rows:
@@ -213,8 +215,12 @@ class IntegerMatrix:
             raise LatticeError("shape mismatch")
 
 
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 def _bareiss(
-    entries: Sequence[Sequence[int]], ncols: int, reduce_above: bool = True
+    entries: Sequence[Sequence[int]], ncols: int, reduce_above: bool = True, exchange: bool = True
 ) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
 
@@ -226,14 +232,23 @@ def _bareiss(
     ends up zero except at its own row, where it holds d; with full rank d is
     the determinant of the row-swapped matrix.  With reduce_above false only
     the rows below each pivot are reduced, a fraction-free echelon form with
-    the same pivots and d, which is all that rank and det read.
+    the same pivots and d, which is all that rank and det read.  With exchange
+    false, each pivot is the diagonal entry itself, rows are never exchanged,
+    and the elimination stops before the first pivot that is not positive; the
+    k-th pivot is then the k-th leading principal minor, so the pivots taken
+    are the leading minors up to the first that is not positive.
     """
     a = [list(row) for row in entries]
     pivots: list[tuple[int, int]] = []
     prev = sign = 1
     for c in range(ncols):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if not exchange:
+            if a[r][c] <= 0:
+                break
+            pivot = r
+        else:
+            pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if pivot is None:
             continue
         if pivot != r:
@@ -241,7 +256,7 @@ def _bareiss(
             sign = -sign
         p, pivot_row = a[r][c], a[r]
         for i in range(0 if reduce_above else r + 1, len(a)):
-            if i != r:
+            if i != r and (a[i][c] or p != prev):  # otherwise the update leaves the row as it is
                 f, row = a[i][c], a[i]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         pivots.append((r, c))
@@ -324,94 +339,72 @@ class SmithDecomposition(NamedTuple):
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """The Smith decomposition of m, once per distinct matrix.
 
-    Each row operation on U is the inverse column operation on U⁻¹: a swap
-    swaps the same two columns, row dst += k·row src is column src -= k·column
-    dst, and a negated row negates the same column.  U⁻¹ is held by columns,
-    as the rows of u_inv_t, so that each of these is one list operation.
+    Step t moves to (t, t) the nonzero entry of the lower right block with the
+    least (|a|, row, column), from a row-major scan that stops at the first
+    unit, and clears column t and row t with floor quotients.  It repeats
+    while a remainder is left, then adds to row t a row the pivot does not
+    divide, if any, and makes the pivot positive.  Each row operation on U is
+    the inverse column operation on U⁻¹: a swap swaps the same two columns,
+    row i += k·row t is column t -= k·column i, and a negated row negates the
+    same column; U⁻¹ is held by columns, as the rows of u_inv_t.
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [list(row) for row in IntegerMatrix.identity(rows).entries]
     u_inv_t = [list(row) for row in IntegerMatrix.identity(rows).entries]
     v = [list(row) for row in IntegerMatrix.identity(cols).entries]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):
-        # row dst += k * row src
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-        u_inv_t[src] = [x - k * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
-
-    def add_col(src, dst, k):
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        u_inv_t[i] = [-x for x in u_inv_t[i]]
-
     t = 0
     while t < min(rows, cols):
-        # Deterministic pivot: smallest |value|, then lowest (row, col).
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    key = (abs(a[i][j]), i, j)
-                    if pivot is None or key < pivot[0]:
-                        pivot = (key, i, j)
-        if pivot is None:
+        size = pi = pj = 0
+        for i, j in itertools.product(range(t, rows), range(t, cols)):
+            if (x := a[i][j]) and (not size or abs(x) < size):
+                size, pi, pj = abs(x), i, j
+                if size == 1:
+                    break
+        if not size:
             break
-        _, pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+            u_inv_t[t], u_inv_t[pi] = u_inv_t[pi], u_inv_t[t]
         if pj != t:
-            swap_cols(t, pj)
+            for row in itertools.chain(a, v):
+                row[t], row[pj] = row[pj], row[t]
+        top, u_top = a[t], u[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
+            if a[i][t]:
+                q = a[i][t] // p
+                a[i] = row = [x - q * y for x, y in zip(a[i], top)]
+                u[i] = [x - q * y for x, y in zip(u[i], u_top)]
+                u_inv_t[t] = [x + q * y for x, y in zip(u_inv_t[t], u_inv_t[i])]
+                dirty = dirty or row[t] != 0
+        if steps := [(j, top[j] // p) for j in range(t + 1, cols) if top[j]]:
+            for row in itertools.chain(a, v):
+                if x := row[t]:
+                    for j, q in steps:
+                        row[j] -= q * x
+        if dirty or any(top[j] for j, _ in steps):
             continue
         # Pivot must divide the rest of the submatrix for the divisor chain; a unit pivot does.
-        p = a[t][t]
         stray = None if p in (1, -1) else next(
-            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p != 0), None
+            (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p), None
         )
         if stray is not None:
-            add_row(stray[0], t, 1)
+            a[t] = [x + y for x, y in zip(top, a[stray])]
+            u[t] = [x + y for x, y in zip(u_top, u[stray])]
+            u_inv_t[stray] = [x - y for x, y in zip(u_inv_t[stray], u_inv_t[t])]
             continue
-        if a[t][t] < 0:
-            negate_row(t)
+        if p < 0:
+            a[t], u[t], u_inv_t[t] = [-x for x in top], [-x for x in u_top], [-x for x in u_inv_t[t]]
         t += 1
 
     # Every entry is an int by construction, so the results skip re-validation.
     d = IntegerMatrix._of(rows, cols, tuple(map(tuple, a)))
     um = IntegerMatrix._of(rows, rows, tuple(map(tuple, u)))
     vm = IntegerMatrix._of(cols, cols, tuple(map(tuple, v)))
-    um_inv = IntegerMatrix._of(rows, rows, tuple(map(tuple, u_inv_t))).transpose()
+    um_inv = IntegerMatrix._of(rows, rows, tuple(zip(*u_inv_t)))
     return SmithDecomposition(um, d, vm, um_inv)
 
 
@@ -479,15 +472,31 @@ def fixed_count(divisors: tuple[int, ...], block: tuple[int, ...]) -> int:
 
     The fixed points are the kernel of B - 1.  When every dᵢ is one prime p
     the group is the 𝔽_p-vector space 𝔽_p^k, so the count is
-    p^(k - rank_𝔽p(B - 1)).  Otherwise the kernel's order is the index
+    p^(k - rank_𝔽p(B - 1)).  For p = 2 the rank comes from an XOR basis: B's
+    entries mod 2 are read as one byte each of an int, the identity's bytes
+    are XORed in, and each row of k bytes is reduced by the basis rows found
+    before it, whose lowest set bits are distinct and absent from later rows.
+    Other primes use `rank_mod`.  Otherwise the kernel's order is the index
     [Z^k : (B-1)Z^k + D Z^k], read off the Smith divisors of [B-1 | D].
     """
     k = len(divisors)
     if k == 0:
         return 1
-    b_minus_1 = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k))) - IntegerMatrix.identity(k)
     p = divisors[0]
-    if divisors[-1] == p and all(p % q for q in range(2, isqrt(p) + 1)):
+    if p == divisors[-1] == 2:
+        eye = int.from_bytes((b"\1" + bytes(k)) * (k - 1) + b"\1", "big")
+        bits = int.from_bytes(bytes(map((1).__and__, block)), "big") ^ eye
+        basis: list[int] = []
+        for i in range(k):
+            x = bits >> 8 * k * i & (1 << 8 * k) - 1
+            for b in basis:
+                if x & b & -b:
+                    x ^= b
+            if x:
+                basis.append(x)
+        return 1 << k - len(basis)
+    b_minus_1 = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k))) - IntegerMatrix.identity(k)
+    if divisors[-1] == p and _is_prime(p):
         return p ** (k - b_minus_1.rank_mod(p))
     d = IntegerMatrix._of(k, k, tuple(tuple(divisors[i] if i == j else 0 for j in range(k)) for i in range(k)))
     smith = smith_normal_form(b_minus_1.hstack(d)).divisors

@@ -25,6 +25,7 @@ from .lattice_core import (
     IntegerMatrix,
     InexactSolveError,
     LatticeError,
+    _bareiss,
     column_span_basis,
     solve_exact,
     solve_right_integer,
@@ -62,9 +63,10 @@ def _fractions(rows: Sequence[Sequence[Fraction | int]]) -> FractionMatrix:
 
 
 def _scaled_gram(gram: FractionMatrix) -> tuple[IntegerMatrix, int]:
-    """(L·gram, L) with L the lcm of the denominators, so that L·gram is integral."""
+    """(L·gram, L) with L the lcm of the denominators, so that L·gram is integral; gram must be square."""
     scale = lcm(1, *(x.denominator for row in gram for x in row))
-    return IntegerMatrix.from_rows([[int(x * scale) for x in row] for row in gram], cols=len(gram)), scale
+    entries = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in gram)
+    return IntegerMatrix._of(len(gram), len(gram), entries), scale
 
 
 def _gram_inverse(gram: FractionMatrix) -> FractionMatrix:
@@ -80,12 +82,11 @@ def _gram_inverse(gram: FractionMatrix) -> FractionMatrix:
 def _is_positive_definite(scaled: IntegerMatrix) -> bool:
     """Whether the gram form with scaled gram L·G is positive definite.
 
-    Sylvester: all leading principal minors positive; scaling by L > 0 keeps their signs.
+    Sylvester: all leading principal minors positive; scaling by L > 0 keeps
+    their signs.  They are the pivots of one fraction-free pass with no row
+    exchange (Bareiss 1968), which stops at the first that is not positive.
     """
-    return all(
-        IntegerMatrix.from_rows([row[:k] for row in scaled.entries[:k]], cols=k).det() > 0
-        for k in range(1, scaled.rows + 1)
-    )
+    return len(_bareiss(scaled.entries, scaled.rows, reduce_above=False, exchange=False)[1]) == scaled.rows
 
 
 def _preserves_form(g: IntegerMatrix, scaled: IntegerMatrix) -> bool:
@@ -104,11 +105,9 @@ def _validate_datum(d: RootDatum) -> None:
         raise DatumError("basis columns are linearly dependent")
     if len(d.gram) != d.rank or any(len(row) != d.rank for row in d.gram):
         raise DatumError("gram matrix must be rank x rank")
-    for i in range(d.rank):
-        for j in range(d.rank):
-            if d.gram[i][j] != d.gram[j][i]:
-                raise DatumError("gram matrix is not symmetric")
     scaled = _scaled_gram(d.gram)[0]
+    if tuple(zip(*scaled.entries)) != scaled.entries:
+        raise DatumError("gram matrix is not symmetric")
     if not _is_positive_definite(scaled):
         raise DatumError("gram matrix is not positive definite")
     for idx, g in enumerate(d.generators, start=1):
@@ -164,22 +163,27 @@ def _gram_from_ambient(basis: IntegerMatrix, denominator: int) -> FractionMatrix
     )
 
 
-def _restrict_ambient_action(basis: IntegerMatrix, action: IntegerMatrix) -> IntegerMatrix:
-    """Matrix of an ambient lattice automorphism in the given basis coordinates."""
+def _restrict_ambient_actions(basis: IntegerMatrix, actions: Sequence[IntegerMatrix]) -> tuple[IntegerMatrix, ...]:
+    """Matrices of ambient lattice automorphisms in the given basis coordinates, from one solve.
+
+    B·X = [g₁·B | g₂·B | …] is solved once and X is cut into r×r blocks.  The
+    pivots are taken in B's columns only, so each block is the X that
+    `solve_right_integer(B, g·B)` gives alone.
+    """
+    r = basis.cols
+    rows = zip(*((g * basis).entries for g in actions))
+    images = IntegerMatrix._of(basis.rows, r * len(actions), tuple(sum(row, ()) for row in rows))
     try:
-        return solve_right_integer(basis, action * basis)
+        x = solve_right_integer(basis, images).entries
     except InexactSolveError as exc:
         raise DatumError("ambient action does not preserve the lattice") from exc
+    return tuple(IntegerMatrix._of(r, r, tuple(row[k : k + r] for row in x)) for k in range(0, r * len(actions), r))
 
 
 def _permutation_matrix(image: Sequence[int]) -> IntegerMatrix:
+    """The matrix sending basis vector j to basis vector image[j]."""
     n = len(image)
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[image[j]] = 1
-        cols.append(col)
-    return IntegerMatrix.from_columns(cols, rows=n)
+    return IntegerMatrix._of(n, n, tuple(tuple(int(image[j] == i) for j in range(n)) for i in range(n)))
 
 
 def _adjacent_swap(n: int, i: int) -> IntegerMatrix:
@@ -209,9 +213,7 @@ def sl_quotient_datum(n: int, m: int) -> RootDatum:
     basis = column_span_basis(IntegerMatrix.from_columns(cols, rows=n))
     if basis.cols != n - 1:
         raise DatumError("the root lattice basis must have n - 1 columns")
-    generators = tuple(
-        _restrict_ambient_action(basis, _adjacent_swap(n, i)) for i in range(n - 1)
-    )
+    generators = _restrict_ambient_actions(basis, [_adjacent_swap(n, i) for i in range(n - 1)])
     label = f"SL({n})" if m == 1 else f"SL({n})/Z{m}"
     return _make_datum(basis, m, _gram_from_ambient(basis, m), generators, label)
 
@@ -275,7 +277,7 @@ def classical_datum(family: str, n: int, form: str) -> RootDatum:
         refl[n - 2][n - 1] = refl[n - 1][n - 2] = -1
         ambient_gens.append(IntegerMatrix.from_rows(refl, cols=n))
 
-    generators = tuple(_restrict_ambient_action(basis, g) for g in ambient_gens)
+    generators = _restrict_ambient_actions(basis, ambient_gens)
     label = f"{family}{n}_{_FORMS[form]}"
     return _make_datum(basis, denominator, _gram_from_ambient(basis, denominator), generators, label)
 
@@ -350,7 +352,7 @@ def _content_lines(text: str) -> list[str]:
 
 
 def custom_datum(path: str | Path) -> RootDatum:
-    """Load and validate a RootDatum from a datum file."""
+    """Load and validate a RootDatum from a datum file, read on every call and parsed as `parse_datum_text` says."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -359,7 +361,12 @@ def custom_datum(path: str | Path) -> RootDatum:
     return parse_datum_text(text, default_label=path.stem)
 
 
+@lru_cache(maxsize=None)
 def parse_datum_text(text: str, default_label: str = "custom") -> RootDatum:
+    """Parse and validate a datum text, once per distinct (text, default_label) and process.
+
+    The datum is shared by later calls; a malformed text keeps nothing, so it raises on every call.
+    """
     lines = _content_lines(text)
     rank: int | None = None
     denominator = 1

@@ -10,6 +10,10 @@ test can check the package's result against it:
 - binomial_sym_series: E(Sym^a A) by convolving the whole binomial series of
   each factor (1 - u^p v^q t)^{-e}, against the packed-integer recurrence of
   sln_formula.sym_e_polynomial.
+- reference_smith_normal_form: the Smith form by elementary operations
+  written as five helpers, each scanning the whole block for its pivot,
+  against the inlined loop of lattice_core.smith_normal_form, which must
+  return the identical U, D, V and U⁻¹.
 - scan_exact_divide: long division that finds the leading remainder term by
   a scan of the whole remainder, against the heap of epoly.exact_divide.
 - per_partition_closed_form: the closed form summed one partition at a time,
@@ -69,6 +73,7 @@ from orbev.epoly import (
 from orbev.lattice_core import (
     InexactSolveError,
     IntegerMatrix,
+    SmithDecomposition,
     fixed_count,
     fixed_sublattice,
     induced_automorphism,
@@ -108,6 +113,97 @@ def _poly_exact_div(p: list[int], q: list[int]) -> list[int]:
     if any(p[: len(q) - 1]):
         raise EngineError("polynomial division was not exact")
     return out
+
+
+def reference_smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
+    """U·m·V = D by the pivot rule and elementary operations lattice_core.smith_normal_form documents.
+
+    Each row operation on U is the inverse column operation on U⁻¹, held by
+    columns as the rows of u_inv_t.
+    """
+    rows, cols = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    u_inv_t = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, k):
+        # row dst += k * row src
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        u_inv_t[src] = [x - k * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
+
+    def add_col(src, dst, k):
+        for row in a:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        u_inv_t[i] = [-x for x in u_inv_t[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        # Deterministic pivot: smallest |value|, then lowest (row, col).
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0:
+                    key = (abs(a[i][j]), i, j)
+                    if pivot is None or key < pivot[0]:
+                        pivot = (key, i, j)
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                add_row(t, i, -q)
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                add_col(t, j, -q)
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # Pivot must divide the rest of the submatrix for the divisor chain; a unit pivot does.
+        p = a[t][t]
+        stray = None if p in (1, -1) else next(
+            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p != 0), None
+        )
+        if stray is not None:
+            add_row(stray[0], t, 1)
+            continue
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    d = IntegerMatrix.from_rows(a, cols=cols)
+    um = IntegerMatrix.from_rows(u, cols=rows)
+    vm = IntegerMatrix.from_rows(v, cols=cols)
+    um_inv = IntegerMatrix.from_rows(u_inv_t, cols=rows).transpose()
+    return SmithDecomposition(um, d, vm, um_inv)
 
 
 def direct_shift_oracle(w: IntegerMatrix) -> int:

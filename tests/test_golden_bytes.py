@@ -3,9 +3,11 @@
 Covers `compute` and `mirror-check` on all five spaces and `duality-check` for
 SL(2..5) with every m | n, B2, C2, B3, C3 and D3 in both forms and the G2
 datum file, plus `closed-form` for n <= 8 and `cross-validate` for n <= 4 on
-both surfaces, each in both output formats.  A refactor that keeps the
+both surfaces, each in both output formats.  A second table guards B5_sc
+`duality-check` and `mirror-check --space mixed`, where π₀ blocks over
+(ℤ/2)^5 and Smith inputs of rank 5 occur.  A refactor that keeps the
 results must keep these bytes.  When output is meant to change, regenerate
-the table from the repository root with
+both tables from the repository root with
 
     PYTHONPATH=src python tests/test_golden_bytes.py --write
 """
@@ -23,6 +25,7 @@ from orbev.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
+RANK_FIVE = Path(__file__).resolve().parent / "data" / "rank5_digests.json"
 SPACES = ("betti", "dolbeault", "derham", "abelian-surface", "mixed")
 FORMATS = ("json", "text")
 COMMANDS = ("compute", "mirror-check", "duality-check", "closed-form", "cross-validate")
@@ -52,6 +55,14 @@ def operations(command: str) -> list[list[str]]:
     return [argv + ["--format", fmt] for argv in base for fmt in FORMATS]
 
 
+def rank_five_operations() -> list[list[str]]:
+    base = [
+        ["duality-check", "--group", "classical", "B", "5", "sc"],
+        ["mirror-check", "--group", "classical", "B", "5", "sc", "--space", "mixed"],
+    ]
+    return [argv + ["--format", fmt] for argv in base for fmt in FORMATS]
+
+
 def digest(argv: list[str]) -> list:
     """[exit code, sha256 of stdout] of one CLI run from the repository root."""
     buf = io.StringIO()
@@ -69,9 +80,20 @@ def test_stdout_bytes_match_golden(command, monkeypatch):
     assert changed == []
 
 
+def test_rank_five_stdout_bytes_match_golden(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    golden = json.loads(RANK_FIVE.read_text(encoding="utf-8"))
+    ops = rank_five_operations()
+    assert sorted(" ".join(argv) for argv in ops) == sorted(golden)
+    changed = [" ".join(argv) for argv in ops if digest(argv) != golden[" ".join(argv)]]
+    assert changed == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_bytes.py --write")
     os.chdir(ROOT)
     table = {c: {" ".join(argv): digest(argv) for argv in operations(c)} for c in COMMANDS}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    rank_five = {" ".join(argv): digest(argv) for argv in rank_five_operations()}
+    RANK_FIVE.write_text(json.dumps(rank_five, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -2,10 +2,10 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbev import lattice_core
@@ -23,6 +23,7 @@ from orbev.lattice_core import (
     solve_right_integer,
     torsion_of_cokernel,
 )
+from oracles import reference_smith_normal_form
 
 
 def M(rows):
@@ -88,6 +89,11 @@ class TestIntegerMatrix:
         )
         assert p ** (4 - m.rank_mod(p)) == kernel
 
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 15])
+    def test_rank_mod_refuses_a_modulus_that_is_not_prime(self, p):
+        with pytest.raises(LatticeError, match=f"prime modulus, not {p}$"):
+            M([[1, 2], [3, 4]]).rank_mod(p)
+
     def test_hashable_and_ordered_entries(self):
         a = M([[1, 2], [3, 4]])
         assert a == M([[1, 2], [3, 4]])
@@ -113,6 +119,14 @@ class TestIntegerMatrix:
             IntegerMatrix.from_columns(columns)
         with pytest.raises(LatticeError):
             IntegerMatrix.from_rows(columns)
+
+    def test_from_rows_checks_an_explicit_column_count(self):
+        assert IntegerMatrix.from_rows([[1, 2]], cols=2) == M([[1, 2]])
+        empty = IntegerMatrix.from_rows([], cols=3)
+        assert (empty.rows, empty.cols) == (0, 3)
+        for rows, cols in (([[1, 2]], 3), ([[1, 2]], 1), ([[1, 2], [3, 4]], 0)):
+            with pytest.raises(LatticeError):
+                IntegerMatrix.from_rows(rows, cols=cols)
 
     def test_empty_matrix(self):
         e = IntegerMatrix.zero(2, 0)
@@ -179,6 +193,17 @@ class TestSmithNormalForm:
     @given(small_matrices)
     def test_deterministic(self, m):
         assert smith_normal_form(m) == smith_normal_form(m)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda rc: rc[0] * rc[1] <= 30).flatmap(
+        lambda rc: st.lists(st.lists(st.integers(-4, 4), min_size=rc[1], max_size=rc[1]),
+                            min_size=rc[0], max_size=rc[0]).map(lambda rows: IntegerMatrix.from_rows(rows, cols=rc[1]))
+    ))
+    @example(IntegerMatrix.from_rows([[2, 0], [0, 3]]))  # a pivot that does not divide the rest
+    @example(IntegerMatrix.from_rows([[4, 6, -2], [6, 4, 2], [-2, 2, 4]]))
+    def test_same_decomposition_as_the_reference_kernel(self, m):
+        """Square, wide, tall and empty matrices up to 5×6 or 6×5 give the reference's U, D, V and U⁻¹."""
+        assert smith_normal_form.__wrapped__(m) == reference_smith_normal_form(m)
 
 
 def brute_force_order_multiset(m):
@@ -392,20 +417,34 @@ class TestFixedCount:
         assert fixed_count(divisors, block) == brute_force_fixed_count(divisors, block)
 
     def test_single_prime_chains_use_the_rank_and_other_chains_the_smith_form(self, monkeypatch):
+        """Chains of 2s take the XOR basis, which calls neither rank_mod nor the Smith form."""
         routes = []
         rank_mod, smith = IntegerMatrix.rank_mod, lattice_core.smith_normal_form
         monkeypatch.setattr(IntegerMatrix, "rank_mod", lambda m, p: routes.append("rank") or rank_mod(m, p))
         monkeypatch.setattr(lattice_core, "smith_normal_form", lambda m: routes.append("smith") or smith(m))
         cases = [
-            ((2, 2, 2), (0, 1, 0, 1, 0, 0, 0, 0, 1), 4, "rank"),
-            ((5,), (4,), 1, "rank"),
-            ((4,), (3,), 2, "smith"),
-            ((2, 4), (1, 0, 0, 3), 4, "smith"),
+            ((2, 2, 2), (0, 1, 0, 1, 0, 0, 0, 0, 1), 4, []),
+            ((2,), (1,), 2, []),
+            ((5,), (4,), 1, ["rank"]),
+            ((3, 3), (0, 2, 1, 2), 3, ["rank"]),
+            ((4,), (3,), 2, ["smith"]),
+            ((2, 4), (1, 0, 0, 3), 4, ["smith"]),
         ]
         for divisors, block, count, route in cases:
             routes.clear()
             assert fixed_count.__wrapped__(divisors, block) == count
-            assert routes == [route]
+            assert routes == route
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda k: st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k)))
+    def test_xor_count_equals_the_rank_and_smith_counts_over_f2(self, entries):
+        """Over (ℤ/2)^k, k ≤ 6, the XOR basis counts as 2^(k - rank_𝔽₂(B - 1)) and the Smith form of [B-1 | 2·1] do."""
+        k = isqrt(len(entries))
+        block = tuple(entries)
+        b_minus_1 = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k))) - IntegerMatrix.identity(k)
+        rank_count = 2 ** (k - b_minus_1.rank_mod(2))
+        smith_count = prod(smith_normal_form(b_minus_1.hstack(IntegerMatrix.identity(k).scale(2))).divisors)
+        assert fixed_count.__wrapped__((2,) * k, block) == rank_count == smith_count
 
     def test_trivial_group_and_rank_deficient_lattice(self):
         assert fixed_count((), ()) == 1

@@ -12,7 +12,9 @@ from orbev.lattice_core import IntegerMatrix, solve_right_integer
 from orbev.root_data import (
     DatumError,
     DatumFormatError,
+    _is_positive_definite,
     _preserves_form,
+    _restrict_ambient_actions,
     _scaled_gram,
     classical_datum,
     custom_datum,
@@ -119,6 +121,86 @@ ALL_BUILTINS = (
     + [classical_datum(f, n, form) for f in "BC" for n in (2, 3) for form in ("simply_connected", "adjoint")]
     + [classical_datum("D", n, form) for n in (3, 4) for form in ("simply_connected", "adjoint")]
 )
+
+
+def ambient_generators(family: str, n: int) -> list[IntegerMatrix]:
+    """The ambient Weyl generators, spelled out: adjacent swaps, then for B and C the sign
+    of the last coordinate and for D the reflection in e_{n-1} + e_n."""
+    def matrix(image, signs):
+        return IntegerMatrix.from_rows([[signs[i] * (image[j] == i) for j in range(n)] for i in range(n)])
+
+    out = []
+    for i in range(n - 1):
+        image = list(range(n))
+        image[i], image[i + 1] = i + 1, i
+        out.append(matrix(image, [1] * n))
+    if family in "BC":
+        out.append(matrix(list(range(n)), [1] * (n - 1) + [-1]))
+    elif family == "D":
+        out.append(matrix(list(range(n - 2)) + [n - 1, n - 2], [1] * (n - 2) + [-1, -1]))
+    return out
+
+
+RANK_SIX_BUILTINS = (  # (family, n, m or form), built in the test so that a failing builder fails one case
+    [("A", n, m) for n in range(2, 8) for m in range(1, n + 1) if n % m == 0]
+    + [(f, n, form) for f in "BC" for n in range(2, 7) for form in ("simply_connected", "adjoint")]
+    + [("D", n, form) for n in range(3, 7) for form in ("simply_connected", "adjoint")]
+)
+
+
+class TestDatumLayer:
+    @pytest.mark.parametrize("family, n, kind", RANK_SIX_BUILTINS)
+    def test_one_batched_solve_gives_the_per_generator_solves(self, family, n, kind):
+        datum = sl_quotient_datum(n, kind) if family == "A" else classical_datum(family, n, kind)
+        ambient = ambient_generators(family, n)
+        assert datum.generators == tuple(solve_right_integer(datum.basis, g * datum.basis) for g in ambient)
+        assert _restrict_ambient_actions(datum.basis, ambient) == datum.generators
+
+    @pytest.mark.parametrize("basis, action", [
+        (IntegerMatrix.from_columns([[1, -1, 0], [0, 1, -1]]), [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # leaves Σx = 0
+        (IntegerMatrix.from_columns([[2, 0], [1, 1]]), [[1, 1], [0, 1]]),  # (1, 1/2) is not in Z² + Z(1/2, 1/2)
+    ], ids=["inconsistent", "not-integral"])
+    def test_an_action_leaving_the_lattice_is_refused(self, basis, action):
+        good = IntegerMatrix.identity(basis.rows)
+        for actions in ([IntegerMatrix.from_rows(action)], [good, IntegerMatrix.from_rows(action)]):
+            with pytest.raises(DatumError, match="^ambient action does not preserve the lattice$"):
+                _restrict_ambient_actions(basis, actions)
+
+    @pytest.mark.parametrize("rows, definite", [
+        ([[0, 1], [1, 0]], False),  # Δ₁ = 0: the pass would need a row exchange
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], False),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], False),
+        ([[1, 2], [2, 1]], False),  # indefinite, Δ₂ = -3
+        ([[-1, 0], [0, -1]], False),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+        ([], True),
+    ])
+    def test_sylvester_pass_on_hand_cases(self, rows, definite):
+        assert _is_positive_definite(IntegerMatrix.from_rows(rows, cols=len(rows))) is definite
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=n * n, max_size=n * n))))
+    def test_sylvester_pass_agrees_with_the_leading_minors(self, case):
+        """The pass says definite exactly when every leading principal minor of the gram is positive."""
+        n, entries = case
+        gram = tuple(tuple(entries[min(i, j) * n + max(i, j)] for j in range(n)) for i in range(n))
+        scaled, scale = _scaled_gram(gram)
+        assert scaled.entries == tuple(tuple(int(x * scale) for x in row) for row in gram)
+        minors = [IntegerMatrix.from_rows([row[:k] for row in scaled.entries[:k]]).det() for k in range(1, n + 1)]
+        assert _is_positive_definite(scaled) == all(m > 0 for m in minors)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(gram=((Fraction(2), Fraction(-1, 2)), (Fraction(-1), Fraction(2)))), "gram matrix is not symmetric"),
+        (dict(gram=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))), "gram matrix is not positive definite"),
+        (dict(gram=((Fraction(1, 3), Fraction(1)), (Fraction(1), Fraction(1, 3)))), "gram matrix is not positive definite"),
+        (dict(generators=(IntegerMatrix.from_rows([[2, 0], [0, 1]]),)), "generator 1 is not unimodular"),
+        (dict(generators=(IntegerMatrix.identity(2), IntegerMatrix.from_rows([[1, 1], [0, 1]]))),
+         "generator 2 does not preserve the gram form"),
+    ], ids=["symmetric", "definite-zero-minor", "definite-scaled", "unimodular", "preserve"])
+    def test_validation_messages(self, change, message):
+        with pytest.raises(DatumError, match=f"^{message}$"):
+            sl_quotient_datum(3, 1)._replace(**change).validate()
 
 
 class TestDualDatum:
@@ -278,6 +360,27 @@ generators
     def test_generators_may_come_in_several_sections(self):
         text = "rank 1\nbasis\n1\ngram\n1\ngenerators\n-1\ngenerators\n1\n"
         assert [g.entries for g in parse_datum_text(text).generators] == [((-1,),), ((1,),)]
+
+    def test_a_datum_file_is_validated_once_per_distinct_text(self, tmp_path):
+        path = tmp_path / "x.datum"
+        path.write_text(Path(G2_PATH).read_text(encoding="utf-8"), encoding="utf-8")
+        first = custom_datum(path)
+        assert custom_datum(str(path)) is first
+        assert first.label == "G2"
+        path.write_text("rank 1\nbasis\n1\ngram\n2\ngenerators\n-1\n", encoding="utf-8")
+        edited = custom_datum(path)
+        assert edited.label == "x" and edited.rank == 1
+        other = tmp_path / "y.datum"
+        other.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert custom_datum(other).label == "y"  # the same text under another stem is another datum
+        path.write_text("rank 1\nbasis\n1\ngram\n-1\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(DatumError, match="not positive definite"):
+                custom_datum(path)
+        path.write_text("rank x\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(DatumFormatError, match="malformed rank"):
+                custom_datum(path)
 
     def test_generator_rows_at_rank_zero_rejected(self):
         with pytest.raises(DatumFormatError, match="rank 0"):

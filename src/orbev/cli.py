@@ -13,14 +13,13 @@ and `space`, which `--surface` gives (`_option_fields`).
 `main` reads an argv that starts with a command name in one pass over that
 command's `_OPTIONS` (`_read`): exact option names, each once, with values
 that do not start with "-", converted and checked as argparse would.  It
-returns the namespace argparse would return and builds no parser.  An argv
-it does not read cleanly (an abbreviation, --opt=value, a repeated option,
-a value starting with "-", a missing, extra or invalid value, -h or --help)
-goes to that command's own argparse parser, which prints the same help and
-usage errors as the whole tree's subparser; an argv without a command name
-(--help, no command, an unknown command) goes to the whole tree.  So
-argparse alone writes help and usage errors, a valid command builds no
-parser, and each parser is built at most once per process.
+returns the namespace argparse would return and builds no parser.  Any
+other argv goes to the whole argparse tree (`_build_parser`): one that
+`_read` does not read cleanly (an abbreviation, --opt=value, a repeated
+option, a value starting with "-", a missing, extra or invalid value, -h or
+--help), and one without a command name (--help, no command, an unknown
+command).  So argparse alone writes help and usage errors, a valid command
+builds no parser, and the tree is built at most once per process.
 
 A command function is a generator of its body (what follows `config_echo`)
 with its exit code, then of its text lines, so a JSON run renders no text.
@@ -54,6 +53,7 @@ import json
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
+from math import gcd
 
 from .epoly import BivariatePolynomial, SPACES
 from .lattice_core import IntegerMatrix, LatticeError
@@ -282,9 +282,9 @@ def _closed_form(args) -> Iterator:
     total = closed_form_eorb(args.n, args.m, args.d, SURFACES[args.surface][0])
     terms = [
         {
-            "partition": list(alpha.parts),
-            "tau": tau(args.n // args.m, args.m, alpha.g, args.d),
-            "shift": alpha.n - alpha.size,
+            "partition": list(alpha),
+            "tau": tau(args.n // args.m, args.m, gcd(*alpha), args.d),
+            "shift": args.n - len(alpha),
         }
         for alpha in partitions(args.n)
     ]
@@ -344,13 +344,6 @@ def _option_fields(name: str) -> tuple[str, ...]:
     return tuple(f for f in fields if f not in _SURFACE_FIELDS) if "surface" in fields else fields
 
 
-def _add_options(parser: _Parser, name: str) -> _Parser:
-    """parser with an option from `_OPTIONS` for each parsed config_echo field of command name."""
-    for field in _option_fields(name):
-        parser.add_argument("--" + field, **_OPTIONS[field])
-    return parser
-
-
 def _read(name: str, argv: list[str]) -> argparse.Namespace | None:
     """The namespace command name's parser returns for argv, read in one pass, or None to leave argv to it.
 
@@ -396,33 +389,24 @@ def _read(name: str, argv: list[str]) -> argparse.Namespace | None:
 
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    """The whole argument tree, built once per process: parsing leaves it unchanged.
+    """The whole argument tree, built at most once per process: parsing leaves it unchanged.
 
-    `main` reads it only when argv does not start with a command name: for
-    --help, no command or an unknown command.
+    `main` reads it only for an argv that `_read` does not take: help, a usage
+    error, a form such as --n=4 or an abbreviation, or no command name.
     """
     parser = _Parser(prog="orbev", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, _) in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), name)
+        command = sub.add_parser(name, help=help_text)
+        for field in _option_fields(name):
+            command.add_argument("--" + field, **_OPTIONS[field])
     return parser
 
 
-@lru_cache(maxsize=None)
-def _command_parser(name: str) -> _Parser:
-    """One command's parser, the same as the whole tree's subparser for it, built once per process."""
-    return _add_options(_Parser(prog=f"orbev {name}"), name)
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv read by `_read` when it starts with a command name; else parsed by its command's parser or the tree."""
-    if argv and argv[0] in _COMMANDS:
-        args = _read(argv[0], argv[1:])
-        if args is None:
-            args = _command_parser(argv[0]).parse_args(argv[1:])
-            args.command = argv[0]
-        return args
-    return _build_parser().parse_args(argv)
+    """argv read by `_read` when it starts with a command name and reads cleanly; else parsed by the whole tree."""
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

@@ -35,7 +35,7 @@ class InexactDivisionError(PolynomialError):
 
 
 class BivariatePolynomial:
-    """Polynomial in u, v; each coefficient is a nonzero int (a bool, Fraction or float raises)."""
+    """Polynomial in u, v; each exponent is an int, each coefficient a nonzero int (a bool, Fraction or float raises)."""
 
     __slots__ = ("coeffs",)
 
@@ -45,10 +45,12 @@ class BivariatePolynomial:
             for (p, q), c in coeffs.items():
                 if type(c) is not int:
                     raise PolynomialError(f"coefficients must be int, not {type(c).__name__}")
+                if type(p) is not int or type(q) is not int:
+                    raise PolynomialError(f"exponents must be int: {(p, q)!r}")
                 if c:
                     if p < 0 or q < 0:
                         raise PolynomialError("negative exponents are not supported")
-                    cleaned[(int(p), int(q))] = c
+                    cleaned[(p, q)] = c
         object.__setattr__(self, "coeffs", cleaned)
 
     @staticmethod

@@ -4,15 +4,14 @@ Smith normal form with unimodular transforms, saturated fixed sublattices,
 and the component-group data the engine compares: the torsion of a cokernel
 as its divisors d₁ | d₂ | ..., an induced automorphism of ⊕ ℤ/dᵢ as a
 flattened block, and its fixed-point count: over 𝔽₂ from an XOR basis of
-int bit rows, over 𝔽_p for another prime p when every dᵢ is p, and by a
-Smith form otherwise.  Every exact elimination over ℤ or ℚ goes through one
-fraction-free integer kernel, `_bareiss`: rank, determinant, solves, the
-inverse of a unimodular matrix, read in integers off the reduced [M | 1] with
-no Fraction, and the leading principal minors, from a pass with no row
-exchange; Smith normal form keeps its own, because it needs the unimodular
-transforms, and builds U⁻¹ in the same steps, so the readers of U⁻¹ invert
-nothing.  `rank_mod` eliminates over 𝔽_p.  There is no floating point in
-this module.
+int bit rows when every dᵢ is 2, and by a Smith form otherwise.  Every exact
+elimination over ℤ or ℚ goes through one fraction-free integer kernel,
+`_bareiss`: rank, determinant, solves, the inverse of a unimodular matrix,
+read in integers off the reduced [M | 1] with no Fraction, and the leading
+principal minors, from a pass with no row exchange; Smith normal form keeps
+its own, because it needs the unimodular transforms, and builds U⁻¹ in the
+same steps, so the readers of U⁻¹ invert nothing.  There is no floating
+point in this module.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import prod
 from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
@@ -168,24 +167,6 @@ class IntegerMatrix:
         """Rank over the rationals."""
         return len(_bareiss(self.entries, self.cols, reduce_above=False)[1])
 
-    def rank_mod(self, p: int) -> int:
-        """Rank over the field 𝔽_p by Gaussian elimination mod p; LatticeError unless p is prime."""
-        if not _is_prime(p):
-            raise LatticeError(f"rank_mod needs a prime modulus, not {p}")
-        rows = [[x % p for x in row] for row in self.entries]
-        rank = 0
-        while rows:
-            pivot_row = rows.pop()
-            j = next((j for j, x in enumerate(pivot_row) if x), None)
-            if j is None:
-                continue
-            rank += 1
-            inv = pow(pivot_row[j], -1, p)
-            rows = [
-                [(x - f * y) % p for x, y in zip(row, pivot_row)] if (f := row[j] * inv) else row for row in rows
-            ]
-        return rank
-
     def inverse_unimodular(self) -> "IntegerMatrix":
         """Exact inverse; requires |det| = 1 so the inverse is integral.
 
@@ -213,10 +194,6 @@ class IntegerMatrix:
     def _check_same_shape(self, other: "IntegerMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise LatticeError("shape mismatch")
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def _bareiss(
@@ -470,20 +447,18 @@ def induced_automorphism(c: IntegerMatrix, m: IntegerMatrix) -> tuple[tuple[int,
 def fixed_count(divisors: tuple[int, ...], block: tuple[int, ...]) -> int:
     """Fixed points of the automorphism of ⊕ Z/dᵢ with this flattened block B, once per distinct block.
 
-    The fixed points are the kernel of B - 1.  When every dᵢ is one prime p
-    the group is the 𝔽_p-vector space 𝔽_p^k, so the count is
-    p^(k - rank_𝔽p(B - 1)).  For p = 2 the rank comes from an XOR basis: B's
-    entries mod 2 are read as one byte each of an int, the identity's bytes
-    are XORed in, and each row of k bytes is reduced by the basis rows found
-    before it, whose lowest set bits are distinct and absent from later rows.
-    Other primes use `rank_mod`.  Otherwise the kernel's order is the index
-    [Z^k : (B-1)Z^k + D Z^k], read off the Smith divisors of [B-1 | D].
+    The fixed points are the kernel of B - 1.  When every dᵢ is 2 the group
+    is the 𝔽₂-vector space 𝔽₂^k, so the count is 2^(k - rank_𝔽₂(B - 1)), and
+    the rank comes from an XOR basis: B's entries mod 2 are read as one byte
+    each of an int, the identity's bytes are XORed in, and each row of k bytes
+    is reduced by the basis rows found before it, whose lowest set bits are
+    distinct and absent from later rows.  Otherwise the kernel's order is the
+    index [Z^k : (B-1)Z^k + D Z^k], read off the Smith divisors of [B-1 | D].
     """
     k = len(divisors)
     if k == 0:
         return 1
-    p = divisors[0]
-    if p == divisors[-1] == 2:
+    if divisors[0] == divisors[-1] == 2:
         eye = int.from_bytes((b"\1" + bytes(k)) * (k - 1) + b"\1", "big")
         bits = int.from_bytes(bytes(map((1).__and__, block)), "big") ^ eye
         basis: list[int] = []
@@ -496,8 +471,6 @@ def fixed_count(divisors: tuple[int, ...], block: tuple[int, ...]) -> int:
                 basis.append(x)
         return 1 << k - len(basis)
     b_minus_1 = IntegerMatrix._of(k, k, tuple(block[i * k : i * k + k] for i in range(k))) - IntegerMatrix.identity(k)
-    if divisors[-1] == p and _is_prime(p):
-        return p ** (k - b_minus_1.rank_mod(p))
     d = IntegerMatrix._of(k, k, tuple(tuple(divisors[i] if i == j else 0 for j in range(k)) for i in range(k)))
     smith = smith_normal_form(b_minus_1.hstack(d)).divisors
     if len(smith) != k:

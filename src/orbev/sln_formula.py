@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd, prod
-from typing import Sequence
 
 from .epoly import BivariatePolynomial, InexactDivisionError, PolynomialError, exact_divide
 
@@ -60,65 +59,19 @@ class FormulaError(PolynomialError):
     """Invalid closed-form input."""
 
 
-class Partition:
-    """Partition stored as parts in descending order, held as a tuple."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[int]):
-        parts = tuple(parts)
-        if not parts or any(p < 1 for p in parts):
-            raise FormulaError("a partition needs positive parts")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise FormulaError("parts must be in descending order")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return Partition, (self.parts,)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({self.parts!r})"
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def size(self) -> int:
-        """|α| = number of parts (total multiplicity)."""
-        return len(self.parts)
-
-    @property
-    def g(self) -> int:
-        """gcd of the part lengths that occur."""
-        return gcd(*self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        """α_i = number of parts of length i."""
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-
 @lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order, (n) first."""
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n as tuples of descending positive parts, in reverse-lexicographic order, (n) first.
+
+    For a partition α, g(α) is gcd(*α), |α| is len(α), and the multiplicity α_i
+    of part length i is α.count(i).
+    """
     if n < 1:
         raise FormulaError("partitions(n) requires n >= 1")
 
     def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:
-            yield Partition(prefix)
+            yield prefix
             return
         for part in range(min(cap, remaining), 0, -1):
             yield from gen(remaining - part, part, prefix + (part,))
@@ -158,7 +111,7 @@ def _layout(n: int, e_a: BivariatePolynomial, d: int) -> tuple[int, int]:
         raise FormulaError("the number d of U(1) factors must be >= 0")
     norm = sum(abs(c) for c in e_a.coeffs.values())
     majorant = sum(
-        alpha.g ** (2 * d) * prod(comb(norm + k - 1, k) for k in alpha.multiplicities().values())
+        gcd(*alpha) ** (2 * d) * prod(comb(norm + k - 1, k) for k in map(alpha.count, set(alpha)))
         for alpha in partitions(n)
     )
     width_u = 0 if all(p == q for p, q in e_a.coeffs) else n * max(1, _deg_u(e_a)) + 1
@@ -244,12 +197,13 @@ def _grouped_partition_sums(n: int, e_a: BivariatePolynomial, d: int) -> tuple[i
     products = {(): 1}
     sums: dict[int, int] = {}
     for alpha in partitions(n):
-        mults = tuple(sorted(alpha.multiplicities().values()))
+        mults = tuple(sorted(map(alpha.count, set(alpha))))
         for k in range(1, len(mults) + 1):
             if mults[:k] not in products:
                 products[mults[:k]] = products[mults[: k - 1]] * series[mults[k - 1]]
-        shift = n - alpha.size
-        sums[alpha.g] = sums.get(alpha.g, 0) + (products[mults] << bits * shift * (1 + width_u))
+        shift = n - len(alpha)
+        g = gcd(*alpha)
+        sums[g] = sums.get(g, 0) + (products[mults] << bits * shift * (1 + width_u))
     return width_u, bits, tuple(sorted(sums.items()))
 
 

@@ -336,10 +336,10 @@ def per_partition_closed_form(n: int, m: int, d: int, e_a: BivariatePolynomial) 
         raise FormulaError(f"m = {m} does not divide n = {n}")
     total = BivariatePolynomial.zero()
     for alpha in partitions(n):
-        term = BivariatePolynomial.constant(tau(n // m, m, alpha.g, d))
-        term = term * BivariatePolynomial.monomial(n - alpha.size, n - alpha.size)
-        for _, mult in sorted(alpha.multiplicities().items()):
-            term = term * binomial_sym_series(e_a, mult)
+        term = BivariatePolynomial.constant(tau(n // m, m, gcd(*alpha), d))
+        term = term * BivariatePolynomial.monomial(n - len(alpha), n - len(alpha))
+        for part in sorted(set(alpha)):
+            term = term * binomial_sym_series(e_a, alpha.count(part))
         total = total + term
     try:
         return scan_exact_divide(total, e_a)

@@ -134,8 +134,8 @@ def test_criterion_5_fermionic_shifts():
             assert shift == fermionic_shift(w.inverse_transpose())
     for n in range(2, 8):
         for alpha in partitions(n):
-            w = cycle_type_element(n, alpha.parts)
-            assert fermionic_shift(w) == n - alpha.size
+            w = cycle_type_element(n, alpha)
+            assert fermionic_shift(w) == n - len(alpha)
 
 
 def test_criterion_6_component_group_duality():

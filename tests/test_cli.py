@@ -1,6 +1,5 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -20,7 +19,6 @@ from orbev.cli import (
     _OPTIONS,
     CliUsageError,
     _build_parser,
-    _command_parser,
     _option_fields,
     _parse,
     _read,
@@ -431,12 +429,7 @@ class TestErrors:
 
 
 class TestParserDispatch:
-    """main parses an argv that starts with a command name with that command's parser alone."""
-
-    @pytest.mark.parametrize("name", list(_COMMANDS))
-    def test_command_parser_prints_the_subparser_help(self, name):
-        tree = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert _command_parser(name).format_help() == tree.choices[name].format_help()
+    """main reads a valid command without a parser and leaves every other argv to the whole tree."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -460,13 +453,13 @@ class TestParserDispatch:
 
 
 def parser_namespace(argv):
-    """vars of what argv[0]'s parser returns for argv[1:], with command; None where it refuses or prints help."""
+    """vars of what the whole tree returns for argv, command included; None where it refuses or prints help."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            args = _command_parser(argv[0]).parse_args(argv[1:])
+            args = _build_parser().parse_args(argv)
     except (CliUsageError, SystemExit):
         return None
-    return {**vars(args), "command": argv[0]}
+    return vars(args)
 
 
 # The reader's alphabet: every option string of any command (and --d, which none has) with its
@@ -509,7 +502,7 @@ def command_argvs(draw):
     return [name, *argv]
 
 
-# argv that _read leaves to the command's parser, whether that parser refuses it or not.
+# argv that _read leaves to the tree, whether the tree refuses it or not.
 READER_DECLINES = [
     ["closed-form", "--n", "4", "--m", "2", "--surf", "betti"],
     ["closed-form", "--n=4", "--m", "2", "--surface", "betti"],
@@ -547,7 +540,7 @@ READER_TAKES = [
 
 
 class TestReader:
-    """_read returns the namespace the command's parser returns, or None to leave argv to it."""
+    """_read returns the namespace the tree returns, or None to leave argv to it."""
 
     @settings(max_examples=300, deadline=None)
     @given(command_argvs())
@@ -559,7 +552,7 @@ class TestReader:
     def test_reader_declines_and_the_parser_decides(self, argv):
         assert _read(argv[0], argv[1:]) is None
         expected = parser_namespace(argv)
-        if expected is not None:  # the parser takes an abbreviation, --opt=value, a repeat, a negative number
+        if expected is not None:  # the tree takes an abbreviation, --opt=value, a repeat, a negative number
             assert vars(_parse(argv)) == expected
 
     @pytest.mark.parametrize("argv", READER_TAKES, ids=lambda argv: argv[0])
@@ -646,11 +639,11 @@ class TestSubprocess:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        *together, trees_built, command_parsers_built = json.loads(proc.stdout)
+        *together, trees_built, parsers_built = json.loads(proc.stdout)
         assert together == separate
+        # one tree, for the klein-bottle refusal and --help; the valid runs are read without a parser
         assert trees_built == 1
-        # compute's, for the klein-bottle refusal; the valid runs are read without a parser
-        assert command_parsers_built == 1
+        assert parsers_built == ["orbev", *(f"orbev {name}" for name in _COMMANDS)]
 
     @pytest.mark.parametrize("argv", [
         ["closed-form", "--n", "4", "--m", "2", "--surface", "betti"],
@@ -668,7 +661,11 @@ class TestSubprocess:
 
 ONE_PROCESS_SCRIPT = """
 import contextlib, io, json, sys
-from orbev.cli import _build_parser, _command_parser, main
+from orbev import cli
+from orbev.cli import _build_parser, main
+built = []
+init = cli._Parser.__init__
+cli._Parser.__init__ = lambda self, *args, **kwargs: built.append(kwargs.get("prog")) or init(self, *args, **kwargs)
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -678,7 +675,7 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(results + [_build_parser.cache_info().misses, _command_parser.cache_info().misses]))
+print(json.dumps(results + [_build_parser.cache_info().misses, built]))
 """
 
 NO_LOCALE_SCRIPT = """

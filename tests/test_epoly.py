@@ -174,6 +174,14 @@ class TestExactness:
             with pytest.raises(PolynomialError):
                 UV.scale(c)
 
+    @pytest.mark.parametrize("exponent", [1.5, Fraction(5, 2), True, "1"], ids=repr)
+    def test_non_int_exponents_are_refused(self, exponent):
+        # int() would truncate 1.5 to u and 5/2 to u², and True is uv² for (True, 2).
+        for key in ((exponent, 0), (0, exponent), (exponent, 2)):
+            with pytest.raises(PolynomialError, match="^exponents must be int: "):
+                P({key: 3})
+        assert P({(1, 2): 3}).coeffs == {(1, 2): 3}
+
     def test_division_that_leaves_a_rational_quotient_raises(self):
         with pytest.raises(InexactDivisionError):
             exact_divide(U, P.constant(2))

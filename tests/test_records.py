@@ -13,14 +13,13 @@ from orbev.epoly import C_STAR, ELLIPTIC, PRIMAL, SPACES, BivariatePolynomial, P
 from orbev.lattice_core import IntegerMatrix, smith_normal_form
 from orbev.orbifold_engine import _class_records, duality_check, mirror_check, orbifold_e_polynomial
 from orbev.root_data import sl_quotient_datum
-from orbev.sln_formula import Partition, partitions
 from orbev.weyl import DEFAULT_CAP
 
 SRC = Path(__file__).parent.parent / "src"
 
 
 def records() -> list:
-    """One instance of each of the package's eleven record types."""
+    """One instance of each of the package's ten record types."""
     datum = sl_quotient_datum(3, 3)
     mirror = mirror_check(datum, SPACES["mixed"])
     duality = duality_check(datum)
@@ -35,7 +34,6 @@ def records() -> list:
         smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])),
         datum,
         SPACES["mixed"],
-        partitions(4)[1],
     ]
 
 
@@ -76,18 +74,13 @@ class TestSpaceDescriptorValues:
         datum = sl_quotient_datum(2, 1)
         assert orbifold_e_polynomial(datum, listed).total == orbifold_e_polynomial(datum, tupled).total
 
-    def test_list_built_partition_is_the_tuple_built_one(self):
-        assert Partition([2, 1, 1]).parts == (2, 1, 1)
-        assert Partition([2, 1, 1]) == Partition((2, 1, 1))
-
 
 @pytest.mark.parametrize("value", [
     IntegerMatrix.from_rows([[1, -2], [0, 3]]),
     IntegerMatrix.zero(2, 0),
     BivariatePolynomial({(0, 0): 1, (2, 1): -3}),
     SPACES["derham"],
-    Partition((3, 1, 1)),
-], ids=["IntegerMatrix", "empty-IntegerMatrix", "BivariatePolynomial", "SpaceDescriptor", "Partition"])
+], ids=["IntegerMatrix", "empty-IntegerMatrix", "BivariatePolynomial", "SpaceDescriptor"])
 def test_immutable_values_copy_and_pickle(value):
     """copy, deepcopy and pickle rebuild the value through its constructor, every field included."""
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):

@@ -1,6 +1,7 @@
 """Coweight lattice construction, duality, validation, and the datum file format."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
@@ -116,11 +117,14 @@ class TestClassicalDatum:
             classical_datum("B", 2, "bogus")
 
 
-ALL_BUILTINS = (
-    [sl_quotient_datum(n, m) for n in range(2, 6) for m in range(1, n + 1) if n % m == 0]
-    + [classical_datum(f, n, form) for f in "BC" for n in (2, 3) for form in ("simply_connected", "adjoint")]
-    + [classical_datum("D", n, form) for n in (3, 4) for form in ("simply_connected", "adjoint")]
-)
+@lru_cache(maxsize=None)
+def all_builtins() -> tuple:
+    """Every built-in datum of rank <= 4, built on first use, so a broken builder fails only the tests that read it."""
+    return tuple(
+        [sl_quotient_datum(n, m) for n in range(2, 6) for m in range(1, n + 1) if n % m == 0]
+        + [classical_datum(f, n, form) for f in "BC" for n in (2, 3) for form in ("simply_connected", "adjoint")]
+        + [classical_datum("D", n, form) for n in (3, 4) for form in ("simply_connected", "adjoint")]
+    )
 
 
 def ambient_generators(family: str, n: int) -> list[IntegerMatrix]:
@@ -205,11 +209,11 @@ class TestDatumLayer:
 
 class TestDualDatum:
     def test_involution_exact(self):
-        for d in ALL_BUILTINS:
+        for d in all_builtins():
             assert dual_datum(dual_datum(d)) == d
 
     def test_dual_validates(self):
-        for d in ALL_BUILTINS:
+        for d in all_builtins():
             dual_datum(d).validate()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -238,7 +242,7 @@ class TestDualDatum:
         assert dd.generators == tuple(g.inverse_transpose() for g in d.generators)
 
     def test_rank_of_w_minus_one_matches_dual(self):
-        for d in ALL_BUILTINS[:8]:
+        for d in all_builtins()[:8]:
             group = generate_group(d.generators)
             eye = IntegerMatrix.identity(d.rank)
             for w in elements(group):
@@ -252,7 +256,7 @@ class TestDualDatum:
 
 class TestDatumEquivalent:
     def test_reflexive(self):
-        for d in ALL_BUILTINS[:6]:
+        for d in all_builtins()[:6]:
             assert datum_equivalent(d, d)
 
     def test_distinguishes_forms(self):

@@ -1,4 +1,4 @@
-"""Partition/tau combinatorics and the type-A closed form."""
+"""Partition and tau combinatorics and the type-A closed form."""
 
 from fractions import Fraction
 from itertools import product
@@ -15,7 +15,6 @@ from orbev.orbifold_engine import orbifold_e_polynomial
 from orbev.root_data import sl_quotient_datum
 from orbev.sln_formula import (
     FormulaError,
-    Partition,
     closed_form_eorb,
     partitions,
     sym_e_polynomial,
@@ -61,35 +60,39 @@ def assert_matches_per_partition_oracle(n, d, e_a):
                 assert closed_form_eorb(n, m, d, e_a) == expected
 
 
+# p(n), the number of partitions of n, for n = 1..12 (OEIS A000041).
+PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
+
 class TestPartitions:
     def test_n2(self):
-        parts = {p.parts for p in partitions(2)}
-        assert parts == {(2,), (1, 1)}
+        assert partitions(2) == ((2,), (1, 1))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_each_partition_descends_with_positive_parts_summing_to_n(self, n):
+        for alpha in partitions(n):
+            assert type(alpha) is tuple and all(type(part) is int for part in alpha)
+            assert all(part >= 1 for part in alpha)
+            assert list(alpha) == sorted(alpha, reverse=True)
+            assert sum(alpha) == n
 
     def test_counts(self):
-        assert len(partitions(5)) == 7
-        assert len(partitions(10)) == 42
-
-    def test_fields(self):
-        alpha = Partition((4, 2, 2))
-        assert alpha.n == 8
-        assert alpha.size == 3
-        assert alpha.g == 2
-        assert alpha.multiplicities() == {4: 1, 2: 2}
+        assert [len(partitions(n)) for n in range(1, 13)] == PARTITION_COUNTS
+        assert all(len(set(partitions(n))) == len(partitions(n)) for n in range(1, 13))
 
     def test_g_divides_all_parts(self):
-        for alpha in partitions(8):
-            assert all(part % alpha.g == 0 for part in alpha.parts)
+        for n in range(1, 13):
+            for alpha in partitions(n):
+                assert all(part % gcd(*alpha) == 0 for part in alpha)
 
     def test_deterministic_order_single_row_first(self):
-        assert partitions(4)[0].parts == (4,)
+        assert partitions(4)[0] == (4,)
+        assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
         assert partitions(4) == partitions(4)
 
     def test_rejects_bad_input(self):
         with pytest.raises(FormulaError):
             partitions(0)
-        with pytest.raises(FormulaError):
-            Partition((1, 2))
 
 
 def tau_naive(l, m, g, d):

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -430,6 +431,15 @@ class TestErrors:
 
 class TestParserDispatch:
     """main reads a valid command without a parser and leaves every other argv to the whole tree."""
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_command_parser_prints_the_subparser_help(self, capsys, name):
+        """`orbev <command> -h` prints the tree's subparser help for that command and exits 0."""
+        tree = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        with pytest.raises(SystemExit) as exc:
+            run_cli([name, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (tree.choices[name].format_help(), "")
 
     @pytest.mark.parametrize(
         "argv",

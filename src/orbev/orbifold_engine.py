@@ -11,12 +11,14 @@ component group of (A ⊗ Λ)^w is π₀(T^w)^d(kind) with π₀(T^w) = Tor(Λ/(
 and components fixed by c contribute the identity-component character because
 translations act trivially on cohomology.
 
-Group data.  W, its class table, one centralizer per class and the class
-records, each holding what a class term reads of its class (w, the class
-size, C(w) and a key in it, F(w) and π₀'s divisors), depend on a datum's
-generators alone, so they are cached per generator set, where the
-orbit-stabilizer and w ↔ (w⁻¹)ᵀ bijection checks run; of the datum itself the
-engine reads only its rank and label.  Data with equal generators share all
+Group data.  W, its class table and its class records depend on a datum's
+generators alone, so they are cached per generator set, and built from W's
+class keys: C(w) is scanned at the key of w, the orbit-stabilizer check runs,
+and w's record holds what a class term and a duality row read of its class
+(w, the class size, C(w), the key, F(w) and π₀'s divisors), so no matrix's
+key is looked up again.  Ŵ's records, behind the w ↔ (w⁻¹)ᵀ bijection check,
+reuse W's keys and centralizers; of the datum itself the engine reads only
+its rank and label.  Data with equal generators share all
 of these and, through the shared centralizers, every key histogram and π₀
 table.  Among the built-ins, B_n adjoint and C_n simply connected share them
 (ℤⁿ with signed permutations), and so do SL(2) and SL(2)/Z2 (both act by -1).
@@ -108,7 +110,7 @@ class ClassContribution(NamedTuple):
 
 
 class ClassRecord(NamedTuple):
-    """What a class term reads of its class: the key histogram of centralizer, a subgroup of W, read at key.
+    """What a class term or duality row reads of its class: the key histogram of centralizer ⊂ W, read at key.
 
     match is None for w ∈ W on Λ, named by key, and for a Ŵ record the W class of x, where its representative
     (x⁻¹)ᵀ acts on Λ̂ and key names x: match also says the lattice side.  shift is F(w).
@@ -362,18 +364,17 @@ def class_contribution(record: ClassRecord, space: SpaceDescriptor, both_sides: 
     return ClassContribution(record.representative, record.class_size, cent.order, shift, record.pi0_divisors, *polys)
 
 
-def _record(w: IntegerMatrix, cent: MatrixGroup, size: int = 1, at: Key | None = None, match: int | None = None):
-    """w's ClassRecord, read at w on cent = C(w), or for a match at key `at` on cent = C(x), x named by `at`."""
+def _record(w: IntegerMatrix, cent: MatrixGroup, key: Key, size: int = 1, match: int | None = None):
+    """w's ClassRecord read at key on cent = C(x), for the x that key names: x is w, or for a match, w = (x⁻¹)ᵀ."""
     if not cent.order:
         raise EngineError("centralizer must contain at least the identity")
     dim, pi0 = _fixed_data(w)
-    key = cent.key(w) if match is None else at
     return ClassRecord(w, size, cent, key, w.rows - dim, pi0, match)
 
 
 @lru_cache(maxsize=None)
 def _group_data(generators: tuple[IntegerMatrix, ...], cap: int):
-    """W, its class table and one centralizer per class, once per generator set.
+    """W, its class table and its class records, each read at its class key, once per generator set.
 
     Pass a datum's generators: data with equal generators, such as B_n
     adjoint and C_n simply connected, then share one group, one class table
@@ -381,26 +382,21 @@ def _group_data(generators: tuple[IntegerMatrix, ...], cap: int):
     """
     group = generate_group(generators, cap)
     table = conjugacy_classes(group)
-    return group, table, tuple(centralizer(group, rep) for rep in table.representatives)
-
-
-@lru_cache(maxsize=None)
-def _class_records(generators: tuple[IntegerMatrix, ...], cap: int) -> tuple[ClassRecord, ...]:
-    """W's class records, once per generator set, each read at its representative."""
-    group, table, cents = _group_data(generators, cap)
+    cents = [centralizer(group, k) for k in table.keys]
     if any(cent.order * size != group.order for size, cent in zip(table.sizes, cents)):
         raise EngineError("orbit-stabilizer mismatch in class table")
-    return tuple(map(_record, table.representatives, cents, table.sizes))
+    return group, table, tuple(map(_record, table.representatives, cents, table.keys, table.sizes))
 
 
 @lru_cache(maxsize=None)
 def _dual_records(generators: tuple[IntegerMatrix, ...], cap: int) -> tuple[ClassRecord, ...]:
     """Ŵ's class records, once per generator set, each read at the key of its W class by w ↔ (w⁻¹)ᵀ."""
-    group, table, cents = _group_data(generators, cap)
+    group, table, records = _group_data(generators, cap)
     first = dual_class_order(table)
     if sorted(first) != list(range(table.count)):
         raise EngineError("class matching w ↔ (w⁻¹)ᵀ is not a bijection")
-    return tuple(_record(group.dual_matrix(k), cents[i], table.sizes[i], table.keys[i], i) for i, k in first.items())
+    return tuple(_record(group.dual_matrix(k), records[i].centralizer, records[i].key, table.sizes[i], i)
+                 for i, k in first.items())
 
 
 def _rank_zero_report(label: str) -> OrbifoldReport:
@@ -415,7 +411,7 @@ def orbifold_e_polynomial(
     """Sum of weighted class contributions, each with integer coefficients."""
     if datum.rank == 0:
         return _rank_zero_report(datum.label)
-    return _report(datum.label, space, _class_records(datum.generators, cap))
+    return _report(datum.label, space, _group_data(datum.generators, cap)[2])
 
 
 def _report(label: str, space: SpaceDescriptor, records, both_sides: bool = False) -> OrbifoldReport:
@@ -448,7 +444,7 @@ def mirror_check(datum: RootDatum, space: SpaceDescriptor, cap: int = DEFAULT_CA
     if datum.rank == 0:
         primal, dual = _rank_zero_report(datum.label), _rank_zero_report(_dual_label(datum.label))
         return MirrorReport(primal, dual, (MirrorPair(0, 0, BivariatePolynomial.zero()),), True, True)
-    primal = _report(datum.label, space, _class_records(datum.generators, cap), both_sides=True)
+    primal = _report(datum.label, space, _group_data(datum.generators, cap)[2], both_sides=True)
     terms, records = primal.contributions, _dual_records(datum.generators, cap)
     dual = _summed(_dual_label(datum.label), [class_contribution(r, space, True) for r in records])
     pairs = []
@@ -465,17 +461,15 @@ def duality_check(datum: RootDatum, cap: int = DEFAULT_CAP) -> DualityReport:
     """π₀ duality: torsion orders and centralizer fixed counts agree on Λ and Λ̂."""
     if datum.rank == 0:
         return DualityReport(datum.label, (), True)
-    _, table, cents = _group_data(datum.generators, cap)
-    rows = tuple(_duality_row(cent, key) for key, cent in zip(table.keys, cents))
+    rows = tuple(map(_duality_row, _group_data(datum.generators, cap)[2]))
     equal = all(r.orders_agree and r.fixed_counts_agree for r in rows)
     return DualityReport(datum.label, rows, equal)
 
 
-def _duality_row(cent: MatrixGroup, key: Key) -> DualityRow:
-    """The class of the element w that key names, with cent = C(w): w on Λ against (w⁻¹)ᵀ on Λ̂."""
-    rep, dual_rep = cent.matrix(key), cent.dual_matrix(key)
-    pi0_primal = _fixed_data(rep)[1]
-    pi0_dual = _fixed_data(dual_rep)[1]
+def _duality_row(record: ClassRecord) -> DualityRow:
+    """A class of W: its representative w on Λ against (w⁻¹)ᵀ on Λ̂, read at the record's key on C(w)."""
+    cent, key, pi0_primal = record.centralizer, record.key, record.pi0_divisors
+    pi0_dual = _fixed_data(cent.dual_matrix(key))[1]
     rows = _key_histogram(cent, key, (False, True), False)
     counts_agree = all(primal == dual for _, (primal, dual), _ in rows)
-    return DualityRow(rep, pi0_primal, pi0_dual, prod(pi0_primal) == prod(pi0_dual), counts_agree)
+    return DualityRow(record.representative, pi0_primal, pi0_dual, prod(pi0_primal) == prod(pi0_dual), counts_agree)

@@ -110,12 +110,11 @@ class _Action:
     The key of w reads as w (`matrix(key)`) or as (w⁻¹)ᵀ (`matrix(key,
     dual=True)`), whose rows are the columns of w⁻¹, with one cache for each.
     A group and its subgroups share one action and its caches.  The key of a
-    matrix w the action built is looked up by identity (the cache keeps every
-    such matrix alive, so no id is reused); any other matrix is scanned.  A
-    key of the other kind is refused, so it cannot miss a dict of keys unseen.
+    matrix is read by applying it to the orbit.  A key of the other kind is
+    refused, so it cannot miss a dict of keys unseen.
     """
 
-    __slots__ = ("points", "point_index", "rank", "kind", "matrices", "dual_matrices", "matrix_keys")
+    __slots__ = ("points", "point_index", "rank", "kind", "matrices", "dual_matrices")
 
     def __init__(self, points: list[tuple[int, ...]], point_index: dict, rank: int, kind: _KeyKind):
         self.points = points
@@ -124,7 +123,6 @@ class _Action:
         self.kind = kind
         self.matrices: dict[Key, IntegerMatrix] = {}
         self.dual_matrices: dict[Key, IntegerMatrix] = {}
-        self.matrix_keys: dict[int, Key] = {}
 
     def matrix(self, key: Key, dual: bool = False) -> IntegerMatrix:
         cache = self.dual_matrices if dual else self.matrices
@@ -138,15 +136,11 @@ class _Action:
                 m = IntegerMatrix._of(r, r, tuple(points[inv[j]] for j in range(r)))
             else:
                 m = IntegerMatrix._of(r, r, tuple(zip(*(points[key[j]] for j in range(r)))))
-                self.matrix_keys[id(m)] = key
             cache[key] = m
         return m
 
     def key(self, m: IntegerMatrix) -> Key:
         """The key of m; GroupError if m does not permute the orbit."""
-        key = self.matrix_keys.get(id(m))
-        if key is not None:
-            return key
         if m.rows != self.rank or m.cols != self.rank:
             raise GroupError("matrix is not an element of the group")
         try:
@@ -162,7 +156,7 @@ def _apply(rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, 
 class MatrixGroup:
     """Finite group of unimodular integer matrices, held as keys in element order."""
 
-    __slots__ = ("action", "keys", "index", "generators", "generator_keys")
+    __slots__ = ("action", "keys", "generators", "generator_keys")
 
     def __init__(
         self,
@@ -173,7 +167,6 @@ class MatrixGroup:
     ):
         self.action = action
         self.keys = keys
-        self.index = {k: i for i, k in enumerate(keys)}
         self.generators = generators
         self.generator_keys = generator_keys
 
@@ -189,8 +182,9 @@ class MatrixGroup:
         return self.action.matrix(key, dual=True)
 
     def key(self, m: IntegerMatrix) -> Key:
+        """The key of m, scanned from the orbit; GroupError unless m is in the group."""
         key = self.action.key(m)
-        if key not in self.index:
+        if key not in self.keys:
             raise GroupError("matrix is not an element of the group")
         return key
 
@@ -412,20 +406,24 @@ def dual_class_order(table: ConjugacyClassTable) -> dict[int, Key]:
     return first
 
 
-def centralizer(group: MatrixGroup, w: IntegerMatrix) -> MatrixGroup:
-    """Subgroup of all elements commuting with w (w must lie in the group).
+def centralizer(group: MatrixGroup, k: Key) -> MatrixGroup:
+    """Subgroup of all elements commuting with the element that key k names; GroupError if k is not in the group.
 
-    The scan is `commutes_with`'s test, written inline, as a call per element
-    would make it half again as slow.
+    k commutes with itself, so it lies in the group exactly when the scan
+    keeps it.  The scan is `commutes_with`'s test, written inline, as a call
+    per element would make it half again as slow.
     """
-    k = group.key(w)
-    r = group.action.rank
+    kind, r = group.action.kind, group.action.rank
+    if type(k) is not kind.of:
+        raise GroupError(f"a {type(k).__name__} key on a group of {kind.of.__name__} keys")
     if r == 0:
-        return MatrixGroup(group.action, group.keys, (), ())
-    kind = group.action.kind
-    table, apply = kind.table, kind.apply
-    head, k_table, first = k[:r], table(k), k[0]
-    fixed = tuple(c for c in group.keys if c[first] == k[c[0]] and apply(head, table(c)) == apply(c[:r], k_table))
+        fixed = group.keys
+    else:
+        table, apply = kind.table, kind.apply
+        head, k_table, first = k[:r], table(k), k[0]
+        fixed = tuple(c for c in group.keys if c[first] == k[c[0]] and apply(head, table(c)) == apply(c[:r], k_table))
+    if k not in fixed:
+        raise GroupError("key is not an element of the group")
     return MatrixGroup(group.action, fixed, (), ())
 
 

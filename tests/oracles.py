@@ -535,7 +535,7 @@ def dual_group_data(datum: RootDatum) -> tuple:
     """(Ŵ, its class table, its centralizers), Ŵ generated from dual_datum's generators and scanned in itself."""
     group = generate_group(dual_datum(datum).generators)
     table = conjugacy_classes(group)
-    return group, table, tuple(centralizer(group, rep) for rep in table.representatives)
+    return group, table, tuple(centralizer(group, k) for k in table.keys)
 
 
 def dual_group_report(datum: RootDatum, space: SpaceDescriptor) -> OrbifoldReport:
@@ -545,7 +545,7 @@ def dual_group_report(datum: RootDatum, space: SpaceDescriptor) -> OrbifoldRepor
     centralizer, with the lattice sides the space uses.
     """
     _, table, cents = dual_group_data(datum)
-    records = tuple(map(_record, table.representatives, cents, table.sizes))
+    records = tuple(map(_record, table.representatives, cents, table.keys, table.sizes))
     return _report(dual_datum(datum).label, space, records)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbev import orbifold_engine, sln_formula
+from orbev import orbifold_engine, sln_formula, weyl
 from orbev.cli import main
 from orbev.epoly import SPACES, BivariatePolynomial, char_poly, factor_e_character
 from orbev.lattice_core import (
@@ -28,7 +28,6 @@ from orbev.lattice_core import (
 from orbev.orbifold_engine import (
     EngineError,
     _class_polynomials,
-    _class_records,
     _dual_records,
     _duality_row,
     _fixed_data,
@@ -83,7 +82,7 @@ def M(rows):
 
 
 TRIVIAL = RootDatum(rank=0, basis=IntegerMatrix.zero(0, 0), denominator=1, gram=(), generators=(), label="trivial")
-ENGINE_CACHES = (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records, _key_histogram,
+ENGINE_CACHES = (mirror_check, orbifold_e_polynomial, duality_check, _group_data, _dual_records, _key_histogram,
                  _class_polynomials)
 
 
@@ -103,7 +102,7 @@ def cleared_engine_caches():
 
 def term(space, w, cent):
     """The class term of w read on cent, which is C(w) unless a test says otherwise."""
-    return class_contribution(_record(w, cent), SPACES[space])
+    return class_contribution(_record(w, cent, cent.key(w)), SPACES[space])
 
 
 def xpoly(coeffs):
@@ -210,7 +209,7 @@ class TestClassContribution:
         d = sl_quotient_datum(2, 1)
         group = generate_group(d.generators)
         w = IntegerMatrix.identity(1)
-        contrib = term("betti", w, centralizer(group, w))
+        contrib = term("betti", w, centralizer(group, group.key(w)))
         # average of (uv-1)^2 and (uv+1)^2 over W = Z/2
         assert contrib.average == xpoly([1, 0, 1])
         assert contrib.weighted == contrib.average
@@ -219,7 +218,7 @@ class TestClassContribution:
         d = sl_quotient_datum(2, 1)
         group = generate_group(d.generators)
         w = M([[-1]])
-        contrib = term("betti", w, centralizer(group, w))
+        contrib = term("betti", w, centralizer(group, group.key(w)))
         # 4 order-2 points of (C^x)^2 survive, each contributing 1, shift 1
         assert contrib.average == P.constant(4)
         assert contrib.weighted == UV.scale(4)
@@ -231,7 +230,7 @@ class TestClassContribution:
         table = conjugacy_classes(group)
         for i, rep in enumerate(table.representatives):
             twins = [x for x in elements(group) if class_of(table, x) == i][:2]
-            results = [term("abelian-surface", w, centralizer(group, w)) for w in twins]
+            results = [term("abelian-surface", w, centralizer(group, group.key(w))) for w in twins]
             assert all(r.average == results[0].average for r in results)
             assert all(r.weighted == results[0].weighted for r in results)
 
@@ -298,10 +297,10 @@ class TestOrbifoldEPolynomial:
 
     def test_non_integral_class_average_raises(self, monkeypatch):
         # One more element in the identity class's histogram: (1/|C(w)|)·Σ_c leaves a remainder.
-        _, table, cents = _group_data(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)
-        w, cent = table.representatives[0], cents[0]
+        _, table, records = _group_data(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)
+        w, cent = table.representatives[0], records[0].centralizer
         assert w == IntegerMatrix.identity(2)
-        rows = _key_histogram(cent, cent.key(w), (False,))
+        rows = _key_histogram(cent, table.keys[0], (False,))
         bumped = ((*rows[0][:2], rows[0][2] + 1),) + rows[1:]
         assert term("betti", w, cent).average == xpoly([1, 0, 1, 0, 1])
         monkeypatch.setattr(orbifold_engine, "_key_histogram", lambda *args: bumped)
@@ -422,7 +421,7 @@ class TestMirrorCheck:
         from the swapped weights, and the pair must not cancel.
         """
         datum, space = sl_quotient_datum(3, 3), SPACES["betti"]
-        records = _class_records(datum.generators, DEFAULT_CAP)
+        records = _group_data(datum.generators, DEFAULT_CAP)[2]
         (i, target), = [(i, r) for i, r in enumerate(records) if r.pi0_divisors]
         histogram = orbifold_engine._key_histogram
         real = histogram(target.centralizer, target.key, (False, True))
@@ -555,19 +554,26 @@ class TestEngineChecks:
     def test_empty_centralizer(self):
         group = generate_group(sl_quotient_datum(3, 1).generators)
         with pytest.raises(EngineError, match="at least the identity"):
-            _record(IntegerMatrix.identity(2), MatrixGroup(group.action, (), (), ()))
+            _record(IntegerMatrix.identity(2), MatrixGroup(group.action, (), (), ()), group.keys[0])
 
     def test_shift_disagreement_on_a_space_that_uses_the_dual(self):
-        record = _class_records(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)[1]
+        record = _group_data(sl_quotient_datum(3, 1).generators, DEFAULT_CAP)[2][1]
         wrong = record._replace(shift=record.shift + 1)
         assert class_contribution(wrong, SPACES["betti"]).shift == record.shift + 1
         with pytest.raises(EngineError, match="fermionic shift differs"):
             class_contribution(wrong, SPACES["mixed"])
 
     def test_orbit_stabilizer_mismatch(self, monkeypatch, cleared_engine_caches):
-        monkeypatch.setattr(orbifold_engine, "centralizer", lambda group, w: group)
+        monkeypatch.setattr(orbifold_engine, "centralizer", lambda group, k: group)
         with pytest.raises(EngineError, match="orbit-stabilizer"):
             orbifold_e_polynomial(sl_quotient_datum(3, 1), SPACES["betti"])
+
+    def test_orbit_stabilizer_mismatch_in_duality_check(self, monkeypatch, cleared_engine_caches):
+        scan = orbifold_engine.centralizer
+        short = lambda group, k: MatrixGroup(group.action, scan(group, k).keys[:-1], (), ())  # one element dropped
+        monkeypatch.setattr(orbifold_engine, "centralizer", short)
+        with pytest.raises(EngineError, match="orbit-stabilizer"):
+            duality_check(sl_quotient_datum(3, 1))
 
     @pytest.mark.parametrize("order", [
         lambda table: dict.fromkeys([0] * table.count, table.keys[0]),
@@ -621,9 +627,9 @@ def oracle_data():
 def assert_report_matches_oracle(report, group, space):
     table = conjugacy_classes(group)
     assert len(report.contributions) == table.count
-    for rep, contribution in zip(table.representatives, report.contributions):
+    for key, rep, contribution in zip(table.keys, table.representatives, report.contributions):
         assert contribution.representative == rep
-        expected = per_element_class_oracle(space, rep, centralizer(group, rep))
+        expected = per_element_class_oracle(space, rep, centralizer(group, key))
         got = (contribution.average, contribution.weighted, contribution.shift, contribution.pi0_divisors)
         assert got == expected
 
@@ -663,8 +669,8 @@ class TestKeyHistogram:
         for datum in oracle_data():
             group = generate_group(datum.generators)
             table = conjugacy_classes(group)
-            for key, w in zip(table.keys, table.representatives):
-                cent = centralizer(group, w)
+            for key in table.keys:
+                cent = centralizer(group, key)
                 rows = _key_histogram(cent, key, histogram_inverses(SPACES[space]))
                 assert sum(count for _, _, count in rows) == cent.order
                 assert len({(poly, fixes) for poly, fixes, _ in rows}) == len(rows)
@@ -682,7 +688,7 @@ class TestKeyHistogram:
         monkeypatch.setattr(orbifold_engine, "conjugacy_classes",
                             lambda group: reads["classes"].append(group) or classes(group))
         monkeypatch.setattr(orbifold_engine, "centralizer",
-                            lambda group, w: reads["centralizers"].append(group) or cent_scan(group, w))
+                            lambda group, k: reads["centralizers"].append(group) or cent_scan(group, k))
         for cached in ENGINE_CACHES:
             cached.cache_clear()
         return reads
@@ -719,24 +725,22 @@ class TestKeyHistogram:
                 rebased(classical_datum("C", 3, "adjoint"), seed=7)]
         runs = []
         for spaces in (list(SPACES.values()), list(SPACES.values())[::-1]):
-            for cached in (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records, _fixed_data,
-                           _key_histogram, fixed_count, _space_character, _class_polynomials,
-                           factor_e_character, char_poly):
+            for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_records, _fixed_data, _key_histogram,
+                           fixed_count, _space_character, _class_polynomials, factor_e_character, char_poly):
                 cached.cache_clear()
             runs.append({(d.label, s.name): mirror_check(d, s) for d in data for s in spaces})
         assert runs[0] == runs[1]
 
     def test_matrix_caches_hold_only_representatives_and_generators(self):
         datum = classical_datum("B", 4, "simply_connected")
-        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _class_records, _dual_records,
-                       _class_polynomials):
+        for cached in (mirror_check, orbifold_e_polynomial, _group_data, _dual_records, _class_polynomials):
             cached.cache_clear()
         mirror_check(datum, SPACES["mixed"])
-        group, table, cents = _group_data(datum.generators, DEFAULT_CAP)
+        group, table, records = _group_data(datum.generators, DEFAULT_CAP)
         allowed = set(table.keys) | set(dual_class_order(table).values()) | set(group.generator_keys)
         built = set(group.action.matrices) | set(group.action.dual_matrices)
         assert built <= allowed
-        assert sum(cent.order for cent in cents) > len(allowed)
+        assert sum(record.centralizer.order for record in records) > len(allowed)
 
     @pytest.mark.parametrize("datum", [classical_datum("B", 3, "simply_connected"), sl_quotient_datum(4, 2)],
                              ids=["B3_sc", "SL4/Z2"])
@@ -748,15 +752,15 @@ class TestKeyHistogram:
             cached.cache_clear()
         for space in SPACES.values():
             assert mirror_check(datum, space).equal
-        group, _, cents = _group_data(datum.generators, DEFAULT_CAP)
-        assert built == [group, *cents]
+        group, _, records = _group_data(datum.generators, DEFAULT_CAP)
+        assert built == [group, *(record.centralizer for record in records)]
 
 
 class TestSharedGroupData:
     """Data with equal generators share one group, class table, centralizers and key histograms."""
 
     def test_c3_simply_connected_reuses_b3_adjoint_work(self, monkeypatch):
-        for cached in (duality_check, _group_data, _class_records, _dual_records, _key_histogram):
+        for cached in (duality_check, _group_data, _dual_records, _key_histogram):
             cached.cache_clear()
         b3 = duality_check(classical_datum("B", 3, "adjoint"))
         calls = []
@@ -774,7 +778,7 @@ class TestSharedGroupData:
         """B3_sc's five mirror checks: the first builds every record, Smith form and fixed datum; the rest none."""
         for cached in (_fixed_data, smith_normal_form):
             cached.cache_clear()
-        caches = (_fixed_data, smith_normal_form, _class_records, _dual_records)
+        caches = (_fixed_data, smith_normal_form, _group_data, _dual_records)
         datum = classical_datum("B", 3, "simply_connected")
         misses = []
         for space in SPACES.values():
@@ -790,8 +794,8 @@ class TestSharedGroupData:
         for datum in (b2, c2):
             for space in SPACES.values():
                 assert mirror_check(datum, space).equal
-            builds.append([cached.cache_info().misses for cached in (_group_data, _class_records, _dual_records)])
-        assert builds == [[1, 1, 1], [1, 1, 1]]
+            builds.append([cached.cache_info().misses for cached in (_group_data, _dual_records)])
+        assert builds == [[1, 1], [1, 1]]
 
     def test_b2_adjoint_and_c2_simply_connected_print_one_mirror_body(self):
         bodies = []
@@ -841,7 +845,7 @@ class TestLatticeProjections:
         group = generate_group(datum.generators)
         table = conjugacy_classes(group)
         for key, w in zip(table.keys, table.representatives):
-            cent = centralizer(group, w)
+            cent = centralizer(group, key)
             order, traces = _trace_reader(cent, key)
             sides = [(False, w, elements(cent)), (True, cent.dual_matrix(key), tuple(map(cent.dual_matrix, cent.keys)))]
             for inverse, ws, matrices in sides:
@@ -853,10 +857,10 @@ class TestLatticeProjections:
                     assert (divisors, block(c) if divisors else ()) == induced_automorphism(cs, ws - eye)
         report = duality_check(datum)
         assert len(report.rows) == table.count
-        for row, w in zip(report.rows, table.representatives):
+        for row, key, w in zip(report.rows, table.keys, table.representatives):
             assert row.representative == w
             got = (row.pi0_primal, row.pi0_dual, row.orders_agree, row.fixed_counts_agree)
-            assert got == per_element_duality_oracle(w, centralizer(group, w))
+            assert got == per_element_duality_oracle(w, centralizer(group, key))
 
     def test_fixed_count_runs_once_per_distinct_block(self, monkeypatch):
         """The engine reaches π₀ counts only through its `fixed_count` name, whose memo computes each block once."""
@@ -874,18 +878,32 @@ class TestKeysAndShifts:
 
     @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
     def test_keys_and_shifts_on_both_lattices(self, datum):
-        for group, table, cents in (_group_data(datum.generators, DEFAULT_CAP), dual_group_data(datum)):
+        group, table, records = _group_data(datum.generators, DEFAULT_CAP)
+        for group, table, cents in ((group, table, [r.centralizer for r in records]), dual_group_data(datum)):
             for key, w, cent in zip(table.keys, table.representatives, cents):
                 assert fermionic_shift(w) == (w - IntegerMatrix.identity(w.rows)).rank()
-                # w was built by the group's action, fresh was not: a lookup and a scan
+                # w was built by the group's action, fresh was not; both are scanned
                 fresh = IntegerMatrix.from_rows([list(row) for row in w.entries], cols=w.cols)
                 assert cent.key(w) == cent.key(fresh) == key
                 with pytest.raises(GroupError):
                     cent.key(w.scale(2))
-                outside = next((k for k in group.keys if k not in cent.index), None)
+                outside = next((k for k in group.keys if k not in cent.keys), None)
                 if outside is not None:
                     with pytest.raises(GroupError):
                         cent.key(group.matrix(outside))
+
+
+    def test_the_engine_looks_up_no_key_from_a_matrix(self, monkeypatch, cleared_engine_caches):
+        """Records, class terms and duality rows are read at W's class keys; no matrix is turned back into a key."""
+        def refuse(action, m):
+            raise AssertionError("the engine looked up the key of a matrix")
+
+        monkeypatch.setattr(weyl._Action, "key", refuse)
+        for datum in rank_four_data():
+            for space in SPACES.values():
+                orbifold_e_polynomial(datum, space)
+                mirror_check(datum, space)
+            duality_check(datum)
 
 
 def reflection_in_sl3():
@@ -906,4 +924,4 @@ class TestCentralizerGuard:
     def test_duality_row_rejects_non_commuting_elements(self):
         _, group, w = reflection_in_sl3()
         with pytest.raises(NonCentralizingError):
-            _duality_row(group, group.key(w))
+            _duality_row(_record(w, group, group.key(w)))

@@ -17,7 +17,6 @@ from orbev.epoly import SPACES
 from orbev.lattice_core import IntegerMatrix, NonCentralizingError
 from orbev.orbifold_engine import (
     _class_polynomials,
-    _class_records,
     _dual_records,
     _duality_row,
     _group_data,
@@ -38,8 +37,8 @@ from orbev.weyl import (
     schreier_sims_order,
 )
 
-ENGINE_CACHES = (orbifold_e_polynomial, mirror_check, duality_check, _group_data, _class_records, _dual_records,
-                 _key_histogram, _class_polynomials)
+ENGINE_CACHES = (orbifold_e_polynomial, mirror_check, duality_check, _group_data, _dual_records, _key_histogram,
+                 _class_polynomials)
 COMMANDS = (["compute", "--space", "mixed"], ["mirror-check", "--space", "mixed"], ["duality-check"])
 
 
@@ -68,7 +67,7 @@ def group_layer(datum):
         "elements": as_tuples(group.keys),
         "generators": as_tuples(group.generator_keys),
         "classes": table_as_tuples(table),
-        "centralizers": [as_tuples(centralizer(group, rep).keys) for rep in table.representatives],
+        "centralizers": [as_tuples(centralizer(group, k).keys) for k in table.keys],
         "dual_classes": tuple((i, tuple(k)) for i, k in dual_class_order(table).items()),
     }
     return type(group.keys[0]), layer
@@ -112,18 +111,20 @@ def test_keys_name_their_matrices(kind, datum):
         assert g.dual_matrix(k) == g.matrix(k).inverse_transpose()
         # a matrix the action did not build is scanned, and gets a key of the same kind
         fresh = IntegerMatrix.from_rows([list(row) for row in g.matrix(k).entries], cols=datum.rank)
-        assert type(g.key(fresh)) is kind and g.index[g.key(fresh)] == g.index[k]
+        assert type(g.key(fresh)) is kind and g.key(fresh) == k
 
 
 def test_a_key_of_the_other_kind_is_refused(kind):
     group = generate_group(sl_quotient_datum(3, 1).generators)
     other = tuple if kind is bytes else bytes
     for k in group.keys:
-        assert other(k) not in group.index
+        assert other(k) not in group.keys
         with pytest.raises(GroupError, match="key on a group of"):
             group.matrix(other(k))
         with pytest.raises(GroupError, match="key on a group of"):
             group.dual_matrix(other(k))
+        with pytest.raises(GroupError, match="key on a group of"):
+            centralizer(group, other(k))
 
 
 def test_a_non_commuting_element_still_raises(kind):
@@ -131,9 +132,9 @@ def test_a_non_commuting_element_still_raises(kind):
     w = sl_quotient_datum(3, 1).generators[0]
     for space in ("betti", "mixed"):
         with pytest.raises(NonCentralizingError):
-            class_contribution(_record(w, group), SPACES[space])
+            class_contribution(_record(w, group, group.key(w)), SPACES[space])
     with pytest.raises(NonCentralizingError):
-        _duality_row(group, group.key(w))
+        _duality_row(_record(w, group, group.key(w)))
 
 
 def test_schreier_sims_reads_keys_of_either_kind(kind):

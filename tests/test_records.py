@@ -11,7 +11,7 @@ import pytest
 
 from orbev.epoly import C_STAR, ELLIPTIC, PRIMAL, SPACES, BivariatePolynomial, PolynomialError, SpaceDescriptor
 from orbev.lattice_core import IntegerMatrix, smith_normal_form
-from orbev.orbifold_engine import _class_records, duality_check, mirror_check, orbifold_e_polynomial
+from orbev.orbifold_engine import _group_data, duality_check, mirror_check, orbifold_e_polynomial
 from orbev.root_data import sl_quotient_datum
 from orbev.weyl import DEFAULT_CAP
 
@@ -25,7 +25,7 @@ def records() -> list:
     duality = duality_check(datum)
     return [
         mirror.primal.contributions[1],
-        _class_records(datum.generators, DEFAULT_CAP)[1],
+        _group_data(datum.generators, DEFAULT_CAP)[2][1],
         mirror.primal,
         mirror.pairs[1],
         mirror,

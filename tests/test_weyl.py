@@ -125,13 +125,13 @@ class TestConjugacyClasses:
 class TestCentralizer:
     def test_identity_centralizer_is_whole_group(self):
         g = generate_group(sl_quotient_datum(3, 1).generators)
-        c = centralizer(g, IntegerMatrix.identity(2))
+        c = centralizer(g, g.key(IntegerMatrix.identity(2)))
         assert c.order == g.order
 
     def test_orders_in_s3(self):
         g = generate_group(sl_quotient_datum(3, 1).generators)
         table = conjugacy_classes(g)
-        by_size = {size: rep for rep, size in zip(table.representatives, table.sizes)}
+        by_size = {size: k for k, size in zip(table.keys, table.sizes)}
         # transposition class has size 3, centralizer order 2
         assert centralizer(g, by_size[3]).order == 2
         # 3-cycle class has size 2, centralizer order 3
@@ -141,20 +141,21 @@ class TestCentralizer:
         for datum in [sl_quotient_datum(4, 2), classical_datum("B", 3, "simply_connected")]:
             g = generate_group(datum.generators)
             table = conjugacy_classes(g)
-            for rep, size in zip(table.representatives, table.sizes):
-                assert centralizer(g, rep).order * size == g.order
+            for k, size in zip(table.keys, table.sizes):
+                assert centralizer(g, k).order * size == g.order
 
     def test_membership_required(self):
         g = generate_group(sl_quotient_datum(3, 1).generators)
-        outsider = M([[1, 1], [0, 1]])
-        with pytest.raises(Exception):
+        outsider = g.action.key(M([[-1, 0], [0, -1]]))  # permutes the orbit but is not in W
+        assert outsider not in g.keys
+        with pytest.raises(GroupError, match="not an element of the group"):
             centralizer(g, outsider)
 
     def test_all_elements_commute_with_w(self):
         g = generate_group(classical_datum("B", 2, "adjoint").generators)
         table = conjugacy_classes(g)
-        for rep in table.representatives:
-            for c in elements(centralizer(g, rep)):
+        for k, rep in zip(table.keys, table.representatives):
+            for c in elements(centralizer(g, k)):
                 assert c * rep == rep * c
 
 
@@ -203,7 +204,7 @@ def assert_matches_oracle(group, generators):
     assert list(elements(group)) == matrices
     assert list(table.representatives) == representatives
     assert list(table.sizes) == sizes
-    assert [list(elements(centralizer(group, w))) for w in table.representatives] == centralizers
+    assert [list(elements(centralizer(group, k))) for k in table.keys] == centralizers
 
 
 @pytest.mark.parametrize("datum", rank_four_data(), ids=lambda d: d.label)
@@ -233,9 +234,7 @@ class TestKeys:
             m = group.dual_matrix(k)
             assert m == group.matrix(k).inverse_transpose()
             # a group and its centralizers share one action, and its cache of (w⁻¹)ᵀ
-            assert group.dual_matrix(k) is m is centralizer(group, group.matrix(k)).dual_matrix(k)
-            # only the matrices w are looked up by identity
-            assert id(m) not in group.action.matrix_keys
+            assert group.dual_matrix(k) is m is centralizer(group, k).dual_matrix(k)
 
     @pytest.mark.parametrize("datum, walks", [
         (classical_datum("B", 3, "simply_connected"), 0),
